@@ -16,11 +16,11 @@ from repro.bft.config import BftConfig
 from repro.bft.messages import Checkpoint
 from repro.crypto.keys import KeyStore
 from repro.util.errors import ProtocolError
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 
 
 @dataclass(frozen=True)
-class CheckpointCertificate:
+class CheckpointCertificate(WireStruct):
     """2f+1 matching, signed checkpoint messages for one (seq, digest)."""
 
     seq: int
@@ -47,14 +47,12 @@ class CheckpointCertificate:
                 return False
         return True
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.seq)
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.state_digest, 32)
-        writer.put_list(list(self.signatures), lambda w, cp: w.put_bytes(cp.encode()))
-        return writer.getvalue()
+        writer.put_structs(self.signatures)
 
     @classmethod
     def decode(cls, data: bytes) -> "CheckpointCertificate":
@@ -67,9 +65,6 @@ class CheckpointCertificate:
         reader.expect_end()
         return cls(seq=seq, block_height=block_height, block_hash=block_hash,
                    state_digest=state_digest, signatures=tuple(signatures))
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 class CheckpointCollector:

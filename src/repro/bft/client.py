@@ -20,7 +20,7 @@ from repro.bft.config import BftConfig
 from repro.bft.env import Env
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 from repro.wire.messages import Request, SignedRequest
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
@@ -28,24 +28,21 @@ _DOMAIN_REPLY = b"pbft/reply"
 
 
 @dataclass(frozen=True)
-class ClientRequestWrapper:
+class ClientRequestWrapper(WireStruct):
     """Client traffic envelope, distinguishable from ZugChain broadcasts."""
 
     request: SignedRequest
 
-    def encode(self) -> bytes:
-        return self.request.encode()
+    def write_to(self, writer: FieldWriter) -> None:
+        self.request.write_to(writer)
 
     @classmethod
     def decode(cls, data: bytes) -> "ClientRequestWrapper":
         return cls(request=SignedRequest.decode(data))
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class Reply:
+class Reply(WireStruct):
     """Replica's execution acknowledgement to the submitting client."""
 
     seq: int
@@ -69,14 +66,12 @@ class Reply:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
         writer.put_str(self.client_id)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "Reply":
@@ -89,9 +84,6 @@ class Reply:
         reader.expect_end()
         return cls(seq=seq, digest=digest, client_id=client_id,
                    replica_id=replica_id, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass

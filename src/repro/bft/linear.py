@@ -41,7 +41,7 @@ from repro.crypto.hashing import sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
 from repro.bft.replica import ReplicaStats
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 from repro.wire.messages import SignedRequest
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
@@ -49,7 +49,7 @@ _DOMAIN_VOTE = b"linear/vote"
 
 
 @dataclass(frozen=True)
-class Vote:
+class Vote(WireStruct):
     """Replica's signed endorsement of (view, seq, digest), sent to the primary."""
 
     view: int
@@ -68,14 +68,12 @@ class Vote:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "Vote":
@@ -89,12 +87,9 @@ class Vote:
         return cls(view=view, seq=seq, digest=digest, replica_id=replica_id,
                    signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class CommitCert:
+class CommitCert(WireStruct):
     """2f+1 votes certifying one ordered request; broadcast by the primary."""
 
     view: int
@@ -112,13 +107,11 @@ class CommitCert:
             signers.add(vote.replica_id)
         return len(signers) >= config.quorum
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
-        writer.put_list(list(self.votes), lambda w, v: w.put_bytes(v.encode()))
-        return writer.getvalue()
+        writer.put_structs(self.votes)
 
     @classmethod
     def decode(cls, data: bytes) -> "CommitCert":
@@ -129,9 +122,6 @@ class CommitCert:
         votes = reader.get_list(lambda r: Vote.decode(r.get_bytes()))
         reader.expect_end()
         return cls(view=view, seq=seq, digest=digest, votes=tuple(votes))
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass

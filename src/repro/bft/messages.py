@@ -6,7 +6,8 @@ cryptography (§III-B).  Every type provides:
 * ``signing_payload()`` — the exact bytes covered by the signature;
 * ``signed(keypair)``   — a signed copy (messages are immutable);
 * ``verify(keystore)``  — signature check against the registered key;
-* ``encode()`` / ``decode()`` and ``encoded_size()`` — wire accounting.
+* ``write_to(writer)`` / ``decode()`` — the wire layout; ``encode()`` and
+  ``encoded_size()`` come from :class:`~repro.wire.codec.WireStruct`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_CHECKPOINT, sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 from repro.wire.messages import SignedRequest
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
@@ -32,7 +33,7 @@ _DOMAIN_DECIDE_PROOF = b"pbft/decide-proof"
 
 
 @dataclass(frozen=True)
-class PrePrepare:
+class PrePrepare(WireStruct):
     """Primary's ordering proposal carrying the full signed request."""
 
     view: int
@@ -60,14 +61,12 @@ class PrePrepare:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.primary_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
-        writer.put_bytes(self.request.encode())
+        writer.put_struct(self.request)
         writer.put_str(self.primary_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "PrePrepare":
@@ -80,12 +79,9 @@ class PrePrepare:
         reader.expect_end()
         return cls(view=view, seq=seq, request=request, primary_id=primary_id, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class _PhaseVote:
+class _PhaseVote(WireStruct):
     """Shared shape of Prepare and Commit: a vote on (view, seq, digest)."""
 
     view: int
@@ -111,14 +107,12 @@ class _PhaseVote:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes):
@@ -130,9 +124,6 @@ class _PhaseVote:
         signature = reader.get_fixed(SIGNATURE_SIZE)
         reader.expect_end()
         return cls(view=view, seq=seq, digest=digest, replica_id=replica_id, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 @dataclass(frozen=True)
@@ -146,7 +137,7 @@ class Commit(_PhaseVote):
 
 
 @dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(WireStruct):
     """Signed application snapshot reference: one per block (§III-C).
 
     ``state_digest`` commits to the block hash and the chain state so a
@@ -177,15 +168,13 @@ class Checkpoint:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.seq)
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.state_digest, 32)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "Checkpoint":
@@ -200,9 +189,6 @@ class Checkpoint:
         return cls(seq=seq, block_height=block_height, block_hash=block_hash,
                    state_digest=state_digest, replica_id=replica_id, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 def checkpoint_state_digest(block_hash: bytes, chain_height: int, open_request_digests: list[bytes]) -> bytes:
     """Application state digest covered by checkpoint signatures."""
@@ -215,7 +201,7 @@ def checkpoint_state_digest(block_hash: bytes, chain_height: int, open_request_d
 
 
 @dataclass(frozen=True)
-class PreparedProof:
+class PreparedProof(WireStruct):
     """Evidence in a ViewChange that (seq, digest) was prepared in ``view``."""
 
     view: int
@@ -223,13 +209,11 @@ class PreparedProof:
     digest: bytes
     request: SignedRequest
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.view)
         writer.put_uint(self.seq)
         writer.put_fixed(self.digest, 32)
-        writer.put_bytes(self.request.encode())
-        return writer.getvalue()
+        writer.put_struct(self.request)
 
     @classmethod
     def decode(cls, data: bytes) -> "PreparedProof":
@@ -241,12 +225,9 @@ class PreparedProof:
         reader.expect_end()
         return cls(view=view, seq=seq, digest=digest, request=request)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class ViewChange:
+class ViewChange(WireStruct):
     """A replica's vote to move to ``new_view``."""
 
     new_view: int
@@ -272,15 +253,13 @@ class ViewChange:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.new_view)
         writer.put_uint(self.last_stable_seq)
         writer.put_fixed(self.stable_checkpoint_digest, 32)
-        writer.put_list(list(self.prepared), lambda w, p: w.put_bytes(p.encode()))
+        writer.put_structs(self.prepared)
         writer.put_str(self.replica_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "ViewChange":
@@ -296,12 +275,9 @@ class ViewChange:
                    stable_checkpoint_digest=stable_digest, prepared=tuple(prepared),
                    replica_id=replica_id, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class NewView:
+class NewView(WireStruct):
     """New primary's announcement: proof of 2f+1 view changes plus reproposals."""
 
     view: int
@@ -325,14 +301,12 @@ class NewView:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.primary_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.view)
-        writer.put_list(list(self.view_changes), lambda w, vc: w.put_bytes(vc.encode()))
-        writer.put_list(list(self.preprepares), lambda w, pp: w.put_bytes(pp.encode()))
+        writer.put_structs(self.view_changes)
+        writer.put_structs(self.preprepares)
         writer.put_str(self.primary_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "NewView":
@@ -347,12 +321,9 @@ class NewView:
                    preprepares=tuple(preprepares), primary_id=primary_id,
                    signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DecideFetch:
+class DecideFetch(WireStruct):
     """A stalled replica asks a peer to replay decided sequence numbers.
 
     Message loss (or a view change discarding in-flight instances) can
@@ -383,13 +354,11 @@ class DecideFetch:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.requester_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.requester_id)
         writer.put_uint(self.first_seq)
         writer.put_uint(self.last_seq)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "DecideFetch":
@@ -402,12 +371,9 @@ class DecideFetch:
         return cls(requester_id=requester_id, first_seq=first_seq,
                    last_seq=last_seq, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DecideProof:
+class DecideProof(WireStruct):
     """One decided instance replayed: the preprepare plus its commit certificate.
 
     The proof is view-independent: 2f+1 signed commits on one
@@ -437,13 +403,11 @@ class DecideProof:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.replica_id)
-        writer.put_bytes(self.preprepare.encode())
-        writer.put_list(list(self.commits), lambda w, c: w.put_bytes(c.encode()))
+        writer.put_struct(self.preprepare)
+        writer.put_structs(self.commits)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "DecideProof":
@@ -455,6 +419,3 @@ class DecideProof:
         reader.expect_end()
         return cls(replica_id=replica_id, preprepare=preprepare,
                    commits=tuple(commits), signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())

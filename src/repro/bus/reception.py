@@ -15,6 +15,7 @@ divergent observation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.bus.frames import BusCycleData, ProcessDataFrame
 from repro.bus.nsdb import Nsdb
@@ -56,11 +57,11 @@ class RelevanceFilter:
 def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
     """Deterministic payload: (port, data, valid) triples sorted by port."""
     writer = Writer()
-    ordered = sorted(frames, key=lambda frame: frame.port)
-    writer.put_list(
-        ordered,
-        lambda w, f: (w.put_uint(f.port), w.put_bytes(f.data), w.put_bool(f.valid)),
-    )
+    writer.put_uint(len(frames))
+    for frame in sorted(frames, key=attrgetter("port")):
+        writer.put_uint(frame.port)
+        writer.put_bytes(frame.data)
+        writer.put_bool(frame.valid)
     return writer.getvalue()
 
 

@@ -14,14 +14,14 @@ from functools import cached_property
 from repro.crypto.hashing import DOMAIN_BLOCK, sha256
 from repro.crypto.merkle import MerkleTree, merkle_root
 from repro.util.errors import ChainError
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 from repro.wire.messages import SignedRequest
 
 GENESIS_PREV_HASH = b"\x00" * 32
 
 
 @dataclass(frozen=True)
-class BlockHeader:
+class BlockHeader(WireStruct):
     """Integrity-critical block metadata."""
 
     height: int
@@ -43,15 +43,13 @@ class BlockHeader:
             domain=DOMAIN_BLOCK,
         )
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_uint(self.height)
         writer.put_fixed(self.prev_hash, 32)
         writer.put_fixed(self.payload_root, 32)
         writer.put_uint(self.timestamp_us)
         writer.put_uint(self.request_count)
         writer.put_uint(self.last_sn)
-        return writer.getvalue()
 
     @classmethod
     def read_from(cls, reader: Reader) -> "BlockHeader":
@@ -71,12 +69,13 @@ class BlockHeader:
         reader.expect_end()
         return header
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
+
+def _payload_tree(requests) -> MerkleTree:
+    return MerkleTree(leaf_hashes=[request.merkle_leaf for request in requests])
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(WireStruct):
     """A header plus the ordered signed requests it commits to."""
 
     header: BlockHeader
@@ -94,23 +93,18 @@ class Block:
     def last_sn(self) -> int:
         return self.header.last_sn
 
-    def payload_leaves(self) -> list[bytes]:
-        return [request.encode() for request in self.requests]
+    def merkle_tree(self) -> MerkleTree:
+        return _payload_tree(self.requests)
 
     def verify_payload(self) -> bool:
         """Check the Merkle commitment and request count against the header."""
         if len(self.requests) != self.header.request_count:
             return False
-        return merkle_root(self.payload_leaves()) == self.header.payload_root
+        return self.merkle_tree().root == self.header.payload_root
 
-    def merkle_tree(self) -> MerkleTree:
-        return MerkleTree(self.payload_leaves())
-
-    def encode(self) -> bytes:
-        writer = Writer()
-        writer.put_bytes(self.header.encode())
-        writer.put_list(list(self.requests), lambda w, r: w.put_bytes(r.encode()))
-        return writer.getvalue()
+    def write_to(self, writer: FieldWriter) -> None:
+        writer.put_struct(self.header)
+        writer.put_structs(self.requests)
 
     @classmethod
     def decode(cls, data: bytes) -> "Block":
@@ -119,9 +113,6 @@ class Block:
         requests = reader.get_list(lambda r: SignedRequest.decode(r.get_bytes()))
         reader.expect_end()
         return cls(header=header, requests=tuple(requests))
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 def genesis_block(chain_id: str = "zugchain") -> Block:
@@ -158,7 +149,7 @@ def build_block(
     header = BlockHeader(
         height=prev.height + 1,
         prev_hash=prev.block_hash,
-        payload_root=merkle_root([request.encode() for request in requests]),
+        payload_root=_payload_tree(requests).root,
         timestamp_us=timestamp_us,
         request_count=len(requests),
         last_sn=last_sn,

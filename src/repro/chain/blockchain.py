@@ -39,10 +39,14 @@ class Blockchain:
     _blocks: list[Block] = field(default_factory=list)
     _headers_only_heights: set[int] = field(default_factory=set)
     prune_certificate: PruneCertificate | None = None
+    #: Running value of :meth:`total_size_bytes`, which the memory sampler
+    #: reads every tick; every method that changes the stored bodies moves it.
+    _body_bytes: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not self._blocks:
             self._blocks.append(genesis_block(self.chain_id))
+        self._body_bytes = self._recount_body_bytes()
 
     # -- reading --------------------------------------------------------------
 
@@ -81,6 +85,10 @@ class Blockchain:
         return self.has_block(height) and height not in self._headers_only_heights
 
     def total_size_bytes(self) -> int:
+        """Encoded size of every stored block body (headers-only blocks excluded)."""
+        return self._body_bytes
+
+    def _recount_body_bytes(self) -> int:
         return sum(
             block.encoded_size()
             for block in self._blocks
@@ -103,6 +111,7 @@ class Blockchain:
                 f"block {block.height} sequence {block.last_sn} does not advance"
             )
         self._blocks.append(block)
+        self._body_bytes += block.encoded_size()
 
     def prune_below(self, height: int, certificate: PruneCertificate) -> list[Block]:
         """Drop blocks strictly below ``height``; returns the removed blocks.
@@ -116,6 +125,11 @@ class Blockchain:
             raise ChainError("prune certificate does not match the requested base block")
         removed = [block for block in self._blocks if block.height < height]
         self._blocks = [block for block in self._blocks if block.height >= height]
+        self._body_bytes -= sum(
+            block.encoded_size()
+            for block in removed
+            if block.height not in self._headers_only_heights
+        )
         self._headers_only_heights = {
             h for h in self._headers_only_heights if h >= height
         }
@@ -132,8 +146,15 @@ class Blockchain:
         for block in self._blocks:
             if self.base_height < block.height < height and block.height not in self._headers_only_heights:
                 self._headers_only_heights.add(block.height)
+                self._body_bytes -= block.encoded_size()
                 affected += 1
         return affected
+
+    def adopt(self, verified: "Blockchain") -> None:
+        """Take over the blocks of an already verified chain (state transfer)."""
+        self._blocks = verified._blocks
+        self.prune_certificate = verified.prune_certificate
+        self._body_bytes = self._recount_body_bytes()
 
     # -- verification -----------------------------------------------------------
 
@@ -165,10 +186,7 @@ class Blockchain:
         """Reconstruct (e.g. on the data-center side) and verify a chain."""
         if not blocks:
             raise ChainError("cannot build a chain from zero blocks")
-        chain = Blockchain.__new__(Blockchain)
-        chain.chain_id = chain_id
-        chain._blocks = list(blocks)
-        chain._headers_only_heights = set()
-        chain.prune_certificate = prune_certificate
+        chain = Blockchain(chain_id=chain_id, _blocks=list(blocks),
+                           prune_certificate=prune_certificate)
         chain.verify()
         return chain

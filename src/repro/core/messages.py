@@ -10,39 +10,34 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 from repro.wire.messages import SignedRequest
 
 
 @dataclass(frozen=True)
-class ZugBroadcast:
+class ZugBroadcast(WireStruct):
     """Backup's broadcast of an unlogged request to the whole group."""
 
     request: SignedRequest
 
-    def encode(self) -> bytes:
-        return self.request.encode()
+    def write_to(self, writer: FieldWriter) -> None:
+        self.request.write_to(writer)
 
     @classmethod
     def decode(cls, data: bytes) -> "ZugBroadcast":
         return cls(request=SignedRequest.decode(data))
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class ZugForward:
+class ZugForward(WireStruct):
     """Relay of a broadcast to the primary (preserves the origin's id/signature)."""
 
     request: SignedRequest
     forwarder_id: str
 
-    def encode(self) -> bytes:
-        writer = Writer()
-        writer.put_bytes(self.request.encode())
+    def write_to(self, writer: FieldWriter) -> None:
+        writer.put_struct(self.request)
         writer.put_str(self.forwarder_id)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "ZugForward":
@@ -51,6 +46,3 @@ class ZugForward:
         forwarder_id = reader.get_str()
         reader.expect_end()
         return cls(request=request, forwarder_id=forwarder_id)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())

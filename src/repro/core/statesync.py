@@ -30,7 +30,7 @@ from repro.chain.blockchain import Blockchain, PruneCertificate
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
 from repro.util.errors import ChainError
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
 _DOMAIN_STATE_REQ = b"statesync/request"
@@ -38,7 +38,7 @@ _DOMAIN_STATE_REP = b"statesync/reply"
 
 
 @dataclass(frozen=True)
-class StateRequest:
+class StateRequest(WireStruct):
     """A lagging replica asks a peer for everything above ``have_height``."""
 
     requester_id: str
@@ -55,12 +55,10 @@ class StateRequest:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.requester_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.requester_id)
         writer.put_uint(self.have_height)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "StateRequest":
@@ -71,12 +69,9 @@ class StateRequest:
         reader.expect_end()
         return cls(requester_id=requester_id, have_height=have_height, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class StateReply:
+class StateReply(WireStruct):
     """Checkpointed state: certificate, chain segment, prune justification.
 
     ``view`` carries the responder's current view so a recovering replica
@@ -116,18 +111,18 @@ class StateReply:
             delete_signatures=dict(self.prune_signatures),
         )
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.replica_id)
-        writer.put_bytes(self.checkpoint.encode())
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        writer.put_struct(self.checkpoint)
+        writer.put_structs(self.blocks)
         writer.put_uint(self.prune_base_height)
         writer.put_bytes(self.prune_base_hash)
-        writer.put_list(list(self.prune_signatures),
-                        lambda w, p: (w.put_str(p[0]), w.put_fixed(p[1], SIGNATURE_SIZE)))
+        writer.put_uint(len(self.prune_signatures))
+        for dc_id, signature in self.prune_signatures:
+            writer.put_str(dc_id)
+            writer.put_fixed(signature, SIGNATURE_SIZE)
         writer.put_uint(self.view)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "StateReply":
@@ -147,9 +142,6 @@ class StateReply:
                    prune_base_height=prune_base_height, prune_base_hash=prune_base_hash,
                    prune_signatures=tuple(prune_signatures), view=view,
                    signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 class StateSync:
@@ -346,8 +338,7 @@ class StateSync:
             head = candidate.block_at(reply.checkpoint.block_height)
             if head.block_hash != reply.checkpoint.block_hash:
                 raise ChainError("transferred chain does not match the checkpoint")
-            self.chain._blocks = candidate._blocks
-            self.chain.prune_certificate = candidate.prune_certificate
+            self.chain.adopt(candidate)
         else:
             # Incremental: extend our own chain block by block (append verifies).
             for block in blocks:

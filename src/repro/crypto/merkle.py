@@ -14,7 +14,8 @@ _LEAF_TAG = b"\x00"
 _NODE_TAG = b"\x01"
 
 
-def _hash_leaf(data: bytes) -> bytes:
+def leaf_hash(data: bytes) -> bytes:
+    """Tagged hash of one leaf; what ``leaf_hashes=`` below expects."""
     return hashlib.sha256(_LEAF_TAG + data).digest()
 
 
@@ -37,13 +38,17 @@ class MerkleTree:
     """Binary Merkle tree with second-preimage-resistant leaf/node tagging.
 
     Odd nodes at each level are promoted unpaired (Bitcoin-style duplication
-    would allow mutation attacks; promotion does not).
+    would allow mutation attacks; promotion does not).  A caller that keeps
+    its leaves' :func:`leaf_hash` values passes those as ``leaf_hashes``
+    instead of the leaves.
     """
 
-    def __init__(self, leaves: list[bytes]) -> None:
-        self._leaf_count = len(leaves)
+    def __init__(self, leaves: list[bytes] = (), *,
+                 leaf_hashes: list[bytes] | None = None) -> None:
+        level = ([leaf_hash(leaf) for leaf in leaves] if leaf_hashes is None
+                 else list(leaf_hashes))
+        self._leaf_count = len(level)
         self._levels: list[list[bytes]] = []
-        level = [_hash_leaf(leaf) for leaf in leaves]
         if level:
             self._levels.append(level)
             while len(level) > 1:
@@ -91,7 +96,7 @@ def verify_merkle_proof(leaf: bytes, proof: MerkleProof, root: bytes, leaf_count
     """
     if not 0 <= proof.index < leaf_count:
         return False
-    current = _hash_leaf(leaf)
+    current = leaf_hash(leaf)
     pos = proof.index
     width = leaf_count
     sibling_iter = iter(proof.siblings)

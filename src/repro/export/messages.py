@@ -12,7 +12,7 @@ from repro.bft.checkpoint import CheckpointCertificate
 from repro.chain.block import Block
 from repro.crypto.hashing import sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 
 _UNSIGNED = b"\x00" * SIGNATURE_SIZE
 
@@ -27,7 +27,7 @@ _DOMAIN_SESSION_RESUME = b"export/session-resume"
 
 
 @dataclass(frozen=True)
-class ReadRequest:
+class ReadRequest(WireStruct):
     """Step ①: a data center asks replicas for blocks since ``last_sn``.
 
     ``full_from`` names the randomly chosen replica that also ships the
@@ -49,13 +49,11 @@ class ReadRequest:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.dc_id)
         writer.put_uint(self.last_sn)
         writer.put_str(self.full_from)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "ReadRequest":
@@ -67,12 +65,9 @@ class ReadRequest:
         reader.expect_end()
         return cls(dc_id=dc_id, last_sn=last_sn, full_from=full_from, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class ReadReply:
+class ReadReply(WireStruct):
     """Step ②: a replica's latest stable checkpoint, plus blocks if designated."""
 
     replica_id: str
@@ -92,13 +87,11 @@ class ReadReply:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.replica_id)
-        writer.put_bytes(self.checkpoint.encode() if self.checkpoint else b"")
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        writer.put_struct(self.checkpoint)
+        writer.put_structs(self.blocks)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "ReadReply":
@@ -112,12 +105,9 @@ class ReadReply:
         return cls(replica_id=replica_id, checkpoint=checkpoint,
                    blocks=tuple(blocks), signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DcSync:
+class DcSync(WireStruct):
     """Step ③: inter-data-center synchronization of the export payload."""
 
     dc_id: str
@@ -136,13 +126,11 @@ class DcSync:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.dc_id)
-        writer.put_bytes(self.checkpoint.encode())
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        writer.put_struct(self.checkpoint)
+        writer.put_structs(self.blocks)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "DcSync":
@@ -155,12 +143,9 @@ class DcSync:
         return cls(dc_id=dc_id, checkpoint=checkpoint, blocks=tuple(blocks),
                    signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DeleteRequest:
+class DeleteRequest(WireStruct):
     """Step ⑤: a data center authorizes pruning up to a specific block."""
 
     dc_id: str
@@ -180,14 +165,12 @@ class DeleteRequest:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.dc_id)
         writer.put_uint(self.upto_sn)
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "DeleteRequest":
@@ -201,12 +184,9 @@ class DeleteRequest:
         return cls(dc_id=dc_id, upto_sn=upto_sn, block_height=block_height,
                    block_hash=block_hash, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class DeleteAck:
+class DeleteAck(WireStruct):
     """Step ⑦: a replica confirms it pruned up to ``block_height``."""
 
     replica_id: str
@@ -224,13 +204,11 @@ class DeleteAck:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.replica_id)
         writer.put_uint(self.block_height)
         writer.put_fixed(self.block_hash, 32)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "DeleteAck":
@@ -243,12 +221,9 @@ class DeleteAck:
         return cls(replica_id=replica_id, block_height=block_height,
                    block_hash=block_hash, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class SessionResume:
+class SessionResume(WireStruct):
     """A recovered replica announces it can serve export traffic again.
 
     Sent to every known data center after crash recovery: carries the
@@ -275,14 +250,12 @@ class SessionResume:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.replica_id)
         writer.put_uint(self.chain_height)
         writer.put_fixed(self.head_hash, 32)
         writer.put_uint(self.incarnation)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "SessionResume":
@@ -297,12 +270,9 @@ class SessionResume:
                    head_hash=head_hash, incarnation=incarnation,
                    signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class BlockFetch:
+class BlockFetch(WireStruct):
     """Step ④ second round: request specific missing blocks from a replica."""
 
     dc_id: str
@@ -320,13 +290,11 @@ class BlockFetch:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.dc_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.dc_id)
         writer.put_uint(self.first_height)
         writer.put_uint(self.last_height)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "BlockFetch":
@@ -339,12 +307,9 @@ class BlockFetch:
         return cls(dc_id=dc_id, first_height=first_height,
                    last_height=last_height, signature=signature)
 
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class BlockFetchReply:
+class BlockFetchReply(WireStruct):
     """Blocks served for a :class:`BlockFetch`."""
 
     replica_id: str
@@ -362,12 +327,10 @@ class BlockFetchReply:
     def verify(self, keystore: KeyStore) -> bool:
         return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.replica_id)
-        writer.put_list(list(self.blocks), lambda w, b: w.put_bytes(b.encode()))
+        writer.put_structs(self.blocks)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "BlockFetchReply":
@@ -377,6 +340,3 @@ class BlockFetchReply:
         signature = reader.get_fixed(SIGNATURE_SIZE)
         reader.expect_end()
         return cls(replica_id=replica_id, blocks=tuple(blocks), signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())

@@ -247,8 +247,7 @@ class ExportHandler:
         head = candidate.block_at(checkpoint.block_height)
         if head.block_hash != checkpoint.block_hash:
             raise ChainError("transferred chain does not match the checkpoint")
-        self.chain._blocks = candidate._blocks  # adopt verified state
-        self.chain.prune_certificate = prune_certificate
+        self.chain.adopt(candidate)
 
     # -- memory-exhaustion fallback (error scenario v) ------------------------------------------
 

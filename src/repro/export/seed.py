@@ -78,7 +78,5 @@ def seed_chain_and_checkpoints(
 
 def clone_chain(chain: Blockchain) -> Blockchain:
     """Independent copy for one replica (pruning must not alias)."""
-    copy = Blockchain(chain_id=chain.chain_id)
-    copy._blocks = list(chain._blocks)
-    copy.prune_certificate = chain.prune_certificate
-    return copy
+    return Blockchain(chain_id=chain.chain_id, _blocks=list(chain._blocks),
+                      prune_certificate=chain.prune_certificate)

@@ -34,7 +34,7 @@ from repro.lint.engine import (
 )
 
 # Importing the rule modules registers every shipped rule (the flow
-# package carries the interprocedural FLOW001-FLOW004 stage, the aio
+# package carries the interprocedural FLOW001-FLOW003 stage, the aio
 # package the async concurrency ASYNC001-ASYNC006 stage, the sm package
 # the protocol state-machine SM001-SM006 stage).
 import repro.lint.rules  # noqa: E402,F401  (import for side effect)

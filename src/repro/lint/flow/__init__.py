@@ -3,16 +3,15 @@
 Layered on the PR-1 ``Project``/``Rule`` engine: :mod:`callgraph` builds
 a name-resolved project call graph, :mod:`summaries` computes
 per-function summaries and runs the worklist taint/guard fixpoint, and
-:mod:`rules`/:mod:`sizes` turn the results into the FLOW001–FLOW004
-rule families.  Importing this package registers all four rules.
+:mod:`rules` turns the results into the FLOW001–FLOW003 rule families.
+Importing this package registers all three rules.
 """
 
 from repro.lint.flow.callgraph import CallGraph, build_call_graph
 from repro.lint.flow.summaries import FlowAnalysis, FunctionSummary, flow_analysis
 
-# Importing the rule modules registers FLOW001-FLOW004.
+# Importing the rule module registers FLOW001-FLOW003.
 import repro.lint.flow.rules  # noqa: E402,F401  (import for side effect)
-import repro.lint.flow.sizes  # noqa: E402,F401  (import for side effect)
 
 __all__ = [
     "CallGraph",

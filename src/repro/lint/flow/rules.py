@@ -32,7 +32,7 @@ from repro.lint.flow.summaries import (
     taint_exempt_module,
     taint_findings,
 )
-from repro.lint.rules.protocol import _HANDLER_NAME_RE, _registrations
+from repro.lint.rules.protocol import CODEC_METHODS, _HANDLER_NAME_RE, _registrations
 
 _MESSAGE_TYPES_RE = re.compile(r"MESSAGE_TYPES")
 
@@ -103,11 +103,11 @@ class VerifyBeforeMutateRule(Rule):
 
 
 def _wire_message_classes(graph: CallGraph) -> set[str]:
-    """Class keys of repro.* classes defining both encode and decode."""
+    """Class keys of repro.* classes defining the codec methods."""
     return {
         key for key, cls in graph.classes.items()
         if cls.module.startswith("repro.")
-        and {"encode", "decode"} <= cls.methods.keys()
+        and CODEC_METHODS <= cls.methods.keys()
     }
 
 

@@ -55,7 +55,7 @@ from repro.lint.rules.determinism import (
 
 #: Protocol-visible sinks: the DET003 order sinks plus the remaining codec
 #: writers and the fan-out emission helper.
-TAINT_SINKS = frozenset(_ORDER_SINKS) | {"put_uint", "put_str", "put_fixed", "send_many"}
+TAINT_SINKS = frozenset(_ORDER_SINKS) | {"put_uint", "put_str", "put_fixed", "put_struct", "send_many"}
 
 #: Ambient entropy calls beyond the wall clock / random module.
 _ENTROPY_CALLS = {

@@ -74,7 +74,7 @@ _ORDER_SINKS = {
     "blake2b",
     "merkle_root",
     "encode_message",
-    "put_list",
+    "put_structs",
     "put_bytes",
     "sign",
     "send",

@@ -17,8 +17,13 @@ from typing import Iterator
 from repro.lint.astutil import enclosing_function, terminal_name
 from repro.lint.engine import FileContext, Finding, Project, Rule, register_rule
 
-#: Modules whose ``encode``/``decode`` classes must be registered with the
-#: wire envelope registry.
+#: What makes a class a wire codec: the one field listing
+#: (``repro.wire.codec.WireStruct`` derives ``encode``/``encoded_size`` from
+#: it) plus the hand-written inverse.
+CODEC_METHODS = frozenset({"write_to", "decode"})
+
+#: Modules whose codec classes must be registered with the wire envelope
+#: registry.
 _MESSAGE_MODULE_RE = re.compile(r"^repro\.(bft|core|export|wire)\.messages$")
 
 #: The canonical tag table and the registration entry point.
@@ -31,7 +36,7 @@ _MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray", "defaultdict", "Cou
 
 
 def _codec_classes(ctx: FileContext) -> Iterator[ast.ClassDef]:
-    """Public classes defining both ``encode`` and ``decode``."""
+    """Public classes defining every one of :data:`CODEC_METHODS`."""
     for node in ctx.tree.body:
         if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
             continue
@@ -40,7 +45,7 @@ def _codec_classes(ctx: FileContext) -> Iterator[ast.ClassDef]:
             for item in node.body
             if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        if {"encode", "decode"} <= methods:
+        if CODEC_METHODS <= methods:
             yield node
 
 
@@ -183,7 +188,7 @@ class UnregisteredCodecRule(Rule):
     code = "PROTO001"
     name = "unregistered-codec"
     description = (
-        "a class with encode/decode in a repro.*.messages module that is "
+        "a class with write_to/decode in a repro.*.messages module that is "
         "never registered with register_message_type — it cannot cross a "
         "process boundary and silently escapes round-trip tests"
     )
@@ -208,7 +213,7 @@ class UnregisteredCodecRule(Rule):
                     yield Finding(
                         code=self.code,
                         message=(
-                            f"codec class {cls.name} defines encode/decode but is never "
+                            f"codec class {cls.name} defines write_to/decode but is never "
                             "passed to register_message_type (wire/tags.py)"
                         ),
                         path=ctx.path,
@@ -299,64 +304,6 @@ class SwallowedExceptionRule(Rule):
                     path=ctx.path,
                     line=node.lineno,
                     col=node.col_offset,
-                )
-
-
-def _method(cls: ast.ClassDef, name: str) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    for item in cls.body:
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and item.name == name:
-            return item
-    return None
-
-
-def _has_literal_arithmetic(node: ast.AST) -> bool:
-    """Any binary arithmetic with an integer-literal operand under ``node``."""
-    for sub in ast.walk(node):
-        if not isinstance(sub, ast.BinOp):
-            continue
-        for operand in (sub.left, sub.right):
-            if (
-                isinstance(operand, ast.Constant)
-                and isinstance(operand.value, int)
-                and not isinstance(operand.value, bool)
-            ):
-                return True
-    return False
-
-
-@register_rule
-class EncodedSizeDriftRule(Rule):
-    code = "PROTO005"
-    name = "encoded-size-drift"
-    description = (
-        "encoded_size() computed with hand-maintained integer arithmetic "
-        "instead of being derived from the codec; such bodies cannot be "
-        "statically shown to agree with len(encode()), and a drift skews "
-        "every wire_size()-based cost in the simulation"
-    )
-
-    def check_file(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.module.startswith("repro."):
-            return
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            if _method(node, "encode") is None:
-                continue
-            sizer = _method(node, "encoded_size")
-            if sizer is None:
-                continue
-            if _has_literal_arithmetic(sizer):
-                yield Finding(
-                    code=self.code,
-                    message=(
-                        f"{node.name}.encoded_size() uses literal arithmetic that "
-                        "can silently disagree with len(encode()); return "
-                        "len(self.encode()) (or a value derived from the codec)"
-                    ),
-                    path=ctx.path,
-                    line=sizer.lineno,
-                    col=sizer.col_offset,
                 )
 
 

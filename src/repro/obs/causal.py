@@ -33,14 +33,14 @@ from typing import Iterable, Mapping
 
 from repro.obs.trace import TraceEvent
 from repro.util.errors import CodecError
-from repro.wire.codec import Reader, Writer
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 
 #: The request-lifecycle event names, in protocol order.
 LIFECYCLE = ("bus.rx", "bft.preprepare", "bft.commit", "req.logged")
 
 
 @dataclass(frozen=True)
-class CausalContext:
+class CausalContext(WireStruct):
     """What one emission knows about its own causal position.
 
     ``parent`` is the origin node's per-node index of the newest trace
@@ -54,12 +54,10 @@ class CausalContext:
     lamport: int
     parent: int = -1
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_str(self.origin)
         writer.put_uint(self.lamport)
         writer.put_uint(self.parent + 1)  # −1 (no parent) encodes as 0
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "CausalContext":
@@ -74,12 +72,6 @@ class CausalContext:
         lamport = reader.get_uint()
         parent = reader.get_uint() - 1
         return cls(origin=origin, lamport=lamport, parent=parent)
-
-    def write_to(self, writer: Writer) -> None:
-        writer.put_bytes(self.encode())
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 class CausalClock:

@@ -11,10 +11,13 @@ from __future__ import annotations
 from repro.util.errors import CodecError
 
 _MAX_VARINT_BYTES = 10  # enough for any uint64
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
 
 
 def encode_uvarint(value: int) -> bytes:
     """Encode a non-negative integer as an unsigned LEB128 varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]  # tags, counts and short lengths: most calls
     if value < 0:
         raise CodecError(f"cannot varint-encode negative value {value}")
     out = bytearray()

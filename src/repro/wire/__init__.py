@@ -3,7 +3,8 @@
 The paper exchanges blockchain data in Protobuf; we reproduce the property
 that matters for the evaluation — byte-accurate, compact, self-delimiting
 message encoding — with a small length-prefixed codec.  Every protocol
-message implements ``encode``/``decode`` and knows its exact wire size,
+message lists its fields once (``write_to``) and decodes them (``decode``);
+``WireStruct`` derives ``encode`` and the exact wire size from the listing,
 which feeds the network-utilization results.
 """
 

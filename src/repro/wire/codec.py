@@ -1,57 +1,151 @@
-"""Binary writer/reader over the varint primitives.
+"""Binary writers/reader over the varint primitives, and the wire-struct base.
 
-Every message type implements ``encode()`` with a :class:`Writer` and a
-``decode()`` classmethod with a :class:`Reader`.  The style is deliberately
-explicit — one line per field, symmetric between the two directions — so a
-reviewer can audit that signing payloads cover exactly the intended fields.
+Every message type lists its fields once, in ``write_to(writer)``, one line
+per field and symmetric with its ``decode()`` — so a reviewer can audit
+that signing payloads cover exactly the intended fields.  :class:`WireStruct`
+derives both ``encode()`` and ``encoded_size()`` from that one listing by
+running it against a :class:`Writer` (bytes) or a :class:`SizeWriter`
+(integers only), so the two cannot drift and nothing is serialized just to
+learn its length.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.util.errors import CodecError
-from repro.util.varint import decode_uvarint, encode_uvarint
+from repro.util.varint import decode_uvarint, encode_uvarint, uvarint_size
+
+_SIZE_MEMO = "_encoded_size"
+
+
+class WireStruct:
+    """Base of every wire struct; subclasses are frozen dataclasses.
+
+    ``encoded_size()`` is memoised on the instance as a plain ``int`` — the
+    fields are frozen, so it cannot go stale, and ``dataclasses.replace``
+    copies start cold because the memo is not a field.  The encoded *bytes*
+    are deliberately not kept: a chain of blocks would hold every request
+    twice (DESIGN.md, "Wire structs: one field listing, two writers").
+    """
+
+    def write_to(self, writer: "FieldWriter") -> None:
+        """Write this struct's fields, in wire order, without a length prefix."""
+        raise NotImplementedError
+
+    def encode(self) -> bytes:
+        writer = Writer()
+        self.write_to(writer)
+        data = writer.getvalue()
+        self.__dict__[_SIZE_MEMO] = len(data)
+        return data
+
+    def encoded_size(self) -> int:
+        memo = self.__dict__
+        size = memo.get(_SIZE_MEMO)
+        if size is None:
+            counter = SizeWriter()
+            self.write_to(counter)
+            size = memo[_SIZE_MEMO] = counter.size
+        return size
 
 
 class Writer:
-    """Accumulates encoded fields into a byte buffer."""
+    """Appends encoded fields to one byte buffer."""
+
+    __slots__ = ("_buf",)
 
     def __init__(self) -> None:
-        self._parts: list[bytes] = []
+        self._buf = bytearray()
 
-    def put_uint(self, value: int) -> "Writer":
-        self._parts.append(encode_uvarint(value))
-        return self
+    def put_uint(self, value: int) -> None:
+        if 0 <= value < 0x80:
+            self._buf.append(value)
+        else:
+            self._buf += encode_uvarint(value)
 
-    def put_bool(self, value: bool) -> "Writer":
-        self._parts.append(b"\x01" if value else b"\x00")
-        return self
+    def put_bool(self, value: bool) -> None:
+        self._buf.append(1 if value else 0)
 
-    def put_bytes(self, payload: bytes) -> "Writer":
-        self._parts.append(encode_uvarint(len(payload)))
-        self._parts.append(payload)
-        return self
+    def put_bytes(self, payload: bytes) -> None:
+        self.put_uint(len(payload))
+        self._buf += payload
 
-    def put_fixed(self, payload: bytes, size: int) -> "Writer":
+    def put_fixed(self, payload: bytes, size: int) -> None:
         """Write exactly ``size`` bytes (hashes, signatures, keys)."""
         if len(payload) != size:
             raise CodecError(f"fixed field expected {size} bytes, got {len(payload)}")
-        self._parts.append(payload)
-        return self
+        self._buf += payload
 
-    def put_str(self, text: str) -> "Writer":
-        return self.put_bytes(text.encode("utf-8"))
+    def put_str(self, text: str) -> None:
+        self.put_bytes(text.encode("utf-8"))
 
-    def put_list(self, items: list, put_item) -> "Writer":
-        self.put_uint(len(items))
-        for item in items:
-            put_item(self, item)
-        return self
+    def put_struct(self, child: WireStruct | None) -> None:
+        """A nested struct behind its length prefix; ``None`` is zero length.
+
+        The prefix comes from the child's (memoised) size, so the child
+        streams into this buffer instead of being encoded on the side.
+        """
+        if child is None:
+            self._buf.append(0)
+            return
+        self.put_uint(child.encoded_size())
+        child.write_to(self)
+
+    def put_structs(self, children: Sequence[WireStruct]) -> None:
+        """A count followed by each child as :meth:`put_struct` writes it."""
+        self.put_uint(len(children))
+        for child in children:
+            self.put_uint(child.encoded_size())
+            child.write_to(self)
 
     def getvalue(self) -> bytes:
-        return b"".join(self._parts)
+        return bytes(self._buf)
 
     def __len__(self) -> int:
-        return sum(len(part) for part in self._parts)
+        return len(self._buf)
+
+
+class SizeWriter:
+    """The :class:`Writer` interface, adding up lengths instead of bytes."""
+
+    __slots__ = ("size",)
+
+    def __init__(self) -> None:
+        self.size = 0
+
+    def put_uint(self, value: int) -> None:
+        self.size += 1 if 0 <= value < 0x80 else uvarint_size(value)
+
+    def put_bool(self, value: bool) -> None:
+        self.size += 1
+
+    def put_bytes(self, payload: bytes) -> None:
+        length = len(payload)
+        self.size += length + (1 if length < 0x80 else uvarint_size(length))
+
+    def put_fixed(self, payload: bytes, size: int) -> None:
+        if len(payload) != size:
+            raise CodecError(f"fixed field expected {size} bytes, got {len(payload)}")
+        self.size += size
+
+    def put_str(self, text: str) -> None:
+        length = len(text) if text.isascii() else len(text.encode("utf-8"))
+        self.size += length + (1 if length < 0x80 else uvarint_size(length))
+
+    def put_struct(self, child: WireStruct | None) -> None:
+        length = 0 if child is None else child.encoded_size()
+        self.size += length + (1 if length < 0x80 else uvarint_size(length))
+
+    def put_structs(self, children: Sequence[WireStruct]) -> None:
+        self.put_uint(len(children))
+        for child in children:
+            length = child.encoded_size()
+            self.size += length + (1 if length < 0x80 else uvarint_size(length))
+
+
+#: What a ``write_to`` receives: either writer, it must not care which.
+FieldWriter = Writer | SizeWriter
 
 
 class Reader:

@@ -18,11 +18,12 @@ from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_REQUEST, sha256
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import Reader, Writer
+from repro.crypto.merkle import leaf_hash
+from repro.wire.codec import FieldWriter, Reader, WireStruct
 
 
 @dataclass(frozen=True)
-class Request:
+class Request(WireStruct):
     """One bus cycle's consolidated, parsed signal data."""
 
     payload: bytes
@@ -47,13 +48,11 @@ class Request:
             domain=DOMAIN_REQUEST,
         )
 
-    def encode(self) -> bytes:
-        writer = Writer()
+    def write_to(self, writer: FieldWriter) -> None:
         writer.put_bytes(self.payload)
         writer.put_uint(self.bus_cycle)
         writer.put_uint(self.recv_timestamp_us)
         writer.put_str(self.source_link)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "Request":
@@ -75,15 +74,9 @@ class Request:
             source_link=source_link,
         )
 
-    def write_to(self, writer: Writer) -> None:
-        writer.put_bytes(self.encode())
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
-
 
 @dataclass(frozen=True)
-class SignedRequest:
+class SignedRequest(WireStruct):
     """A request authenticated by the node that submits it to consensus."""
 
     request: Request
@@ -107,12 +100,19 @@ class SignedRequest:
     def digest(self) -> bytes:
         return self.request.digest
 
-    def encode(self) -> bytes:
-        writer = Writer()
-        writer.put_bytes(self.request.encode())
+    @cached_property
+    def merkle_leaf(self) -> bytes:
+        """This request's leaf hash in its block's payload Merkle tree.
+
+        Computed on block build and again by every ``verify_payload`` on
+        append; 32 bytes kept per request instead of re-encoding each time.
+        """
+        return leaf_hash(self.encode())
+
+    def write_to(self, writer: FieldWriter) -> None:
+        writer.put_struct(self.request)
         writer.put_str(self.node_id)
         writer.put_fixed(self.signature, SIGNATURE_SIZE)
-        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "SignedRequest":
@@ -127,9 +127,6 @@ class SignedRequest:
         node_id = reader.get_str()
         signature = reader.get_fixed(SIGNATURE_SIZE)
         return cls(request=request, node_id=node_id, signature=signature)
-
-    def encoded_size(self) -> int:
-        return len(self.encode())
 
 
 #: Reserved source link marking a no-op filler request.  A new primary uses

@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.util.errors import CodecError
-from repro.util.varint import decode_bytes, decode_uvarint, encode_bytes, encode_uvarint
+from repro.util.varint import decode_bytes, decode_uvarint
+from repro.wire.codec import Writer
 
 _DECODERS: dict[int, Callable[[bytes], object]] = {}
 _CLASSES: dict[int, type] = {}
@@ -26,7 +27,7 @@ _TAGS: dict[type, int] = {}
 
 
 def register_message_type(tag: int, cls: type, decoder: Callable[[bytes], object] | None = None) -> None:
-    """Register ``cls`` (with an ``encode`` method) under wire ``tag``.
+    """Register ``cls`` (a :class:`~repro.wire.codec.WireStruct`) under wire ``tag``.
 
     Raises :class:`CodecError` if ``tag`` is already bound to a different
     class, or ``cls`` is already bound to a different tag.
@@ -62,7 +63,10 @@ def encode_message(message: object) -> bytes:
     tag = _TAGS.get(type(message))
     if tag is None:
         raise CodecError(f"message type {type(message).__name__} not registered")
-    return encode_uvarint(tag) + encode_bytes(message.encode())  # type: ignore[attr-defined]
+    writer = Writer()
+    writer.put_uint(tag)
+    writer.put_struct(message)  # type: ignore[arg-type]
+    return writer.getvalue()
 
 
 def decode_message(data: bytes) -> tuple[object, int]:

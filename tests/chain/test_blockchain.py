@@ -131,6 +131,37 @@ def test_total_size_shrinks_with_dropped_bodies():
     assert chain.total_size_bytes() < before
 
 
+def recounted(chain):
+    """What total_size_bytes() was before it became a running total."""
+    return sum(chain.block_at(height).encoded_size()
+               for height in range(chain.base_height, chain.height + 1)
+               if chain.body_available(height))
+
+
+def test_running_total_tracks_append_prune_demotion_and_fast_forward():
+    chain = Blockchain()
+    assert chain.total_size_bytes() == recounted(chain) > 0     # genesis
+    grow(chain, 8)
+    assert chain.total_size_bytes() == recounted(chain)
+    chain.drop_bodies_below(3)                                  # heights 1, 2
+    assert chain.total_size_bytes() == recounted(chain)
+    chain.prune_below(2, cert_for(chain, 2))                    # export: drops 0, 1
+    assert chain.total_size_bytes() == recounted(chain)
+    grow(chain, 2, start_sn=20)
+    assert chain.total_size_bytes() == recounted(chain)
+
+    # StateSync fast-forward: a peer pruned past our head, so its verified
+    # segment replaces our blocks wholesale.
+    peer = grow(Blockchain(), 14)
+    peer.prune_below(12, cert_for(peer, 12))
+    segment = [peer.block_at(height) for height in range(12, 15)]
+    chain.adopt(Blockchain.from_blocks(segment, prune_certificate=peer.prune_certificate))
+    assert (chain.base_height, chain.height) == (12, 14)
+    assert chain.total_size_bytes() == recounted(chain) == peer.total_size_bytes()
+    grow(chain, 1, start_sn=40)
+    assert chain.total_size_bytes() == recounted(chain)
+
+
 def test_from_blocks_verifies():
     chain = grow(Blockchain(), 3)
     rebuilt = Blockchain.from_blocks([chain.block_at(h) for h in range(0, 4)])

@@ -31,6 +31,10 @@ def test_single_crash_rejoins_with_byte_identical_blocks():
     for height in range(recovered.chain.base_height, recovered.chain.height + 1):
         assert (recovered.chain.block_at(height).encode()
                 == witness.chain.block_at(height).encode()), f"height {height}"
+    # The running size total followed the store read-back and the transfer.
+    assert recovered.chain.total_size_bytes() == witness.chain.total_size_bytes() == sum(
+        witness.chain.block_at(height).encoded_size()
+        for height in range(witness.chain.base_height, witness.chain.height + 1))
     # The recovery run is oracle-clean.
     report = cluster.check_invariants()
     assert not report.to_dicts()

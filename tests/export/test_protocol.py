@@ -25,6 +25,8 @@ def test_full_round_exports_and_prunes():
         assert handler.chain.base_height == 50
         assert handler.chain.has_block(50)
         handler.chain.verify()
+        # The running size total followed the prune: one block is left.
+        assert handler.chain.total_size_bytes() == handler.chain.block_at(50).encoded_size()
 
 
 def test_peer_datacenter_synchronized():

@@ -91,7 +91,7 @@ ORDER_CRATE = {
 
     class Roster:
         def encode(self, writer, ids):
-            writer.put_list(list(_active(ids)))
+            writer.put_structs(list(_active(ids)))
             return writer.getvalue()
     """,
 }
@@ -101,7 +101,7 @@ def test_order_taint_propagates_through_helper_return():
     findings = run(ORDER_CRATE)
     assert len(findings) == 1
     assert "iteration-order" in findings[0].message
-    assert "put_list" in findings[0].message
+    assert "put_structs" in findings[0].message
 
 
 def test_sorted_launders_order_taint():

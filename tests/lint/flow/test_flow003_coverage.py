@@ -1,7 +1,10 @@
 """FLOW003: wire-registry vs dispatch-set coverage (PROTO001's dual)."""
 
 import textwrap
+from pathlib import Path
 
+import repro.core.messages
+import repro.core.node
 from repro.lint import lint_sources
 
 
@@ -14,24 +17,24 @@ def run(sources, select=("FLOW003",)):
 
 MESSAGES = """
 class Ping:
-    def encode(self):
-        return b""
+    def write_to(self, writer):
+        writer.put_uint(self.seq)
 
     @classmethod
     def decode(cls, data):
         return cls()
 
 class Pong:
-    def encode(self):
-        return b""
+    def write_to(self, writer):
+        writer.put_uint(self.seq)
 
     @classmethod
     def decode(cls, data):
         return cls()
 
 class Loose:
-    def encode(self):
-        return b""
+    def write_to(self, writer):
+        writer.put_uint(self.seq)
 
     @classmethod
     def decode(cls, data):
@@ -87,15 +90,15 @@ def test_decode_closure_justifies_registered_tag():
     # though no dispatcher tests isinstance(message, Pong).
     messages = MESSAGES.replace(
         """class Ping:
-    def encode(self):
-        return b""
+    def write_to(self, writer):
+        writer.put_uint(self.seq)
 
     @classmethod
     def decode(cls, data):
         return cls()""",
         """class Ping:
-    def encode(self):
-        return b""
+    def write_to(self, writer):
+        writer.put_uint(self.seq)
 
     @classmethod
     def decode(cls, data):
@@ -113,15 +116,15 @@ def test_decode_closure_chases_same_class_helpers():
     # the nested decode lives in a helper, not in decode itself.
     messages = MESSAGES.replace(
         """class Ping:
-    def encode(self):
-        return b""
+    def write_to(self, writer):
+        writer.put_uint(self.seq)
 
     @classmethod
     def decode(cls, data):
         return cls()""",
         """class Ping:
-    def encode(self):
-        return b""
+    def write_to(self, writer):
+        writer.put_uint(self.seq)
 
     @classmethod
     def decode(cls, data):
@@ -182,3 +185,29 @@ def test_silent_without_registrations_in_view():
     sources = crate()
     del sources["src/repro/wire/cratetags.py"]
     assert run(sources) == []
+
+
+def test_real_codec_classes_are_recognised():
+    # The rule finds codec classes by the construction's shape (write_to +
+    # decode).  Run it over the real message and dispatcher modules with a
+    # tag table that forgot ZugForward: if the shape moves and the predicate
+    # does not, this fails instead of the rule going silently vacuous.
+    findings = lint_sources(
+        {
+            "src/repro/core/messages.py": Path(repro.core.messages.__file__).read_text(),
+            "src/repro/core/node.py": Path(repro.core.node.__file__).read_text(),
+            "src/repro/wire/tags.py": textwrap.dedent("""
+            from repro.core.messages import ZugBroadcast
+            from repro.wire.registry import register_message_type
+
+            WIRE_TAGS = {30: ZugBroadcast}
+
+            for _tag, _cls in WIRE_TAGS.items():
+                register_message_type(_tag, _cls)
+            """),
+        },
+        select=["FLOW003"],
+    )
+    assert [finding.anchor for finding in findings] == [
+        "dispatched-unregistered:repro.core.messages.ZugForward"
+    ]

@@ -105,7 +105,7 @@ def test_det003_flags_unordered_iteration_feeding_sinks():
             return sha256(*entries.values())
 
         def frame(writer, entries):
-            writer.put_list([entry.encode() for entry in entries.keys()], enc)
+            writer.put_structs([entry for entry in entries.keys()])
 
         def emit(env, peers):
             for peer in set(peers):

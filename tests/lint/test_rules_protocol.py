@@ -1,7 +1,9 @@
 """PROTO00x rules: one triggering and one clean fixture per code."""
 
 import textwrap
+from pathlib import Path
 
+import repro.core.messages
 from repro.lint import lint_sources
 
 
@@ -27,16 +29,16 @@ def test_proto001_flags_unregistered_codec_class():
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
                     return cls()
 
             class _Scaffold:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -56,13 +58,33 @@ def test_proto001_flags_unregistered_codec_class():
     assert "Ping" in findings[0].message
 
 
+def test_proto001_recognises_the_real_message_modules():
+    # The predicate follows the codec's construction (write_to + decode).  If
+    # the construction moves again and the rule is not moved with it, this
+    # goes red where the synthetic fixtures would stay green and vacuous.
+    findings = lint_sources(
+        {
+            "src/repro/core/messages.py": Path(repro.core.messages.__file__).read_text(),
+            TAG_TABLE: textwrap.dedent("""
+            WIRE_TAGS = {30: ZugBroadcast}
+
+            for _tag, _cls in WIRE_TAGS.items():
+                register_message_type(_tag, _cls)
+            """),
+        },
+        select=["PROTO001"],
+    )
+    assert codes(findings) == ["PROTO001"]
+    assert "ZugForward" in findings[0].message
+
+
 def test_proto001_clean_when_registered_and_without_registry_in_view():
     registered = run(
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -82,8 +104,8 @@ def test_proto001_clean_when_registered_and_without_registry_in_view():
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -102,16 +124,16 @@ def test_proto001_understands_loop_driven_registration_tables():
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
                     return cls()
 
             class Orphan:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -135,8 +157,8 @@ def test_proto001_understands_comprehension_driven_registration():
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -160,16 +182,16 @@ def test_proto001_ignores_tables_never_fed_to_the_registrar():
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
                     return cls()
 
             class Pong:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -195,24 +217,24 @@ def test_proto001_understands_enumerate_driven_computed_tags():
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
                     return cls()
 
             class Pong:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
                     return cls()
 
             class Orphan:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -238,8 +260,8 @@ def test_proto001_understands_zip_driven_registration():
         {
             MESSAGE_MODULE: """
             class Ping:
-                def encode(self):
-                    return b""
+                def write_to(self, writer):
+                    writer.put_uint(self.seq)
 
                 @classmethod
                 def decode(cls, data):
@@ -395,59 +417,4 @@ def test_proto004_clean_for_immutable_defaults():
             """
         },
         select=["PROTO004"],
-    )
-
-
-# --- PROTO005: encoded_size drift ----------------------------------------
-
-def test_proto005_flags_literal_arithmetic_in_encoded_size():
-    findings = run(
-        {
-            "src/repro/core/messages.py": """
-            class Wrapper:
-                def encode(self):
-                    return self.request.encode()
-
-                def decode(self):
-                    return self
-
-                def encoded_size(self):
-                    return self.request.encoded_size() + 1
-            """
-        },
-        select=["PROTO005"],
-    )
-    assert codes(findings) == ["PROTO005"]
-
-
-def test_proto005_clean_when_derived_from_the_codec():
-    assert not run(
-        {
-            "src/repro/core/messages.py": """
-            class Wrapper:
-                def encode(self):
-                    return self.request.encode()
-
-                def decode(self):
-                    return self
-
-                def encoded_size(self):
-                    return len(self.encode())
-            """
-        },
-        select=["PROTO005"],
-    )
-
-
-def test_proto005_ignores_classes_without_a_codec():
-    # Hand arithmetic is fine when there is no encode() to drift from.
-    assert not run(
-        {
-            "src/repro/sim/resources.py": """
-            class Budget:
-                def encoded_size(self):
-                    return self.base + 1
-            """
-        },
-        select=["PROTO005"],
     )

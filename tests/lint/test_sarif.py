@@ -44,7 +44,7 @@ def test_sarif_document_shape():
     rule_ids = [rule["id"] for rule in driver["rules"]]
     assert rule_ids == sorted(rule_ids)
     assert len(rule_ids) == len(set(rule_ids))
-    assert {"FLOW001", "FLOW002", "FLOW003", "FLOW004"} <= set(rule_ids)
+    assert {"FLOW001", "FLOW002", "FLOW003"} <= set(rule_ids)
     for rule in driver["rules"]:
         assert rule["name"]
         assert rule["shortDescription"]["text"]

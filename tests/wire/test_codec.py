@@ -7,8 +7,21 @@ from repro.util import CodecError
 from repro.wire import Reader, Writer
 
 
+def written(*fields) -> bytes:
+    """Bytes of a writer after ``(method, *args)`` calls in order."""
+    writer = Writer()
+    for method, *args in fields:
+        getattr(writer, method)(*args)
+    return writer.getvalue()
+
+
+def written_list(items, put) -> bytes:
+    """A count followed by each item, the list shape ``Reader.get_list`` reads."""
+    return written(("put_uint", len(items)), *[(put, item) for item in items])
+
+
 def test_uint_roundtrip():
-    data = Writer().put_uint(0).put_uint(300).put_uint(2**40).getvalue()
+    data = written(("put_uint", 0), ("put_uint", 300), ("put_uint", 2**40))
     reader = Reader(data)
     assert reader.get_uint() == 0
     assert reader.get_uint() == 300
@@ -17,7 +30,7 @@ def test_uint_roundtrip():
 
 
 def test_bool_roundtrip():
-    data = Writer().put_bool(True).put_bool(False).getvalue()
+    data = written(("put_bool", True), ("put_bool", False))
     reader = Reader(data)
     assert reader.get_bool() is True
     assert reader.get_bool() is False
@@ -34,20 +47,20 @@ def test_truncated_bool_rejected():
 
 
 def test_bytes_and_str_roundtrip():
-    data = Writer().put_bytes(b"\x00\xff").put_str("zugchain").getvalue()
+    data = written(("put_bytes", b"\x00\xff"), ("put_str", "zugchain"))
     reader = Reader(data)
     assert reader.get_bytes() == b"\x00\xff"
     assert reader.get_str() == "zugchain"
 
 
 def test_invalid_utf8_rejected():
-    data = Writer().put_bytes(b"\xff\xfe").getvalue()
+    data = written(("put_bytes", b"\xff\xfe"))
     with pytest.raises(CodecError):
         Reader(data).get_str()
 
 
 def test_fixed_field_roundtrip():
-    data = Writer().put_fixed(b"\xaa" * 32, 32).getvalue()
+    data = written(("put_fixed", b"\xaa" * 32, 32))
     assert Reader(data).get_fixed(32) == b"\xaa" * 32
 
 
@@ -59,18 +72,18 @@ def test_fixed_field_wrong_size_rejected():
 
 
 def test_list_roundtrip():
-    data = Writer().put_list([1, 2, 3], lambda w, x: w.put_uint(x)).getvalue()
+    data = written_list([1, 2, 3], "put_uint")
     assert Reader(data).get_list(lambda r: r.get_uint()) == [1, 2, 3]
 
 
 def test_empty_list():
-    data = Writer().put_list([], lambda w, x: w.put_uint(x)).getvalue()
+    data = written_list([], "put_uint")
     assert Reader(data).get_list(lambda r: r.get_uint()) == []
 
 
 def test_forged_list_count_rejected():
     # A count far beyond the remaining bytes must not cause huge allocations.
-    data = Writer().put_uint(10**9).getvalue()
+    data = written(("put_uint", 10**9))
     with pytest.raises(CodecError):
         Reader(data).get_list(lambda r: r.get_uint())
 
@@ -83,11 +96,13 @@ def test_expect_end_detects_trailing_bytes():
 
 
 def test_writer_len_matches_output():
-    writer = Writer().put_uint(300).put_bytes(b"xyz")
+    writer = Writer()
+    writer.put_uint(300)
+    writer.put_bytes(b"xyz")
     assert len(writer) == len(writer.getvalue())
 
 
 @given(st.lists(st.binary(max_size=64), max_size=20))
 def test_list_of_bytes_roundtrip(items):
-    data = Writer().put_list(items, lambda w, b: w.put_bytes(b)).getvalue()
+    data = written_list(items, "put_bytes")
     assert Reader(data).get_list(lambda r: r.get_bytes()) == items

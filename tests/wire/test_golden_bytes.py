@@ -13,8 +13,7 @@ made deliberately.  To regenerate after a *deliberate* format change::
 CI additionally runs ``tests/wire/golden_bytes.py --check``, the
 standalone form of the same comparison.
 
-Along the way the test asserts ``encoded_size() == len(encode())`` for
-every type, the dynamic counterpart of zuglint's PROTO005 rule.
+That sizes agree with these bytes is ``test_size_algebra.py``'s job.
 """
 
 import pytest
@@ -57,18 +56,6 @@ def test_encoded_bytes_match_checked_in_golden(tag, cls):
         "and call it out in the change description — wire tags and framing are "
         "stable API"
     )
-
-
-@pytest.mark.parametrize(
-    "tag,cls",
-    sorted(registered_types().items()),
-    ids=lambda value: value.__name__ if isinstance(value, type) else str(value),
-)
-def test_encoded_size_agrees_with_encode(tag, cls):
-    message = FIXTURES[cls]()
-    if not hasattr(message, "encoded_size"):
-        pytest.skip(f"{cls.__name__} has no encoded_size()")
-    assert message.encoded_size() == len(message.encode())
 
 
 def test_check_helper_agrees_with_the_checked_in_file(capsys):
