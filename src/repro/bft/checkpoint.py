@@ -16,7 +16,7 @@ from repro.bft.config import BftConfig
 from repro.bft.messages import Checkpoint
 from repro.crypto.keys import KeyStore
 from repro.util.errors import ProtocolError
-from repro.wire.codec import FieldWriter, Reader, WireStruct
+from repro.wire.codec import Hash32, WireStruct
 
 
 @dataclass(frozen=True)
@@ -25,8 +25,8 @@ class CheckpointCertificate(WireStruct):
 
     seq: int
     block_height: int
-    block_hash: bytes
-    state_digest: bytes
+    block_hash: Hash32
+    state_digest: Hash32
     signatures: tuple[Checkpoint, ...]
 
     def signer_ids(self) -> set[str]:
@@ -46,25 +46,6 @@ class CheckpointCertificate(WireStruct):
             if not checkpoint.verify(keystore):
                 return False
         return True
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_uint(self.seq)
-        writer.put_uint(self.block_height)
-        writer.put_fixed(self.block_hash, 32)
-        writer.put_fixed(self.state_digest, 32)
-        writer.put_structs(self.signatures)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "CheckpointCertificate":
-        reader = Reader(data)
-        seq = reader.get_uint()
-        block_height = reader.get_uint()
-        block_hash = reader.get_fixed(32)
-        state_digest = reader.get_fixed(32)
-        signatures = reader.get_list(lambda r: Checkpoint.decode(r.get_bytes()))
-        reader.expect_end()
-        return cls(seq=seq, block_height=block_height, block_hash=block_hash,
-                   state_digest=state_digest, signatures=tuple(signatures))
 
 
 class CheckpointCollector:

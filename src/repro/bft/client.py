@@ -13,17 +13,16 @@ replicas (which is also what exposes a censoring primary).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Annotated, Callable
 
 from repro.bft.config import BftConfig
 from repro.bft.env import Env
 from repro.crypto.hashing import sha256
-from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
-from repro.wire.codec import FieldWriter, Reader, WireStruct
-from repro.wire.messages import Request, SignedRequest
+from repro.crypto.keys import KeyPair, KeyStore
+from repro.wire.codec import UNSIGNED, Hash32, Inline, Sig, SignedStruct, WireStruct
+from repro.wire.messages import Request, SignedRequest, request_payload_bytes
 
-_UNSIGNED = b"\x00" * SIGNATURE_SIZE
 _DOMAIN_REPLY = b"pbft/reply"
 
 
@@ -31,25 +30,26 @@ _DOMAIN_REPLY = b"pbft/reply"
 class ClientRequestWrapper(WireStruct):
     """Client traffic envelope, distinguishable from ZugChain broadcasts."""
 
-    request: SignedRequest
+    request: Annotated[SignedRequest, Inline]
 
-    def write_to(self, writer: FieldWriter) -> None:
-        self.request.write_to(writer)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ClientRequestWrapper":
-        return cls(request=SignedRequest.decode(data))
+    signs_to_emit = 1
+    verifies_to_ingest = 1
+    payload_bytes = request_payload_bytes
 
 
 @dataclass(frozen=True)
-class Reply(WireStruct):
+class Reply(SignedStruct):
     """Replica's execution acknowledgement to the submitting client."""
 
     seq: int
-    digest: bytes
+    digest: Hash32
     client_id: str
     replica_id: str
-    signature: bytes = _UNSIGNED
+    signature: Sig = UNSIGNED
+
+    SIGNER = "replica_id"
+    signs_to_emit = 1
+    verifies_to_ingest = 1
 
     def signing_payload(self) -> bytes:
         return sha256(
@@ -59,31 +59,6 @@ class Reply(WireStruct):
             self.replica_id.encode(),
             domain=_DOMAIN_REPLY,
         )
-
-    def signed(self, keypair: KeyPair) -> "Reply":
-        return replace(self, signature=keypair.sign(self.signing_payload()))
-
-    def verify(self, keystore: KeyStore) -> bool:
-        return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_uint(self.seq)
-        writer.put_fixed(self.digest, 32)
-        writer.put_str(self.client_id)
-        writer.put_str(self.replica_id)
-        writer.put_fixed(self.signature, SIGNATURE_SIZE)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Reply":
-        reader = Reader(data)
-        seq = reader.get_uint()
-        digest = reader.get_fixed(32)
-        client_id = reader.get_str()
-        replica_id = reader.get_str()
-        signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
-        return cls(seq=seq, digest=digest, client_id=client_id,
-                   replica_id=replica_id, signature=signature)
 
 
 @dataclass

@@ -20,6 +20,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterable, Protocol
 
+from repro.obs.causal import CausalContext
+from repro.runtime.base import BaseEnv, EnvTimer
+
 
 class TimerHandle(Protocol):
     """Cancellable fire-once timer."""
@@ -45,14 +48,6 @@ class Env(Protocol):
     def broadcast(self, message: Any) -> None: ...
 
     def set_timer(self, delay: float, callback: Callable[[], None]) -> TimerHandle: ...
-
-
-# RecordingEnv subclasses the runtime-layer BaseEnv.  The import sits below
-# the Env protocol on purpose: repro.runtime's cost model imports message
-# classes whose modules import Env from here, so by the time that import
-# cycle swings back around, Env must already be defined.
-from repro.obs.causal import CausalContext  # noqa: E402
-from repro.runtime.base import BaseEnv, EnvTimer  # noqa: E402
 
 
 class RecordingEnv(BaseEnv):

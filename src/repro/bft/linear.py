@@ -24,7 +24,7 @@ protocol works unchanged on top of either backend.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from repro.bft.checkpoint import CheckpointCertificate, CheckpointCollector
@@ -38,54 +38,32 @@ from repro.bft.messages import (
     ViewChange,
 )
 from repro.crypto.hashing import sha256
-from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
+from repro.crypto.keys import KeyPair, KeyStore
 from repro.bft.replica import ReplicaStats
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.wire.codec import FieldWriter, Reader, WireStruct
+from repro.wire.codec import UNSIGNED, Hash32, Sig, SignedStruct, WireStruct
 from repro.wire.messages import SignedRequest
 
-_UNSIGNED = b"\x00" * SIGNATURE_SIZE
 _DOMAIN_VOTE = b"linear/vote"
 
 
 @dataclass(frozen=True)
-class Vote(WireStruct):
+class Vote(SignedStruct):
     """Replica's signed endorsement of (view, seq, digest), sent to the primary."""
 
     view: int
     seq: int
-    digest: bytes
+    digest: Hash32
     replica_id: str
-    signature: bytes = _UNSIGNED
+    signature: Sig = UNSIGNED
+
+    SIGNER = "replica_id"
+    signs_to_emit = 1
+    verifies_to_ingest = 1
 
     def signing_payload(self) -> bytes:
         return sha256(self.view.to_bytes(8, "big"), self.seq.to_bytes(8, "big"),
                       self.digest, self.replica_id.encode(), domain=_DOMAIN_VOTE)
-
-    def signed(self, keypair: KeyPair) -> "Vote":
-        return replace(self, signature=keypair.sign(self.signing_payload()))
-
-    def verify(self, keystore: KeyStore) -> bool:
-        return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_uint(self.view)
-        writer.put_uint(self.seq)
-        writer.put_fixed(self.digest, 32)
-        writer.put_str(self.replica_id)
-        writer.put_fixed(self.signature, SIGNATURE_SIZE)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Vote":
-        reader = Reader(data)
-        view = reader.get_uint()
-        seq = reader.get_uint()
-        digest = reader.get_fixed(32)
-        replica_id = reader.get_str()
-        signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
-        return cls(view=view, seq=seq, digest=digest, replica_id=replica_id,
-                   signature=signature)
 
 
 @dataclass(frozen=True)
@@ -94,8 +72,12 @@ class CommitCert(WireStruct):
 
     view: int
     seq: int
-    digest: bytes
+    digest: Hash32
     votes: tuple[Vote, ...]
+
+    @property
+    def verifies_to_ingest(self) -> int:
+        return len(self.votes)  # aggregates the votes' signatures, makes none of its own
 
     def verify(self, keystore: KeyStore, config: BftConfig) -> bool:
         signers = set()
@@ -106,22 +88,6 @@ class CommitCert(WireStruct):
                 return False
             signers.add(vote.replica_id)
         return len(signers) >= config.quorum
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_uint(self.view)
-        writer.put_uint(self.seq)
-        writer.put_fixed(self.digest, 32)
-        writer.put_structs(self.votes)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "CommitCert":
-        reader = Reader(data)
-        view = reader.get_uint()
-        seq = reader.get_uint()
-        digest = reader.get_fixed(32)
-        votes = reader.get_list(lambda r: Vote.decode(r.get_bytes()))
-        reader.expect_end()
-        return cls(view=view, seq=seq, digest=digest, votes=tuple(votes))
 
 
 @dataclass

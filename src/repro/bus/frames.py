@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.util.errors import CodecError
-from repro.wire.codec import FieldWriter, Reader, WireStruct
+from repro.wire.codec import WireStruct
 
 #: Header + check-sequence overhead per slave telegram, per IEC 61375-3-1.
 FRAME_OVERHEAD_BYTES = 5
@@ -66,18 +66,6 @@ class ProcessDataFrame(WireStruct):
         data[byte_index] ^= mask
         return ProcessDataFrame(port=self.port, data=bytes(data), checksum=self.checksum)
 
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_uint(self.port)
-        writer.put_bytes(self.data)
-        writer.put_uint(self.checksum)
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "ProcessDataFrame":
-        port = reader.get_uint()
-        data = reader.get_bytes()
-        checksum = reader.get_uint()
-        return cls(port=port, data=data, checksum=checksum)
-
 
 @dataclass(frozen=True)
 class BusCycleData(WireStruct):
@@ -93,24 +81,8 @@ class BusCycleData(WireStruct):
     def data_size(self) -> int:
         return sum(len(frame.data) for frame in self.frames)
 
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_uint(self.cycle_no)
-        writer.put_uint(self.timestamp_us)
-        writer.put_structs(self.frames)
-
     def encode(self) -> bytes:
         # Its own attribute on purpose: perfbench wraps ``BusCycleData.encode``
         # as a bus-layer boundary, and wrapping the inherited function there
         # would book every message's encode() under ``bus``.
         return super().encode()
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BusCycleData":
-        reader = Reader(data)
-        cycle_no = reader.get_uint()
-        timestamp_us = reader.get_uint()
-        frames = reader.get_list(
-            lambda r: ProcessDataFrame.read_from(Reader(r.get_bytes()))
-        )
-        reader.expect_end()
-        return cls(cycle_no=cycle_no, timestamp_us=timestamp_us, frames=tuple(frames))

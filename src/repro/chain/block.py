@@ -14,7 +14,7 @@ from functools import cached_property
 from repro.crypto.hashing import DOMAIN_BLOCK, sha256
 from repro.crypto.merkle import MerkleTree, merkle_root
 from repro.util.errors import ChainError
-from repro.wire.codec import FieldWriter, Reader, WireStruct
+from repro.wire.codec import Hash32, WireStruct
 from repro.wire.messages import SignedRequest
 
 GENESIS_PREV_HASH = b"\x00" * 32
@@ -25,8 +25,8 @@ class BlockHeader(WireStruct):
     """Integrity-critical block metadata."""
 
     height: int
-    prev_hash: bytes
-    payload_root: bytes
+    prev_hash: Hash32
+    payload_root: Hash32
     timestamp_us: int
     request_count: int
     last_sn: int  # consensus sequence number of the last included request
@@ -42,32 +42,6 @@ class BlockHeader(WireStruct):
             self.last_sn.to_bytes(8, "big"),
             domain=DOMAIN_BLOCK,
         )
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_uint(self.height)
-        writer.put_fixed(self.prev_hash, 32)
-        writer.put_fixed(self.payload_root, 32)
-        writer.put_uint(self.timestamp_us)
-        writer.put_uint(self.request_count)
-        writer.put_uint(self.last_sn)
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "BlockHeader":
-        return cls(
-            height=reader.get_uint(),
-            prev_hash=reader.get_fixed(32),
-            payload_root=reader.get_fixed(32),
-            timestamp_us=reader.get_uint(),
-            request_count=reader.get_uint(),
-            last_sn=reader.get_uint(),
-        )
-
-    @classmethod
-    def decode(cls, data: bytes) -> "BlockHeader":
-        reader = Reader(data)
-        header = cls.read_from(reader)
-        reader.expect_end()
-        return header
 
 
 def _payload_tree(requests) -> MerkleTree:
@@ -101,18 +75,6 @@ class Block(WireStruct):
         if len(self.requests) != self.header.request_count:
             return False
         return self.merkle_tree().root == self.header.payload_root
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_struct(self.header)
-        writer.put_structs(self.requests)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Block":
-        reader = Reader(data)
-        header = BlockHeader.decode(reader.get_bytes())
-        requests = reader.get_list(lambda r: SignedRequest.decode(r.get_bytes()))
-        reader.expect_end()
-        return cls(header=header, requests=tuple(requests))
 
 
 def genesis_block(chain_id: str = "zugchain") -> Block:

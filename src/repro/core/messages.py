@@ -9,23 +9,21 @@ broadcaster that omits the primary (fault case iv).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
-from repro.wire.codec import FieldWriter, Reader, WireStruct
-from repro.wire.messages import SignedRequest
+from repro.wire.codec import Inline, WireStruct
+from repro.wire.messages import SignedRequest, request_payload_bytes
 
 
 @dataclass(frozen=True)
 class ZugBroadcast(WireStruct):
     """Backup's broadcast of an unlogged request to the whole group."""
 
-    request: SignedRequest
+    request: Annotated[SignedRequest, Inline]
 
-    def write_to(self, writer: FieldWriter) -> None:
-        self.request.write_to(writer)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ZugBroadcast":
-        return cls(request=SignedRequest.decode(data))
+    signs_to_emit = 1
+    verifies_to_ingest = 1
+    payload_bytes = request_payload_bytes
 
 
 @dataclass(frozen=True)
@@ -35,14 +33,5 @@ class ZugForward(WireStruct):
     request: SignedRequest
     forwarder_id: str
 
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_struct(self.request)
-        writer.put_str(self.forwarder_id)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "ZugForward":
-        reader = Reader(data)
-        request = SignedRequest.decode(reader.get_bytes())
-        forwarder_id = reader.get_str()
-        reader.expect_end()
-        return cls(request=request, forwarder_id=forwarder_id)
+    verifies_to_ingest = 1  # a pure relay: the origin's signature is reused, none made
+    payload_bytes = request_payload_bytes

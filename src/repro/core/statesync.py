@@ -19,7 +19,7 @@ without replaying the full history:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.bft.checkpoint import CheckpointCertificate
@@ -28,50 +28,33 @@ from repro.bft.messages import Checkpoint
 from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, PruneCertificate
 from repro.crypto.hashing import sha256
-from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
+from repro.crypto.keys import KeyPair, KeyStore
 from repro.util.errors import ChainError
-from repro.wire.codec import FieldWriter, Reader, WireStruct
+from repro.wire.codec import UNSIGNED, Sig, SignedStruct
 
-_UNSIGNED = b"\x00" * SIGNATURE_SIZE
 _DOMAIN_STATE_REQ = b"statesync/request"
 _DOMAIN_STATE_REP = b"statesync/reply"
 
 
 @dataclass(frozen=True)
-class StateRequest(WireStruct):
+class StateRequest(SignedStruct):
     """A lagging replica asks a peer for everything above ``have_height``."""
 
     requester_id: str
     have_height: int
-    signature: bytes = _UNSIGNED
+    signature: Sig = UNSIGNED
+
+    SIGNER = "requester_id"
+    signs_to_emit = 1
+    verifies_to_ingest = 1
 
     def signing_payload(self) -> bytes:
         return sha256(self.requester_id.encode(), self.have_height.to_bytes(8, "big"),
                       domain=_DOMAIN_STATE_REQ)
 
-    def signed(self, keypair: KeyPair) -> "StateRequest":
-        return replace(self, signature=keypair.sign(self.signing_payload()))
-
-    def verify(self, keystore: KeyStore) -> bool:
-        return keystore.verify(self.requester_id, self.signing_payload(), self.signature)
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_str(self.requester_id)
-        writer.put_uint(self.have_height)
-        writer.put_fixed(self.signature, SIGNATURE_SIZE)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "StateRequest":
-        reader = Reader(data)
-        requester_id = reader.get_str()
-        have_height = reader.get_uint()
-        signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
-        return cls(requester_id=requester_id, have_height=have_height, signature=signature)
-
 
 @dataclass(frozen=True)
-class StateReply(WireStruct):
+class StateReply(SignedStruct):
     """Checkpointed state: certificate, chain segment, prune justification.
 
     ``view`` carries the responder's current view so a recovering replica
@@ -86,21 +69,22 @@ class StateReply(WireStruct):
     blocks: tuple[Block, ...]
     prune_base_height: int
     prune_base_hash: bytes
-    prune_signatures: tuple[tuple[str, bytes], ...]  # (dc id, signature)
+    prune_signatures: tuple[tuple[str, Sig], ...]  # (dc id, signature)
     view: int = 0
-    signature: bytes = _UNSIGNED
+    signature: Sig = UNSIGNED
+
+    SIGNER = "replica_id"
+    signs_to_emit = 1
+
+    @property
+    def verifies_to_ingest(self) -> int:
+        return 1 + len(self.checkpoint.signatures)
 
     def signing_payload(self) -> bytes:
         return sha256(self.replica_id.encode(), self.checkpoint.encode(),
                       self.view.to_bytes(8, "big"),
                       *[block.block_hash for block in self.blocks],
                       domain=_DOMAIN_STATE_REP)
-
-    def signed(self, keypair: KeyPair) -> "StateReply":
-        return replace(self, signature=keypair.sign(self.signing_payload()))
-
-    def verify(self, keystore: KeyStore) -> bool:
-        return keystore.verify(self.replica_id, self.signing_payload(), self.signature)
 
     def prune_certificate(self) -> PruneCertificate | None:
         if not self.prune_signatures:
@@ -110,38 +94,6 @@ class StateReply(WireStruct):
             base_block_hash=self.prune_base_hash,
             delete_signatures=dict(self.prune_signatures),
         )
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_str(self.replica_id)
-        writer.put_struct(self.checkpoint)
-        writer.put_structs(self.blocks)
-        writer.put_uint(self.prune_base_height)
-        writer.put_bytes(self.prune_base_hash)
-        writer.put_uint(len(self.prune_signatures))
-        for dc_id, signature in self.prune_signatures:
-            writer.put_str(dc_id)
-            writer.put_fixed(signature, SIGNATURE_SIZE)
-        writer.put_uint(self.view)
-        writer.put_fixed(self.signature, SIGNATURE_SIZE)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "StateReply":
-        reader = Reader(data)
-        replica_id = reader.get_str()
-        checkpoint = CheckpointCertificate.decode(reader.get_bytes())
-        blocks = reader.get_list(lambda r: Block.decode(r.get_bytes()))
-        prune_base_height = reader.get_uint()
-        prune_base_hash = reader.get_bytes()
-        prune_signatures = reader.get_list(
-            lambda r: (r.get_str(), r.get_fixed(SIGNATURE_SIZE))
-        )
-        view = reader.get_uint()
-        signature = reader.get_fixed(SIGNATURE_SIZE)
-        reader.expect_end()
-        return cls(replica_id=replica_id, checkpoint=checkpoint, blocks=tuple(blocks),
-                   prune_base_height=prune_base_height, prune_base_hash=prune_base_hash,
-                   prune_signatures=tuple(prune_signatures), view=view,
-                   signature=signature)
 
 
 class StateSync:

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.lint.engine import FileContext, Project
+from repro.lint.rules.protocol import CODEC_BASES, is_dataclass_def
 
 #: Attribute roots on ``self`` that never hold protocol state (counters,
 #: tracing, and the runtime handle are observability/IO, not replica state).
@@ -204,6 +206,27 @@ class CallGraph:
         if len(candidates) == 1:
             return self.int_constants[candidates[0]]
         return None
+
+    @cached_property
+    def codec_classes(self) -> set[str]:
+        """Keys of the wire codec classes: dataclasses under a codec base.
+
+        A base counts by name (``WireStruct``, ``SignedStruct`` — the codec
+        module itself need not be in the run) or by being a codec class.
+        """
+        codecs: set[str] = set()
+        candidates = [cls for cls in self.classes.values() if is_dataclass_def(cls.node)]
+        grew = True
+        while grew:
+            grew = False
+            for cls in candidates:
+                if cls.key not in codecs and any(
+                    base in CODEC_BASES or self.resolve_class(cls.module, base) in codecs
+                    for base in cls.base_names
+                ):
+                    codecs.add(cls.key)
+                    grew = True
+        return codecs
 
     def method_on(self, class_key: str, method: str) -> FunctionInfo | None:
         """Look up ``method`` on a class, walking project-resolvable bases."""

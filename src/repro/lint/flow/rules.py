@@ -9,9 +9,9 @@
   ``is_member(...)`` guards (must-analysis; cf. the guard idiom in
   ``repro.bft.replica._on_preprepare``).
 * **FLOW003** handler coverage: every registered wire tag is reachable
-  from some backend's dispatch set (directly or through the decode
-  closure), and every dispatched codec class has a wire tag — the
-  cross-module dual of PROTO001.
+  from some backend's dispatch set (directly or as a field of a
+  dispatched struct), and every dispatched codec class has a wire tag —
+  the cross-module dual of PROTO001.
 
 All three set :attr:`Finding.anchor` to a structural identity (function
 key or class name) so baselines survive unrelated-line insertion and
@@ -32,7 +32,7 @@ from repro.lint.flow.summaries import (
     taint_exempt_module,
     taint_findings,
 )
-from repro.lint.rules.protocol import CODEC_METHODS, _HANDLER_NAME_RE, _registrations
+from repro.lint.rules.protocol import _HANDLER_NAME_RE, _registrations
 
 _MESSAGE_TYPES_RE = re.compile(r"MESSAGE_TYPES")
 
@@ -102,15 +102,6 @@ class VerifyBeforeMutateRule(Rule):
                 )
 
 
-def _wire_message_classes(graph: CallGraph) -> set[str]:
-    """Class keys of repro.* classes defining the codec methods."""
-    return {
-        key for key, cls in graph.classes.items()
-        if cls.module.startswith("repro.")
-        and CODEC_METHODS <= cls.methods.keys()
-    }
-
-
 def _consumed_classes(project: Project, graph: CallGraph) -> dict[str, tuple[str, int]]:
     """Class keys dispatched on, mapped to (path, line) of first evidence.
 
@@ -169,43 +160,31 @@ def _enclosing_function(ctx, node: ast.AST) -> ast.FunctionDef | ast.AsyncFuncti
     return None
 
 
-def _decode_closure(graph: CallGraph, roots: set[str]) -> set[str]:
-    """Classes reachable from ``roots`` through decode-method bodies.
+def _field_closure(graph: CallGraph, roots: set[str]) -> set[str]:
+    """Classes reachable from ``roots`` through codec field annotations.
 
-    ``StateReply.decode`` calling ``Block.decode`` (possibly inside a
-    ``get_list`` lambda) makes ``Block`` reachable: its tag is justified
-    even though no dispatcher tests ``isinstance(msg, Block)``.
+    ``StateReply.blocks: tuple[Block, ...]`` makes ``Block`` reachable: the
+    derived reader builds one per item, so its tag is justified even though
+    no dispatcher tests ``isinstance(msg, Block)``.
     """
     reachable = set(roots)
     worklist = list(roots)
     while worklist:
-        class_key = worklist.pop()
-        cls = graph.classes.get(class_key)
-        if cls is None or "decode" not in cls.methods:
+        cls = graph.classes.get(worklist.pop())
+        if cls is None or cls.key not in graph.codec_classes:
             continue
-        # Chase same-class helpers (``decode`` delegating to ``read_from``)
-        # so nested ``X.decode`` calls are found wherever they live.
-        methods = ["decode"]
-        seen_methods = {"decode"}
-        while methods:
-            fn = graph.functions.get(cls.methods.get(methods.pop(), ""))
-            if fn is None:
+        for base in cls.base_names:  # inherited fields are fields too
+            inherited = graph.resolve_class(cls.module, base)
+            if inherited is not None and inherited not in reachable:
+                worklist.append(inherited)
+        for stmt in cls.node.body:
+            if not isinstance(stmt, ast.AnnAssign):
                 continue
-            for node in ast.walk(fn.node):
-                if not (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and isinstance(node.func.value, ast.Name)):
+            for node in ast.walk(stmt.annotation):
+                if not isinstance(node, ast.Name):
                     continue
-                receiver, attr = node.func.value.id, node.func.attr
-                if receiver in ("cls", "self", cls.name) and attr in cls.methods \
-                        and attr not in seen_methods:
-                    seen_methods.add(attr)
-                    methods.append(attr)
-                    continue
-                if attr != "decode":
-                    continue
-                target = graph.resolve_class(cls.module, receiver)
-                if target is not None and target not in reachable:
+                target = graph.resolve_class(cls.module, node.id)
+                if target in graph.codec_classes and target not in reachable:
                     reachable.add(target)
                     worklist.append(target)
     return reachable
@@ -219,7 +198,7 @@ class HandlerCoverageRule(Rule):
         "wire-registry/dispatch mismatch: a codec class some handler "
         "dispatches on has no wire tag (it cannot arrive off the wire), or "
         "a registered tag is unreachable from every dispatch set and "
-        "decode closure (dead tag, or a missing handler branch)"
+        "the fields of what it dispatches (dead tag, or a missing handler branch)"
     )
     scope = "project"
     stage = "flow"
@@ -237,7 +216,6 @@ class HandlerCoverageRule(Rule):
             # Partial invocations (single files, synthetic crates without a
             # registry) can't make coverage claims; stay silent.
             return
-        wire_classes = _wire_message_classes(graph)
         registered_keys = {
             graph.resolve_class(module, name): name
             for name, (_tag, _path, _line, module) in registered.items()
@@ -245,7 +223,7 @@ class HandlerCoverageRule(Rule):
         registered_keys.pop(None, None)
 
         for class_key in sorted(consumed):
-            if class_key not in wire_classes:
+            if class_key not in graph.codec_classes:
                 continue
             if class_key in registered_keys:
                 continue
@@ -263,7 +241,7 @@ class HandlerCoverageRule(Rule):
                 anchor=f"dispatched-unregistered:{cls.module}.{cls.name}",
             )
 
-        reachable = _decode_closure(graph, set(consumed))
+        reachable = _field_closure(graph, set(consumed))
         for class_key in sorted(registered_keys):
             name = registered_keys[class_key]
             if class_key in reachable:
@@ -274,7 +252,7 @@ class HandlerCoverageRule(Rule):
                 code=self.code,
                 message=(
                     f"{tag_text} registers {name} but no dispatcher tests for it "
-                    "and no reachable decode body constructs it — dead tag or "
+                    "and no dispatched struct has it as a field — dead tag or "
                     "missing handler branch"
                 ),
                 path=path,

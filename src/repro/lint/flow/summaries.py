@@ -54,7 +54,8 @@ from repro.lint.rules.determinism import (
 )
 
 #: Protocol-visible sinks: the DET003 order sinks plus the remaining codec
-#: writers and the fan-out emission helper.
+#: writers and the fan-out emission helper.  Constructing a wire struct is a
+#: sink too (``_constructs_wire_struct``): its fields are written as they are.
 TAINT_SINKS = frozenset(_ORDER_SINKS) | {"put_uint", "put_str", "put_fixed", "put_struct", "send_many"}
 
 #: Ambient entropy calls beyond the wall clock / random module.
@@ -346,6 +347,7 @@ class _FunctionAnalyzer:
             return
         if isinstance(stmt, ast.Return):
             if stmt.value is not None:
+                self._check_sinks(stmt.value)  # ``return Message(field=tainted)``
                 result = self.eval(stmt.value)
                 self.summary.returns_value_taint |= result.value
                 self.summary.returns_order_taint |= result.order
@@ -431,7 +433,7 @@ class _FunctionAnalyzer:
                 continue
             sink = terminal_name(call.func)
             callee = self.graph.resolve_call(self.fn, call, self.local_types)
-            if sink in TAINT_SINKS and callee is None:
+            if callee is None and (sink in TAINT_SINKS or self._constructs_wire_struct(call)):
                 for arg in list(call.args) + [kw.value for kw in call.keywords]:
                     if isinstance(arg, ast.Starred):
                         arg = arg.value
@@ -458,6 +460,12 @@ class _FunctionAnalyzer:
                     self._report_taint(
                         arg, result, f"{deep_sink} via {callee.name}()"
                     )
+
+    def _constructs_wire_struct(self, call: ast.Call) -> bool:
+        """``Message(...)``: a wire struct's fields are its bytes, so a sink."""
+        return (isinstance(call.func, ast.Name)
+                and self.graph.resolve_class(self.fn.module, call.func.id)
+                in self.graph.codec_classes)
 
     def _report_taint(self, node: ast.AST, result: Tv, sink: str) -> None:
         if not self.emit or not result.tainted:

@@ -17,10 +17,10 @@ from typing import Iterator
 from repro.lint.astutil import enclosing_function, terminal_name
 from repro.lint.engine import FileContext, Finding, Project, Rule, register_rule
 
-#: What makes a class a wire codec: the one field listing
-#: (``repro.wire.codec.WireStruct`` derives ``encode``/``encoded_size`` from
-#: it) plus the hand-written inverse.
-CODEC_METHODS = frozenset({"write_to", "decode"})
+#: What makes a class a wire codec: a dataclass under one of these bases of
+#: ``repro.wire.codec`` (directly, or through another codec class).  Its field
+#: list is its wire layout, so there is no method to look for.
+CODEC_BASES = frozenset({"WireStruct", "SignedStruct"})
 
 #: Modules whose codec classes must be registered with the wire envelope
 #: registry.
@@ -35,17 +35,23 @@ _HANDLER_NAME_RE = re.compile(r"^(on_|_on_|handle_|_handle_?)|receive|deliver|di
 _MUTABLE_CONSTRUCTORS = {"list", "dict", "set", "bytearray", "defaultdict", "Counter", "deque", "OrderedDict"}
 
 
+def is_dataclass_def(node: ast.ClassDef) -> bool:
+    return any(
+        terminal_name(dec.func if isinstance(dec, ast.Call) else dec) == "dataclass"
+        for dec in node.decorator_list
+    )
+
+
 def _codec_classes(ctx: FileContext) -> Iterator[ast.ClassDef]:
-    """Public classes defining every one of :data:`CODEC_METHODS`."""
+    """Public dataclasses under a codec base, or under a codec class above them."""
+    codecs = set(CODEC_BASES)
     for node in ctx.tree.body:
-        if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+        if not isinstance(node, ast.ClassDef) or not is_dataclass_def(node):
             continue
-        methods = {
-            item.name
-            for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        }
-        if CODEC_METHODS <= methods:
+        if codecs.isdisjoint(terminal_name(base) for base in node.bases):
+            continue
+        codecs.add(node.name)
+        if not node.name.startswith("_"):
             yield node
 
 
@@ -188,9 +194,9 @@ class UnregisteredCodecRule(Rule):
     code = "PROTO001"
     name = "unregistered-codec"
     description = (
-        "a class with write_to/decode in a repro.*.messages module that is "
-        "never registered with register_message_type — it cannot cross a "
-        "process boundary and silently escapes round-trip tests"
+        "a WireStruct dataclass in a repro.*.messages module that is never "
+        "registered with register_message_type — it cannot cross a process "
+        "boundary and silently escapes round-trip tests"
     )
     scope = "project"
 
@@ -213,7 +219,7 @@ class UnregisteredCodecRule(Rule):
                     yield Finding(
                         code=self.code,
                         message=(
-                            f"codec class {cls.name} defines write_to/decode but is never "
+                            f"codec class {cls.name} is a WireStruct dataclass but is never "
                             "passed to register_message_type (wire/tags.py)"
                         ),
                         path=ctx.path,

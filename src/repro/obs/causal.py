@@ -29,11 +29,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Annotated, Iterable, Mapping
 
 from repro.obs.trace import TraceEvent
 from repro.util.errors import CodecError
-from repro.wire.codec import FieldWriter, Reader, WireStruct
+from repro.wire.codec import Biased, WireStruct
 
 #: The request-lifecycle event names, in protocol order.
 LIFECYCLE = ("bus.rx", "bft.preprepare", "bft.commit", "req.logged")
@@ -52,26 +52,7 @@ class CausalContext(WireStruct):
 
     origin: str
     lamport: int
-    parent: int = -1
-
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_str(self.origin)
-        writer.put_uint(self.lamport)
-        writer.put_uint(self.parent + 1)  # −1 (no parent) encodes as 0
-
-    @classmethod
-    def decode(cls, data: bytes) -> "CausalContext":
-        reader = Reader(data)
-        ctx = cls.read_from(reader)
-        reader.expect_end()
-        return ctx
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "CausalContext":
-        origin = reader.get_str()
-        lamport = reader.get_uint()
-        parent = reader.get_uint() - 1
-        return cls(origin=origin, lamport=lamport, parent=parent)
+    parent: Annotated[int, Biased(1)] = -1  # −1 (no parent) encodes as 0
 
 
 class CausalClock:

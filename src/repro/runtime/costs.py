@@ -1,9 +1,10 @@
-"""Per-message CPU cost tables.
+"""Per-message CPU cost model.
 
-Maps each protocol message type to the crypto and codec work a node
-performs to emit or ingest it.  Combined with the constants in
-:class:`~repro.sim.resources.CostModel`, these tables are what produce the
-latency/CPU numbers of Fig. 6/7 — the counts below follow directly from
+Combines the cost traits each message class declares
+(:class:`~repro.wire.codec.WireStruct`: ``signs_to_emit``,
+``verifies_to_ingest``, ``payload_bytes``) with the constants in
+:class:`~repro.sim.resources.CostModel`; together they produce the
+latency/CPU numbers of Fig. 6/7.  The declared counts follow directly from
 the protocol definitions:
 
 * a preprepare carries two signatures (the embedded signed request and the
@@ -17,11 +18,6 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.bft.client import ClientRequestWrapper, Reply
-from repro.bft.linear import CommitCert, Vote
-from repro.bft.messages import Checkpoint, Commit, NewView, PrePrepare, Prepare, ViewChange
-from repro.core.messages import ZugBroadcast, ZugForward
-from repro.core.statesync import StateReply, StateRequest
 from repro.sim.resources import CostModel
 
 #: Ethernet + IP + TCP framing per message on the consensus network.
@@ -33,63 +29,13 @@ def wire_size(message: Any) -> int:
     return message.encoded_size() + ETHERNET_OVERHEAD_BYTES
 
 
-def _payload_bytes(message: Any) -> int:
-    """Size of the raw request payload carried by a message (0 if none)."""
-    if isinstance(message, PrePrepare):
-        return len(message.request.request.payload)
-    if isinstance(message, (ZugBroadcast, ZugForward, ClientRequestWrapper)):
-        return len(message.request.request.payload)
-    return 0
-
-
-def _signs_to_emit(message: Any) -> int:
-    if isinstance(message, PrePrepare):
-        return 2  # the signed request + the preprepare itself
-    if isinstance(message, NewView):
-        return 1
-    if isinstance(message, ViewChange):
-        return 1
-    if isinstance(message, (Prepare, Commit, Checkpoint, Reply, Vote)):
-        return 1
-    if isinstance(message, CommitCert):
-        return 0  # aggregates existing vote signatures; nothing new to sign
-    if isinstance(message, (ZugBroadcast, ClientRequestWrapper)):
-        return 1
-    if isinstance(message, ZugForward):
-        return 0  # pure relay: the origin's signature is reused
-    if isinstance(message, (StateRequest, StateReply)):
-        return 1
-    return 0
-
-
-def _verifies_to_ingest(message: Any) -> int:
-    if isinstance(message, PrePrepare):
-        return 2
-    if isinstance(message, (Prepare, Commit, Checkpoint, Reply, Vote)):
-        return 1
-    if isinstance(message, CommitCert):
-        return len(message.votes)
-    if isinstance(message, ViewChange):
-        return 1 + len(message.prepared)
-    if isinstance(message, NewView):
-        # The new-view signature, each embedded view change, each reproposal.
-        return 1 + len(message.view_changes) + 2 * len(message.preprepares)
-    if isinstance(message, (ZugBroadcast, ZugForward, ClientRequestWrapper)):
-        return 1
-    if isinstance(message, StateRequest):
-        return 1
-    if isinstance(message, StateReply):
-        return 1 + len(message.checkpoint.signatures)
-    return 0
-
-
 def send_cost(message: Any, model: CostModel, copies: int = 1) -> float:
     """CPU seconds to emit ``message`` (``copies`` serializations, one signing)."""
     size = wire_size(message)
     cost = model.message_overhead_s
-    cost += model.sign_s * _signs_to_emit(message)
+    cost += model.sign_s * message.signs_to_emit
     cost += model.serialize_cost(size) * max(1, copies)
-    payload = _payload_bytes(message)
+    payload = message.payload_bytes
     if payload:
         cost += model.hash_cost(payload)
     return cost
@@ -99,9 +45,9 @@ def recv_cost(message: Any, model: CostModel) -> float:
     """CPU seconds to ingest ``message`` (deserialize, verify, hash)."""
     size = wire_size(message)
     cost = model.message_overhead_s
-    cost += model.verify_s * _verifies_to_ingest(message)
+    cost += model.verify_s * message.verifies_to_ingest
     cost += model.serialize_cost(size)
-    payload = _payload_bytes(message)
+    payload = message.payload_bytes
     if payload:
         cost += model.hash_cost(payload)
     return cost

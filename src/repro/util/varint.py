@@ -35,7 +35,9 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
     """Decode a varint from ``data`` at ``offset``.
 
     Returns ``(value, new_offset)``.  Raises :class:`CodecError` on truncated
-    or over-long input.
+    or over-long input, and on the forms :func:`encode_uvarint` never emits
+    (a multi-byte varint ending in ``00``, a value of 2**64 or more), so no
+    two byte strings decode to the same value.
     """
     result = 0
     shift = 0
@@ -47,6 +49,10 @@ def decode_uvarint(data: bytes, offset: int = 0) -> tuple[int, int]:
         pos += 1
         result |= (byte & 0x7F) << shift
         if not byte & 0x80:
+            if not byte and shift:
+                raise CodecError("non-canonical varint: trailing zero byte")
+            if result >> 64:
+                raise CodecError("varint exceeds 64 bits")
             return result, pos
         shift += 7
     raise CodecError("varint longer than 10 bytes")

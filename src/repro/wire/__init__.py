@@ -3,9 +3,9 @@
 The paper exchanges blockchain data in Protobuf; we reproduce the property
 that matters for the evaluation — byte-accurate, compact, self-delimiting
 message encoding — with a small length-prefixed codec.  Every protocol
-message lists its fields once (``write_to``) and decodes them (``decode``);
-``WireStruct`` derives ``encode`` and the exact wire size from the listing,
-which feeds the network-utilization results.
+message is a frozen dataclass whose field list is its wire layout;
+``WireStruct`` derives ``encode``, ``decode`` and the exact wire size from
+it, which feeds the network-utilization results.
 """
 
 from repro.wire.codec import Reader, Writer

@@ -1,22 +1,69 @@
-"""Binary writers/reader over the varint primitives, and the wire-struct base.
+"""The wire-struct base, its field vocabulary, and the writers and reader under it.
 
-Every message type lists its fields once, in ``write_to(writer)``, one line
-per field and symmetric with its ``decode()`` — so a reviewer can audit
-that signing payloads cover exactly the intended fields.  :class:`WireStruct`
-derives both ``encode()`` and ``encoded_size()`` from that one listing by
-running it against a :class:`Writer` (bytes) or a :class:`SizeWriter`
-(integers only), so the two cannot drift and nothing is serialized just to
-learn its length.
+A message type is a frozen dataclass deriving :class:`WireStruct`, and its
+field list *is* its wire layout: fields are written in declaration order,
+each the way its annotation says.
+
+==============================  ==============================================
+annotation                      on the wire
+==============================  ==============================================
+``int``                         unsigned LEB128 varint
+``bool``                        one byte, ``00`` or ``01``
+``bytes`` / ``str``             varint length, then the bytes (UTF-8 for str)
+``Hash32`` / ``Sig``            exactly 32 / 64 bytes (``Annotated[bytes, Fixed(n)]``)
+``T`` (a wire struct)           varint length, then ``T``'s fields
+``T | None``                    as ``T``; ``None`` is a zero length
+``tuple[K, ...]``               varint count, then each ``K``
+``tuple[K1, K2]``               ``K1`` then ``K2`` in place (a pair inside a list)
+``Annotated[T, Inline]``        ``T``'s fields in place, no length prefix
+``Annotated[int, Biased(n)]``   the varint of ``value + n``
+==============================  ==============================================
+
+From that one description :func:`_derive_codec` generates, once per class at
+class creation, a straight-line ``_write_fields(self, writer)`` and
+``_read_fields(reader)``; :class:`WireStruct` builds ``write_to``,
+``encode``, ``encoded_size`` and ``decode`` on them, so the directions cannot
+drift and nothing is serialized just to learn its length.  Nested structs
+and lists are read in place from the one :class:`Reader`, which narrows its
+bound to each length prefix and checks it was consumed exactly.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import typing
+from dataclasses import dataclass, replace
+from typing import Annotated, Callable, Sequence
 
+from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
 from repro.util.errors import CodecError
 from repro.util.varint import decode_uvarint, encode_uvarint, uvarint_size
 
 _SIZE_MEMO = "_encoded_size"
+
+
+@dataclass(frozen=True)
+class Fixed:
+    """``Annotated[bytes, Fixed(n)]``: exactly ``n`` bytes, no length prefix."""
+
+    size: int
+
+
+@dataclass(frozen=True)
+class Biased:
+    """``Annotated[int, Biased(n)]``: stored as ``value + n``, so ``-n`` is the least value."""
+
+    by: int
+
+
+class Inline:
+    """``Annotated[T, Inline]``: struct ``T``'s fields in place, no length prefix."""
+
+
+Hash32 = Annotated[bytes, Fixed(32)]
+Sig = Annotated[bytes, Fixed(SIGNATURE_SIZE)]
+
+#: Default of a signature field until :meth:`SignedStruct.signed` fills it.
+UNSIGNED = b"\x00" * SIGNATURE_SIZE
 
 
 class WireStruct:
@@ -26,16 +73,30 @@ class WireStruct:
     fields are frozen, so it cannot go stale, and ``dataclasses.replace``
     copies start cold because the memo is not a field.  The encoded *bytes*
     are deliberately not kept: a chain of blocks would hold every request
-    twice (DESIGN.md, "Wire structs: one field listing, two writers").
+    twice (DESIGN.md, "Wire structs: the field list is the layout").
     """
+
+    #: What the simulator's CPU model charges for this message
+    #: (:mod:`repro.runtime.costs`): signatures made to emit it, signatures
+    #: checked to ingest it, raw request payload bytes hashed either way.
+    #: Declared per class, not counted from the ``Sig`` fields — a relay
+    #: signs nothing, a certificate's nested request signatures are not
+    #: re-checked.
+    signs_to_emit = 0
+    verifies_to_ingest = 0
+    payload_bytes = 0
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        _derive_codec(cls)
 
     def write_to(self, writer: "FieldWriter") -> None:
         """Write this struct's fields, in wire order, without a length prefix."""
-        raise NotImplementedError
+        self._write_fields(writer)
 
     def encode(self) -> bytes:
         writer = Writer()
-        self.write_to(writer)
+        self._write_fields(writer)
         data = writer.getvalue()
         self.__dict__[_SIZE_MEMO] = len(data)
         return data
@@ -45,9 +106,17 @@ class WireStruct:
         size = memo.get(_SIZE_MEMO)
         if size is None:
             counter = SizeWriter()
-            self.write_to(counter)
+            self._write_fields(counter)
             size = memo[_SIZE_MEMO] = counter.size
         return size
+
+    @classmethod
+    def decode(cls, data: bytes):
+        """The struct whose encoding is exactly ``data``."""
+        reader = Reader(data)
+        value = cls._read_fields(reader)
+        reader.expect_end()
+        return value
 
 
 class Writer:
@@ -90,14 +159,14 @@ class Writer:
             self._buf.append(0)
             return
         self.put_uint(child.encoded_size())
-        child.write_to(self)
+        child._write_fields(self)
 
     def put_structs(self, children: Sequence[WireStruct]) -> None:
         """A count followed by each child as :meth:`put_struct` writes it."""
         self.put_uint(len(children))
         for child in children:
             self.put_uint(child.encoded_size())
-            child.write_to(self)
+            child._write_fields(self)
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
@@ -149,18 +218,32 @@ FieldWriter = Writer | SizeWriter
 
 
 class Reader:
-    """Sequential field decoder with strict bounds checking."""
+    """Sequential field decoder with strict bounds checking.
+
+    Reads never pass ``_end``: the end of the data, or — while a nested
+    struct is being read in place — the end of that struct's length prefix.
+    """
+
+    __slots__ = ("_data", "_pos", "_end")
 
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
+        self._end = len(data)
 
     @property
     def remaining(self) -> int:
-        return len(self._data) - self._pos
+        return self._end - self._pos
 
     def get_uint(self) -> int:
-        value, self._pos = decode_uvarint(self._data, self._pos)
+        pos = self._pos
+        if pos < self._end and self._data[pos] < 0x80:  # tags, counts, short lengths
+            self._pos = pos + 1
+            return self._data[pos]
+        value, pos = decode_uvarint(self._data, pos)
+        if pos > self._end:
+            raise CodecError("truncated varint")
+        self._pos = pos
         return value
 
     def get_bool(self) -> bool:
@@ -173,20 +256,16 @@ class Reader:
         return byte == 1
 
     def get_bytes(self) -> bytes:
-        length, pos = decode_uvarint(self._data, self._pos)
-        end = pos + length
-        if end > len(self._data):
-            raise CodecError("truncated byte field")
-        self._pos = end
-        return self._data[pos:end]
+        length = self.get_uint()
+        return self.get_fixed(length)
 
     def get_fixed(self, size: int) -> bytes:
-        end = self._pos + size
-        if end > len(self._data):
-            raise CodecError(f"truncated fixed field of {size} bytes")
-        out = self._data[self._pos:end]
+        pos = self._pos
+        end = pos + size
+        if end > self._end:
+            raise CodecError(f"truncated field of {size} bytes")
         self._pos = end
-        return out
+        return self._data[pos:end]
 
     def get_str(self) -> str:
         raw = self.get_bytes()
@@ -195,13 +274,151 @@ class Reader:
         except UnicodeDecodeError as exc:
             raise CodecError("invalid UTF-8 in string field") from exc
 
-    def get_list(self, get_item) -> list:
+    def get_struct(self, read: Callable[[Reader], object]):
+        """A nested struct behind its length prefix, read in place by ``read(self)``.
+
+        The prefix is checked against the enclosing bound before anything is
+        read, and the struct must consume it exactly.
+        """
+        length = self.get_uint()
+        outer = self._end
+        end = self._pos + length
+        if end > outer:
+            raise CodecError(f"nested struct of {length} bytes exceeds remaining data")
+        self._end = end
+        value = read(self)
+        if self._pos != end:
+            raise CodecError(f"{end - self._pos} trailing bytes after nested struct")
+        self._end = outer
+        return value
+
+    def get_optional(self, read: Callable[[Reader], object]):
+        """As :meth:`get_struct`; a zero length is ``None``."""
+        if self._pos < self._end and not self._data[self._pos]:
+            self._pos += 1
+            return None
+        return self.get_struct(read)
+
+    def get_count(self) -> int:
+        """A list's item count, checked before any item is read or allocated.
+
+        More items than bytes remaining is a forgery: every item takes at
+        least one.
+        """
         count = self.get_uint()
-        # Guard against forged counts that would allocate unboundedly.
-        if count > max(self.remaining, 64):
+        if count > self.remaining:
             raise CodecError(f"list count {count} exceeds remaining data")
-        return [get_item(self) for _ in range(count)]
+        return count
+
+    def get_structs(self, read: Callable[[Reader], object]) -> tuple:
+        """A count, then that many structs as :meth:`get_struct` reads them."""
+        get_struct = self.get_struct
+        return tuple([get_struct(read) for _ in range(self.get_count())])
+
+    def get_list(self, get_item) -> list:
+        return [get_item(self) for _ in range(self.get_count())]
 
     def expect_end(self) -> None:
         if self.remaining:
             raise CodecError(f"{self.remaining} trailing bytes after message")
+
+
+#: Annotations that are one writer call and one reader call.
+_SCALARS = {int: "uint", bool: "bool", bytes: "bytes", str: "str"}
+
+
+def _field_code(hint, value: str, names: dict) -> tuple[list[str], str]:
+    """Source for one field of annotation ``hint`` held in expression ``value``.
+
+    Returns the lines that write it to ``w`` and the expression that reads
+    it back from ``r``; struct readers the expression calls go into ``names``.
+    """
+
+    def reader_of(struct: type) -> str:
+        name = f"read_{struct.__name__}"
+        names[name] = struct._read_fields
+        return name
+
+    def is_struct(candidate) -> bool:
+        # Not isinstance(): 3.10 reports ``tuple[...]`` aliases as types too.
+        return type(candidate) is type and issubclass(candidate, WireStruct)
+
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is Annotated:
+        base, mark = args[:2]
+        if isinstance(mark, Fixed):
+            return [f"w.put_fixed({value}, {mark.size})"], f"r.get_fixed({mark.size})"
+        if isinstance(mark, Biased):
+            return [f"w.put_uint({value} + {mark.by})"], f"r.get_uint() - {mark.by}"
+        if mark is Inline and is_struct(base):
+            return [f"{value}._write_fields(w)"], f"{reader_of(base)}(r)"
+    elif origin is tuple and args[-1] is Ellipsis:
+        if is_struct(args[0]):
+            return [f"w.put_structs({value})"], f"r.get_structs({reader_of(args[0])})"
+        if value != "item":  # one loop variable: a list inside a list has no layout
+            lines, read = _field_code(args[0], "item", names)
+            return ([f"w.put_uint(len({value}))", f"for item in {value}:",
+                     *[f"    {line}" for line in lines]],
+                    f"tuple([{read} for _ in range(r.get_count())])")
+    elif origin is tuple:
+        parts = [_field_code(arg, f"{value}[{index}]", names)
+                 for index, arg in enumerate(args)]
+        return ([line for lines, _ in parts for line in lines],
+                f"({', '.join(read for _, read in parts)},)")
+    elif len(args) == 2 and args[1] is type(None) and is_struct(args[0]):
+        return [f"w.put_struct({value})"], f"r.get_optional({reader_of(args[0])})"
+    elif hint in _SCALARS:
+        return [f"w.put_{_SCALARS[hint]}({value})"], f"r.get_{_SCALARS[hint]}()"
+    elif is_struct(hint):
+        return [f"w.put_struct({value})"], f"r.get_struct({reader_of(hint)})"
+    raise TypeError(f"no wire layout for {value}: {hint!r}")
+
+
+def _derive_codec(cls: type) -> None:
+    """Generate ``cls``'s field writer and reader from its annotations.
+
+    Runs from ``__init_subclass__``, before ``@dataclass`` has seen the
+    class, so it reads the annotations the dataclass fields will be made
+    from — in the same (base-first) order ``__init__`` takes them, which is
+    what lets the reader build the instance positionally.
+    """
+    names: dict = {"cls": cls}
+    writes, reads = [], []
+    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+        lines, read = _field_code(hint, f"self.{name}", names)
+        writes += lines
+        reads.append(read)
+    source = "\n".join([
+        "def _write_fields(self, w):",
+        *[f"    {line}" for line in writes or ["pass"]],
+        "def _read_fields(r):",
+        f"    return cls({', '.join(reads)})",  # arguments evaluate in wire order
+    ])
+    exec(source, names)
+    cls._write_fields = names["_write_fields"]
+    cls._read_fields = staticmethod(names["_read_fields"])
+
+
+class SignedStruct(WireStruct):
+    """A struct whose ``signature`` field covers its ``signing_payload()``.
+
+    Subclasses name the field holding the signer's id in ``SIGNER`` and
+    write ``signing_payload()`` by hand: it is the security definition a
+    reviewer audits, and it is not a function of the layout (a preprepare
+    signs the request *digest*, a read reply signs block *hashes*).
+    """
+
+    #: Name of the field holding the id the signature verifies under.
+    SIGNER = ""
+
+    def signing_payload(self) -> bytes:
+        """The exact bytes the signature covers."""
+        raise NotImplementedError
+
+    def signed(self, keypair: KeyPair):
+        """A copy signed with ``keypair`` (messages are immutable)."""
+        return replace(self, signature=keypair.sign(self.signing_payload()))
+
+    def verify(self, keystore: KeyStore) -> bool:
+        """Whether the signature checks out under the signer's registered key."""
+        return keystore.verify(getattr(self, self.SIGNER), self.signing_payload(), self.signature)

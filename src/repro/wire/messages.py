@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_REQUEST, sha256
-from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
+from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import leaf_hash
-from repro.wire.codec import FieldWriter, Reader, WireStruct
+from repro.wire.codec import Sig, SignedStruct, WireStruct
 
 
 @dataclass(frozen=True)
@@ -48,40 +48,16 @@ class Request(WireStruct):
             domain=DOMAIN_REQUEST,
         )
 
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_bytes(self.payload)
-        writer.put_uint(self.bus_cycle)
-        writer.put_uint(self.recv_timestamp_us)
-        writer.put_str(self.source_link)
-
-    @classmethod
-    def decode(cls, data: bytes) -> "Request":
-        reader = Reader(data)
-        request = cls.read_from(reader)
-        reader.expect_end()
-        return request
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "Request":
-        payload = reader.get_bytes()
-        bus_cycle = reader.get_uint()
-        recv_timestamp_us = reader.get_uint()
-        source_link = reader.get_str()
-        return cls(
-            payload=payload,
-            bus_cycle=bus_cycle,
-            recv_timestamp_us=recv_timestamp_us,
-            source_link=source_link,
-        )
-
 
 @dataclass(frozen=True)
-class SignedRequest(WireStruct):
+class SignedRequest(SignedStruct):
     """A request authenticated by the node that submits it to consensus."""
 
     request: Request
     node_id: str
-    signature: bytes
+    signature: Sig
+
+    SIGNER = "node_id"
 
     @staticmethod
     def create(request: Request, node_id: str, keypair: KeyPair) -> "SignedRequest":
@@ -92,9 +68,8 @@ class SignedRequest(WireStruct):
     def _signing_payload(request: Request, node_id: str) -> bytes:
         return sha256(request.digest, node_id.encode(), domain=DOMAIN_REQUEST)
 
-    def verify(self, keystore: KeyStore) -> bool:
-        payload = self._signing_payload(self.request, self.node_id)
-        return keystore.verify(self.node_id, payload, self.signature)
+    def signing_payload(self) -> bytes:
+        return self._signing_payload(self.request, self.node_id)
 
     @property
     def digest(self) -> bytes:
@@ -109,24 +84,10 @@ class SignedRequest(WireStruct):
         """
         return leaf_hash(self.encode())
 
-    def write_to(self, writer: FieldWriter) -> None:
-        writer.put_struct(self.request)
-        writer.put_str(self.node_id)
-        writer.put_fixed(self.signature, SIGNATURE_SIZE)
 
-    @classmethod
-    def decode(cls, data: bytes) -> "SignedRequest":
-        reader = Reader(data)
-        signed = cls.read_from(reader)
-        reader.expect_end()
-        return signed
-
-    @classmethod
-    def read_from(cls, reader: Reader) -> "SignedRequest":
-        request = Request.decode(reader.get_bytes())
-        node_id = reader.get_str()
-        signature = reader.get_fixed(SIGNATURE_SIZE)
-        return cls(request=request, node_id=node_id, signature=signature)
+#: The ``payload_bytes`` cost trait of a struct with a ``request:
+#: SignedRequest`` field: it carries, and so hashes, that request's payload.
+request_payload_bytes = property(lambda self: len(self.request.request.payload))
 
 
 #: Reserved source link marking a no-op filler request.  A new primary uses

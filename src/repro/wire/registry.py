@@ -15,18 +15,14 @@ PROTO002 rule exists to catch statically.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.util.errors import CodecError
-from repro.util.varint import decode_bytes, decode_uvarint
-from repro.wire.codec import Writer
+from repro.wire.codec import Reader, Writer
 
-_DECODERS: dict[int, Callable[[bytes], object]] = {}
 _CLASSES: dict[int, type] = {}
 _TAGS: dict[type, int] = {}
 
 
-def register_message_type(tag: int, cls: type, decoder: Callable[[bytes], object] | None = None) -> None:
+def register_message_type(tag: int, cls: type) -> None:
     """Register ``cls`` (a :class:`~repro.wire.codec.WireStruct`) under wire ``tag``.
 
     Raises :class:`CodecError` if ``tag`` is already bound to a different
@@ -45,7 +41,6 @@ def register_message_type(tag: int, cls: type, decoder: Callable[[bytes], object
             f"{existing_tag}; refusing to also register it under {tag}"
         )
     _CLASSES[tag] = cls
-    _DECODERS[tag] = decoder or cls.decode
     _TAGS[cls] = tag
 
 
@@ -71,9 +66,10 @@ def encode_message(message: object) -> bytes:
 
 def decode_message(data: bytes) -> tuple[object, int]:
     """Decode one tagged message; returns ``(message, bytes_consumed)``."""
-    tag, pos = decode_uvarint(data)
-    decoder = _DECODERS.get(tag)
-    if decoder is None:
+    reader = Reader(data)
+    tag = reader.get_uint()
+    cls = _CLASSES.get(tag)
+    if cls is None:
         raise CodecError(f"unknown wire tag {tag}")
-    body, end = decode_bytes(data, pos)
-    return decoder(body), end
+    message = reader.get_struct(cls._read_fields)
+    return message, len(data) - reader.remaining

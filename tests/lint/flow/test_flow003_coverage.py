@@ -16,29 +16,20 @@ def run(sources, select=("FLOW003",)):
 
 
 MESSAGES = """
-class Ping:
-    def write_to(self, writer):
-        writer.put_uint(self.seq)
+from dataclasses import dataclass
+from repro.wire.codec import WireStruct
 
-    @classmethod
-    def decode(cls, data):
-        return cls()
+@dataclass(frozen=True)
+class Ping(WireStruct):
+    seq: int
 
-class Pong:
-    def write_to(self, writer):
-        writer.put_uint(self.seq)
+@dataclass(frozen=True)
+class Pong(WireStruct):
+    seq: int
 
-    @classmethod
-    def decode(cls, data):
-        return cls()
-
-class Loose:
-    def write_to(self, writer):
-        writer.put_uint(self.seq)
-
-    @classmethod
-    def decode(cls, data):
-        return cls()
+@dataclass(frozen=True)
+class Loose(WireStruct):
+    seq: int
 """
 
 REGISTRY = """
@@ -86,24 +77,11 @@ def test_dispatched_but_unregistered_and_dead_tag_are_both_found():
 
 
 def test_decode_closure_justifies_registered_tag():
-    # Pong is constructed inside Ping.decode: its tag is reachable even
-    # though no dispatcher tests isinstance(message, Pong).
+    # Pong is a field of Ping, so the derived reader builds it: its tag is
+    # reachable even though no dispatcher tests isinstance(message, Pong).
     messages = MESSAGES.replace(
-        """class Ping:
-    def write_to(self, writer):
-        writer.put_uint(self.seq)
-
-    @classmethod
-    def decode(cls, data):
-        return cls()""",
-        """class Ping:
-    def write_to(self, writer):
-        writer.put_uint(self.seq)
-
-    @classmethod
-    def decode(cls, data):
-        inner = Pong.decode(data)
-        return cls()""",
+        "class Ping(WireStruct):\n    seq: int",
+        "class Ping(WireStruct):\n    seq: int\n    inner: Pong",
     )
     findings = run(crate(messages=messages))
     assert [finding.anchor for finding in findings] == [
@@ -111,34 +89,19 @@ def test_decode_closure_justifies_registered_tag():
     ]
 
 
-def test_decode_closure_chases_same_class_helpers():
-    # The SignedRequest.decode -> cls.read_from -> Request.decode shape:
-    # the nested decode lives in a helper, not in decode itself.
-    messages = MESSAGES.replace(
-        """class Ping:
-    def write_to(self, writer):
-        writer.put_uint(self.seq)
-
-    @classmethod
-    def decode(cls, data):
-        return cls()""",
-        """class Ping:
-    def write_to(self, writer):
-        writer.put_uint(self.seq)
-
-    @classmethod
-    def decode(cls, data):
-        return cls.read_from(data)
-
-    @classmethod
-    def read_from(cls, data):
-        inner = Pong.decode(data)
-        return cls()""",
-    )
-    findings = run(crate(messages=messages))
-    assert [finding.anchor for finding in findings] == [
-        "dispatched-unregistered:repro.core.cratemsgs.Loose"
-    ]
+def test_decode_closure_reads_through_lists_options_and_inherited_fields():
+    # The ReadReply shape: the nested class sits inside ``tuple[X, ...]`` or
+    # ``X | None``, and the field may be declared on a private base.
+    for annotation in ("tuple[Pong, ...]", "Pong | None", "Annotated[Pong, Inline]"):
+        messages = MESSAGES.replace(
+            "class Ping(WireStruct):\n    seq: int",
+            f"class _Carrier(WireStruct):\n    inner: {annotation}\n\n"
+            "@dataclass(frozen=True)\nclass Ping(_Carrier):\n    seq: int",
+        )
+        findings = run(crate(messages=messages))
+        assert [finding.anchor for finding in findings] == [
+            "dispatched-unregistered:repro.core.cratemsgs.Loose"
+        ], annotation
 
 
 def test_message_types_tuple_counts_as_dispatch_evidence():
@@ -188,10 +151,10 @@ def test_silent_without_registrations_in_view():
 
 
 def test_real_codec_classes_are_recognised():
-    # The rule finds codec classes by the construction's shape (write_to +
-    # decode).  Run it over the real message and dispatcher modules with a
-    # tag table that forgot ZugForward: if the shape moves and the predicate
-    # does not, this fails instead of the rule going silently vacuous.
+    # The rule finds codec classes by the construction's shape (a dataclass
+    # under WireStruct).  Run it over the real message and dispatcher modules
+    # with a tag table that forgot ZugForward: if the shape moves and the
+    # predicate does not, this fails instead of the rule going silently vacuous.
     findings = lint_sources(
         {
             "src/repro/core/messages.py": Path(repro.core.messages.__file__).read_text(),

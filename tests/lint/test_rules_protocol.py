@@ -28,15 +28,19 @@ def test_proto001_flags_unregistered_codec_class():
     findings = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
 
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class _Scaffold(WireStruct):
+                seq: int
 
-            class _Scaffold:
+            @dataclass(frozen=True)
+            class Vote(_Scaffold):
+                pass
+
+            class Framer:
                 def write_to(self, writer):
                     writer.put_uint(self.seq)
 
@@ -53,15 +57,18 @@ def test_proto001_flags_unregistered_codec_class():
         },
         select=["PROTO001"],
     )
-    # Ping is flagged; the private _Scaffold helper is not.
-    assert codes(findings) == ["PROTO001"]
-    assert "Ping" in findings[0].message
+    # Ping is flagged, and Vote through its private base; the private
+    # _Scaffold itself is not, nor is a class that merely has codec-named
+    # methods without being a WireStruct dataclass.
+    assert codes(findings) == ["PROTO001", "PROTO001"]
+    assert [finding.message.split()[2] for finding in findings] == ["Ping", "Vote"]
 
 
 def test_proto001_recognises_the_real_message_modules():
-    # The predicate follows the codec's construction (write_to + decode).  If
-    # the construction moves again and the rule is not moved with it, this
-    # goes red where the synthetic fixtures would stay green and vacuous.
+    # The predicate follows the codec's construction (a dataclass under
+    # WireStruct).  If the construction moves again and the rule is not moved
+    # with it, this goes red where the synthetic fixtures would stay green
+    # and vacuous.
     findings = lint_sources(
         {
             "src/repro/core/messages.py": Path(repro.core.messages.__file__).read_text(),
@@ -82,13 +89,9 @@ def test_proto001_clean_when_registered_and_without_registry_in_view():
     registered = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
             """,
             TAG_TABLE: """
             WIRE_TAGS = {1: Ping}
@@ -103,13 +106,9 @@ def test_proto001_clean_when_registered_and_without_registry_in_view():
     partial = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
             """
         },
         select=["PROTO001"],
@@ -123,21 +122,13 @@ def test_proto001_understands_loop_driven_registration_tables():
     findings = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
 
-                @classmethod
-                def decode(cls, data):
-                    return cls()
-
-            class Orphan:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Orphan(WireStruct):
+                seq: int
             """,
             TAG_TABLE: """
             _TABLE = {1: Ping}
@@ -156,13 +147,9 @@ def test_proto001_understands_comprehension_driven_registration():
     findings = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
             """,
             TAG_TABLE: """
             _TABLE = {1: Ping}
@@ -181,21 +168,13 @@ def test_proto001_ignores_tables_never_fed_to_the_registrar():
     findings = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
 
-                @classmethod
-                def decode(cls, data):
-                    return cls()
-
-            class Pong:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Pong(WireStruct):
+                seq: int
             """,
             TAG_TABLE: """
             _DISPLAY_NAMES = {1: Pong}
@@ -216,29 +195,17 @@ def test_proto001_understands_enumerate_driven_computed_tags():
     findings = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
 
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Pong(WireStruct):
+                seq: int
 
-            class Pong:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
-
-            class Orphan:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Orphan(WireStruct):
+                seq: int
             """,
             TAG_TABLE: """
             BASE_TAG = 0x40
@@ -259,13 +226,9 @@ def test_proto001_understands_zip_driven_registration():
     findings = run(
         {
             MESSAGE_MODULE: """
-            class Ping:
-                def write_to(self, writer):
-                    writer.put_uint(self.seq)
-
-                @classmethod
-                def decode(cls, data):
-                    return cls()
+            @dataclass(frozen=True)
+            class Ping(WireStruct):
+                seq: int
             """,
             TAG_TABLE: """
             _TAGS = [0x41]

@@ -44,6 +44,23 @@ def test_overlong_varint_rejected():
         decode_uvarint(b"\xff" * 11)
 
 
+NON_CANONICAL = ["8000", "818000", "ff" * 9 + "7f"]   # 0, 1 and a 70-bit value
+
+
+@pytest.mark.parametrize("raw", NON_CANONICAL)
+def test_forms_the_encoder_never_emits_are_rejected(raw):
+    with pytest.raises(CodecError):
+        decode_uvarint(bytes.fromhex(raw))
+
+
+@pytest.mark.parametrize("raw,value", [
+    ("00", 0), ("7f", 127), ("8001", 128), ("ff" * 9 + "01", 2**64 - 1),
+])
+def test_canonical_boundaries_decode(raw, value):
+    assert decode_uvarint(bytes.fromhex(raw)) == (value, len(raw) // 2)
+    assert encode_uvarint(value) == bytes.fromhex(raw)
+
+
 def test_decode_with_offset():
     data = b"\x05" + encode_uvarint(1000)
     value, pos = decode_uvarint(data, offset=1)

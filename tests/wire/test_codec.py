@@ -29,6 +29,16 @@ def test_uint_roundtrip():
     reader.expect_end()
 
 
+@pytest.mark.parametrize("raw", ["8000", "818000", "ff" * 9 + "7f"])
+def test_non_canonical_uint_rejected(raw):
+    # Two byte strings must not decode to one message (util.varint has the
+    # boundary vectors); the reader's one-byte fast path must not bypass it.
+    with pytest.raises(CodecError):
+        Reader(bytes.fromhex(raw)).get_uint()
+    assert Reader(bytes.fromhex("00")).get_uint() == 0
+    assert Reader(bytes.fromhex("ff" * 9 + "01")).get_uint() == 2**64 - 1
+
+
 def test_bool_roundtrip():
     data = written(("put_bool", True), ("put_bool", False))
     reader = Reader(data)

@@ -1,16 +1,18 @@
-"""Size algebra: one ``write_to`` per message, two writers, one answer.
+"""Size algebra: one field list per message, two writers, one answer.
 
 ``WireStruct`` derives ``encode()`` and ``encoded_size()`` from the same
-field listing, the first through :class:`Writer`, the second through
+field list, the first through :class:`Writer`, the second through
 :class:`SizeWriter`, and memoises the size on the frozen instance.  These
-tests pin the three facts everything downstream leans on: the counting
-writer, ``len(encode())`` and ``encoded_size()`` agree for every registered
-type (the network-utilisation numbers are sums of these sizes); the memo
-never leaks into a copy or into what a message *is* (``==``, ``hash``,
-``repr``, pickle); and the tagged envelope still round-trips.
+tests pin the facts everything downstream leans on: the counting writer,
+``len(encode())`` and ``encoded_size()`` agree for every registered type
+(the network-utilisation numbers are sums of these sizes); the memo never
+leaks into a copy or into what a message *is* (``==``, ``hash``, ``repr``,
+pickle); the tagged envelope still round-trips; and the derived codec is the
+only one — no struct carries a codec or signing method of its own.
 """
 
 import dataclasses
+import inspect
 import pickle
 
 import pytest
@@ -18,16 +20,18 @@ import pytest
 from repro.bft.checkpoint import CheckpointCertificate
 from repro.bft.linear import CommitCert
 from repro.bft.messages import DecideProof, NewView, PrePrepare, Prepare, ViewChange
+from repro.bus.frames import BusCycleData
 from repro.chain.block import genesis_block
 from repro.core.statesync import StateReply
+from repro.crypto import KeyStore
 from repro.export.messages import BlockFetchReply, ReadReply
 from repro.util.varint import encode_uvarint, uvarint_size
 from repro.wire import Request, SignedRequest, decode_message, encode_message
 from repro.wire.codec import _SIZE_MEMO as SIZE_MEMO
-from repro.wire.codec import SizeWriter, WireStruct, Writer
+from repro.wire.codec import UNSIGNED, SignedStruct, SizeWriter, WireStruct, Writer
 from repro.wire.registry import registered_types
 
-from tests.wire.golden_bytes import FIXTURES, PAIR, load_golden
+from tests.wire.golden_bytes import DC_PAIR, FIXTURES, PAIR, SCHEME, load_golden
 
 VARINT_BOUNDARIES = (0, 127, 128, 16383, 16384, 2**63)
 LENGTH_BOUNDARIES = (0, 127, 128, 16383, 16384)
@@ -76,13 +80,64 @@ def test_golden_bytes_decode_to_messages_of_the_same_size(name, golden_hex):
     assert encode_message(message) == raw
 
 
-@by_type
+def wire_structs(base=WireStruct) -> list[type]:
+    """Every class under ``base``, registered or not."""
+    found = []
+    for cls in base.__subclasses__():
+        found += [cls, *wire_structs(cls)]
+    return list(dict.fromkeys(found))
+
+
+CODEC_NAMES = {"write_to", "decode", "read_from", "signed", "verify", "encode", "encoded_size"}
+
+#: The names a struct may still define, and why.
+OWN_METHODS = {
+    # perfbench wraps it as a bus-layer boundary (see the override's comment).
+    BusCycleData: {"encode"},
+    # Not a signature check: a quorum of *member* signatures against a BftConfig.
+    CheckpointCertificate: {"verify"},
+    CommitCert: {"verify"},
+}
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in wire_structs() if cls is not SignedStruct],
+    ids=lambda cls: cls.__name__)
 def test_codec_lives_in_the_base_only(cls):
-    assert issubclass(cls, WireStruct)
     assert dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
     for klass in cls.__mro__:
-        if klass not in (WireStruct, object):
-            assert not {"encode", "encoded_size"} & vars(klass).keys(), klass.__name__
+        if klass not in (WireStruct, SignedStruct, object):
+            own = CODEC_NAMES & vars(klass).keys()
+            assert own == OWN_METHODS.get(klass, set()), klass.__name__
+            if "verify" in own:
+                assert "config" in inspect.signature(klass.verify).parameters
+    if not issubclass(cls, SignedStruct):
+        assert not hasattr(cls, "signed") and not hasattr(cls, "signing_payload")
+
+
+def test_every_registered_type_is_covered_by_the_check_above():
+    assert set(registered_types().values()) <= set(wire_structs())
+
+
+SIGNING_TYPES = [cls for _, cls in sorted(registered_types().items())
+                 if issubclass(cls, SignedStruct)]
+
+
+@pytest.mark.parametrize("cls", SIGNING_TYPES, ids=lambda cls: cls.__name__)
+def test_signed_verifies_under_its_own_key_and_no_other(cls):
+    unsigned = dataclasses.replace(FIXTURES[cls](), signature=UNSIGNED)
+    signer = getattr(unsigned, cls.SIGNER)
+    assert cls.SIGNER in {field.name for field in dataclasses.fields(cls)}
+    own, other = KeyStore(scheme=SCHEME), KeyStore(scheme=SCHEME)
+    own.register(signer, PAIR.public)
+    other.register(signer, DC_PAIR.public)
+    signed = unsigned.signed(PAIR)
+    assert signed.signature != UNSIGNED and signed != unsigned
+    assert dataclasses.replace(signed, signature=UNSIGNED) == unsigned
+    assert signed.verify(own)
+    assert not signed.verify(other)
+    assert not unsigned.verify(own)
+    assert not signed.verify(KeyStore(scheme=SCHEME))   # unknown signer
 
 
 # -- varint boundaries, empty lists, absent certificates -----------------------
