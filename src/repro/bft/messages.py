@@ -16,9 +16,9 @@ its wire layout (:mod:`repro.wire.codec`), and writes by hand only:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_CHECKPOINT, sha256
+from repro.util.memo import memoized
 from repro.wire.codec import UNSIGNED, Hash32, Sig, SignedStruct, WireStruct
 from repro.wire.messages import SignedRequest, request_payload_bytes
 
@@ -47,7 +47,7 @@ class PrePrepare(SignedStruct):
     verifies_to_ingest = 2
     payload_bytes = request_payload_bytes
 
-    @cached_property
+    @memoized
     def digest(self) -> bytes:
         return self.request.digest
 

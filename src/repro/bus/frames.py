@@ -11,10 +11,10 @@ Frame sizes feed the payload-size accounting: real MVB frames carry up to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
 
 from repro.util.errors import CodecError
+from repro.util.memo import memoized
 from repro.wire.codec import WireStruct
 
 #: Header + check-sequence overhead per slave telegram, per IEC 61375-3-1.
@@ -48,7 +48,7 @@ class ProcessDataFrame(WireStruct):
             )
         return ProcessDataFrame(port=port, data=data, checksum=frame_checksum(port, data))
 
-    @cached_property
+    @memoized
     def valid(self) -> bool:
         """Check-sequence verdict, computed once: every node reads the same frame."""
         return self.checksum == frame_checksum(self.port, self.data)
@@ -75,11 +75,29 @@ class BusCycleData(WireStruct):
     timestamp_us: int
     frames: tuple[ProcessDataFrame, ...]
 
-    def wire_size(self) -> int:
+    @memoized
+    def _wire_size(self) -> int:
         return sum(frame.wire_size() for frame in self.frames)
 
-    def data_size(self) -> int:
+    @memoized
+    def _data_size(self) -> int:
         return sum(len(frame.data) for frame in self.frames)
+
+    @memoized
+    def invalid_frames(self) -> int:
+        """How many telegrams of this set fail their check sequence."""
+        return sum(1 for frame in self.frames if not frame.valid)
+
+    def wire_size(self) -> int:
+        return self._wire_size
+
+    def data_size(self) -> int:
+        return self._data_size
+
+    def __getstate__(self) -> dict:
+        # Fields only: what receivers memoised on this telegram set (sizes,
+        # reception results and through them an NSDB) stays out of a pickle.
+        return {field.name: getattr(self, field.name) for field in fields(self)}
 
     def encode(self) -> bytes:
         # Its own attribute on purpose: perfbench wraps ``BusCycleData.encode``

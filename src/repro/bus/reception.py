@@ -22,6 +22,11 @@ from repro.bus.nsdb import Nsdb
 from repro.wire.codec import Reader, Writer
 from repro.wire.messages import Request
 
+#: Where a :class:`BusCycleData` instance keeps the reception results
+#: computed from it, in its ``__dict__`` like the size memo: not a field, so
+#: invisible to ``==``/``hash``/``repr``/``encode()`` and absent from copies.
+_RECEPTIONS_MEMO = "_receptions"
+
 
 @dataclass
 class RelevanceFilter:
@@ -30,28 +35,33 @@ class RelevanceFilter:
     Signals outside the NSDB (e.g. filler complement) and signals marked
     ``log_on_change_only=False`` always pass.  State is per node: a node
     that missed a cycle simply re-logs the next sample.
+
+    ``last_raw`` is a value: ``apply`` and ``reset`` replace the mapping and
+    never mutate it, so nodes that have seen the same telegrams can hold the
+    same object and :class:`BusReceiver` can key a shared result on it.
     """
 
     nsdb: Nsdb
-    _last_raw: dict[int, bytes] = field(default_factory=dict)
+    last_raw: dict[int, bytes] = field(default_factory=dict)
 
     def apply(self, frames: tuple[ProcessDataFrame, ...]) -> list[ProcessDataFrame]:
+        nsdb = self.nsdb
+        last_raw = self.last_raw
         retained: list[ProcessDataFrame] = []
         for frame in frames:
-            if not self.nsdb.has_port(frame.port):
-                retained.append(frame)
-                continue
-            definition = self.nsdb.by_port(frame.port)
-            if not definition.log_on_change_only:
-                retained.append(frame)
-                continue
-            if self._last_raw.get(frame.port) != frame.data:
-                self._last_raw[frame.port] = frame.data
-                retained.append(frame)
+            port = frame.port
+            if nsdb.has_port(port) and nsdb.by_port(port).log_on_change_only:
+                if last_raw.get(port) == frame.data:
+                    continue
+                if last_raw is self.last_raw:
+                    last_raw = dict(last_raw)
+                last_raw[port] = frame.data
+            retained.append(frame)
+        self.last_raw = last_raw
         return retained
 
     def reset(self) -> None:
-        self._last_raw.clear()
+        self.last_raw = {}
 
 
 def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
@@ -90,15 +100,35 @@ class BusReceiver:
         return self._source_link
 
     def on_cycle(self, cycle: BusCycleData, now_us: int) -> Request | None:
-        """Consolidate one bus cycle into a request (None if fully filtered)."""
+        """Consolidate one bus cycle into a request (None if fully filtered).
+
+        The bus is a broadcast medium: the master hands every device the same
+        frozen ``cycle`` object, and the payload is a function of that object,
+        the NSDB and the filter state only.  The first receiver to see a
+        telegram set records ``(nsdb, state before, state after, payload)`` on
+        it; a receiver with the same NSDB and an equal state takes that
+        result (and the state object, so the next cycle matches on identity).
+        Any other receiver — corrupted copy, missed cycle, fresh after
+        recovery, another NSDB — finds no match and computes its own.
+        """
         self.cycles_seen += 1
-        self.invalid_frames_seen += sum(1 for frame in cycle.frames if not frame.valid)
-        retained = self._filter.apply(cycle.frames)
-        if not retained:
+        self.invalid_frames_seen += cycle.invalid_frames
+        filt = self._filter
+        before = filt.last_raw
+        receptions = vars(cycle).setdefault(_RECEPTIONS_MEMO, [])
+        for nsdb, seen_before, after, payload in receptions:
+            if nsdb is filt.nsdb and (seen_before is before or seen_before == before):
+                filt.last_raw = after
+                break
+        else:
+            retained = filt.apply(cycle.frames)
+            payload = encode_cycle_payload(retained) if retained else None
+            receptions.append((filt.nsdb, before, filt.last_raw, payload))
+        if payload is None:
             self.cycles_empty_after_filter += 1
             return None
         return Request(
-            payload=encode_cycle_payload(retained),
+            payload=payload,
             bus_cycle=cycle.cycle_no,
             recv_timestamp_us=now_us,
             source_link=self._source_link,

@@ -9,11 +9,11 @@ the per-block checkpoint digests comparable across nodes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_BLOCK, sha256
 from repro.crypto.merkle import MerkleTree, merkle_root
 from repro.util.errors import ChainError
+from repro.util.memo import memoized
 from repro.wire.codec import Hash32, WireStruct
 from repro.wire.messages import SignedRequest
 
@@ -31,7 +31,7 @@ class BlockHeader(WireStruct):
     request_count: int
     last_sn: int  # consensus sequence number of the last included request
 
-    @cached_property
+    @memoized
     def block_hash(self) -> bytes:
         return sha256(
             self.prev_hash,

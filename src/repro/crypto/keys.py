@@ -70,12 +70,25 @@ class HmacScheme(SignatureScheme):
         public = hashlib.sha256(b"hmac-public" + secret).digest()
         return KeyPair(scheme=self, secret=secret, public=public)
 
+    def __init__(self) -> None:
+        # The MAC key is a pure function of the public key, and that of the
+        # secret.  Only participants' keys reach sign/verify, so both tables
+        # are as large as the membership.
+        self._mac_keys: dict[bytes, bytes] = {}     # by public key
+        self._signing_keys: dict[bytes, bytes] = {}  # by secret
+
     def _mac_key(self, public: bytes) -> bytes:
-        return hashlib.sha256(b"hmac-mac-key" + public).digest()
+        key = self._mac_keys.get(public)
+        if key is None:
+            key = self._mac_keys[public] = hashlib.sha256(b"hmac-mac-key" + public).digest()
+        return key
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
-        public = hashlib.sha256(b"hmac-public" + secret).digest()
-        mac = hmac.new(self._mac_key(public), message, hashlib.sha256).digest()
+        key = self._signing_keys.get(secret)
+        if key is None:
+            public = hashlib.sha256(b"hmac-public" + secret).digest()
+            key = self._signing_keys[secret] = self._mac_key(public)
+        mac = hmac.new(key, message, hashlib.sha256).digest()
         return mac + mac  # pad to 64 bytes, matching Ed25519 signature size
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:

@@ -8,43 +8,37 @@ same seed bit-for-bit reproducible.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.util.errors import ProtocolError
 
 
-@dataclass(order=True)
-class _Event:
-    time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-
 class Timer:
-    """Handle for a scheduled callback; supports cancellation.
+    """A scheduled callback and the handle that cancels it.
 
     ZugChain's communication layer leans heavily on cancellable timers
     (soft/hard timeouts, Alg. 1 lines 11/16/23/31), so cancellation is a
-    first-class, O(1) operation here.
+    first-class, O(1) operation here: it marks this entry, which stays in
+    the heap as a tombstone until its time comes up.
     """
 
-    __slots__ = ("_event",)
+    __slots__ = ("time", "cancelled", "_callback", "_kernel")
 
-    def __init__(self, event: _Event) -> None:
-        self._event = event
-
-    @property
-    def time(self) -> float:
-        return self._event.time
+    def __init__(self, kernel: "Kernel", time: float, callback: Callable[[], None]) -> None:
+        self.time = time
+        self.cancelled = False
+        self._callback = callback
+        self._kernel: Kernel | None = kernel  # None once fired or cancelled
 
     @property
     def active(self) -> bool:
-        return not self._event.cancelled
+        return not self.cancelled
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        self.cancelled = True
+        if self._kernel is not None:
+            self._kernel._live -= 1
+            self._kernel = None
 
 
 class RepeatingTimer:
@@ -53,7 +47,7 @@ class RepeatingTimer:
     Link flapping and other periodic fault processes need a timer that
     re-arms itself after every firing; cancellation must also reach the
     *next* underlying one-shot event, so the handle re-targets itself each
-    period instead of exposing a single ``_Event``.
+    period instead of exposing a single :class:`Timer`.
     """
 
     __slots__ = ("_kernel", "_interval", "_callback", "_timer", "_cancelled")
@@ -92,7 +86,10 @@ class Kernel:
     def __init__(self) -> None:
         self._now = 0.0
         self._seq = 0
-        self._heap: list[_Event] = []
+        # (time, seq, timer): seq is unique, so tuple comparison is decided
+        # in C before it could reach the timer or its callback.
+        self._heap: list[tuple[float, int, Timer]] = []
+        self._live = 0  # heap entries not cancelled
         self._events_fired = 0
 
     @property
@@ -106,7 +103,7 @@ class Kernel:
 
     @property
     def pending(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return self._live
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` after ``delay`` seconds of virtual time."""
@@ -124,20 +121,24 @@ class Kernel:
         """Run ``callback`` at absolute virtual time ``time``."""
         if time < self._now:
             raise ProtocolError(f"cannot schedule at {time} < now {self._now}")
-        event = _Event(time=time, seq=self._seq, callback=callback)
+        timer = Timer(self, time, callback)
+        heapq.heappush(self._heap, (time, self._seq, timer))
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return Timer(event)
+        self._live += 1
+        return timer
 
     def step(self) -> bool:
         """Fire the next event; returns False when the heap is empty."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if event.cancelled:
+        heap = self._heap
+        while heap:
+            time, _, timer = heapq.heappop(heap)
+            if timer.cancelled:
                 continue
-            self._now = event.time
+            timer._kernel = None
+            self._live -= 1
+            self._now = time
             self._events_fired += 1
-            event.callback()
+            timer._callback()
             return True
         return False
 
@@ -146,12 +147,13 @@ class Kernel:
 
         Events scheduled exactly at the deadline do fire.
         """
-        while self._heap:
-            head = self._heap[0]
-            if head.cancelled:
-                heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _, timer = heap[0]
+            if timer.cancelled:
+                heapq.heappop(heap)
                 continue
-            if head.time > deadline:
+            if time > deadline:
                 break
             self.step()
         if deadline > self._now:

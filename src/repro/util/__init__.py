@@ -1,4 +1,4 @@
-"""Shared low-level utilities: errors, varint encoding, deterministic RNG streams."""
+"""Shared low-level utilities: errors, varint encoding, deterministic RNG streams, memoized."""
 
 from repro.util.errors import (
     ReproError,
@@ -15,6 +15,7 @@ from repro.util.varint import (
     encode_bytes,
     decode_bytes,
 )
+from repro.util.memo import memoized
 from repro.util.rng import RngRegistry
 
 __all__ = [
@@ -29,5 +30,6 @@ __all__ = [
     "uvarint_size",
     "encode_bytes",
     "decode_bytes",
+    "memoized",
     "RngRegistry",
 ]

@@ -14,11 +14,11 @@ logged entry carries the identity of a node that actually received it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from repro.crypto.hashing import DOMAIN_REQUEST, sha256
 from repro.crypto.keys import KeyPair
 from repro.crypto.merkle import leaf_hash
+from repro.util.memo import memoized
 from repro.wire.codec import Sig, SignedStruct, WireStruct
 
 
@@ -31,7 +31,7 @@ class Request(WireStruct):
     recv_timestamp_us: int
     source_link: str = "mvb0"
 
-    @cached_property
+    @memoized
     def digest(self) -> bytes:
         """Content digest used for duplicate filtering.
 
@@ -75,7 +75,7 @@ class SignedRequest(SignedStruct):
     def digest(self) -> bytes:
         return self.request.digest
 
-    @cached_property
+    @memoized
     def merkle_leaf(self) -> bytes:
         """This request's leaf hash in its block's payload Merkle tree.
 

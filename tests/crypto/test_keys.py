@@ -77,3 +77,36 @@ def test_keystore_participants_sorted(scheme):
     assert store.participants() == ["node-0", "node-1", "node-2"]
     assert store.known("node-1")
     assert not store.known("node-9")
+
+
+def test_hmac_derives_each_mac_key_once_and_still_checks_every_mac(monkeypatch):
+    import hashlib
+    import hmac
+
+    scheme = HmacScheme()
+    pairs = [scheme.derive_keypair(seed) for seed in (b"node-0", b"node-1")]
+    derivations = []
+    real_sha256 = hashlib.sha256
+    monkeypatch.setattr(
+        hashlib, "sha256",
+        lambda *args: derivations.append(args) or real_sha256(*args),
+    )
+    for round_no in range(3):
+        for pair in pairs:
+            message = b"msg-%d" % round_no
+            signature = pair.sign(message)
+            # The reference: keys re-derived from scratch, as before the memo.
+            mac_key = real_sha256(b"hmac-mac-key" + pair.public).digest()
+            mac = hmac.new(mac_key, message, real_sha256).digest()
+            assert signature == mac + mac
+            assert scheme.verify(pair.public, message, signature)
+            # A verdict is never remembered: the same triple with one bit
+            # flipped fails, and the good one passes again afterwards.
+            forged = bytes([signature[0] ^ 1]) + signature[1:]
+            assert not scheme.verify(pair.public, message, forged)
+            assert not scheme.verify(pair.public, message + b"!", signature)
+            assert not scheme.verify(pair.public, message, signature[:-1])
+            assert scheme.verify(pair.public, message, signature)
+    # Two hashes per key pair (secret -> public, public -> MAC key), not per call.
+    derived = [args[0][:11] for args in derivations if args and args[0].startswith(b"hmac-")]
+    assert sorted(derived) == [b"hmac-mac-ke"] * len(pairs) + [b"hmac-public"] * len(pairs)

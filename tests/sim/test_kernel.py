@@ -1,5 +1,7 @@
 """Discrete-event kernel tests: ordering, timers, cancellation, determinism."""
 
+import functools
+
 import pytest
 
 from repro.sim import Kernel
@@ -110,3 +112,91 @@ def test_run_max_events_bounds_execution():
     kernel.schedule(1.0, reschedule)
     kernel.run(max_events=10)
     assert len(counter) == 10
+
+
+class _Probe:
+    def __init__(self, fired):
+        self._fired = fired
+
+    def fire(self, label="method"):
+        self._fired.append(label)
+
+
+def test_equal_time_events_with_unorderable_callbacks_fire_in_scheduling_order():
+    # Lambdas, bound methods and partials have no ``<``: a heap that ever
+    # compared two callbacks would raise TypeError here.
+    kernel = Kernel()
+    fired = []
+    probe = _Probe(fired)
+    kernel.schedule_at(1.0, lambda: fired.append("lambda"))
+    kernel.schedule_at(1.0, probe.fire)
+    kernel.schedule_at(1.0, functools.partial(probe.fire, "partial"))
+    kernel.schedule_at(1.0, lambda: fired.append("lambda-2"))
+    kernel.run()
+    assert fired == ["lambda", "method", "partial", "lambda-2"]
+    assert kernel.events_fired == 4
+
+
+def test_cancelled_head_is_skipped_without_firing_or_counting():
+    kernel = Kernel()
+    fired = []
+    head = kernel.schedule(1.0, lambda: fired.append("head"))
+    kernel.schedule(2.0, lambda: fired.append("next"))
+    head.cancel()
+    kernel.run_until(1.5)
+    assert fired == [] and kernel.events_fired == 0 and kernel.now == 1.5
+    kernel.run_until(2.0)
+    assert fired == ["next"] and kernel.events_fired == 1
+
+
+def test_pending_follows_schedule_cancel_and_step():
+    kernel = Kernel()
+    first = kernel.schedule(1.0, lambda: None)
+    second = kernel.schedule(2.0, lambda: None)
+    kernel.schedule(3.0, lambda: None)
+    assert kernel.pending == 3
+    second.cancel()
+    second.cancel()                 # idempotent
+    assert kernel.pending == 2
+    assert kernel.step()
+    assert kernel.pending == 1
+    first.cancel()                  # already fired: nothing left to take back
+    assert kernel.pending == 1
+    kernel.run()
+    assert kernel.pending == 0 and kernel.events_fired == 2
+
+
+def test_timer_handle_reports_time_and_activity():
+    kernel = Kernel()
+    timer = kernel.schedule(1.5, lambda: None)
+    assert timer.time == 1.5 and timer.active
+    kernel.run()
+    assert timer.active             # firing does not deactivate, only cancel does
+    timer.cancel()
+    assert not timer.active
+
+
+def test_repeating_timer_cancel_reaches_the_armed_event():
+    kernel = Kernel()
+    ticks = []
+    repeating = kernel.schedule_repeating(1.0, lambda: ticks.append(kernel.now))
+    kernel.run_until(3.5)
+    assert ticks == [1.0, 2.0, 3.0] and repeating.active and kernel.pending == 1
+    repeating.cancel()
+    assert not repeating.active and kernel.pending == 0
+    kernel.run_until(10.0)
+    assert ticks == [1.0, 2.0, 3.0]
+
+
+def test_repeating_timer_cancelled_from_its_own_callback_stops():
+    kernel = Kernel()
+    ticks = []
+
+    def tick():
+        ticks.append(kernel.now)
+        if len(ticks) == 2:
+            repeating.cancel()
+
+    repeating = kernel.schedule_repeating(0.5, tick)
+    kernel.run()
+    assert ticks == [0.5, 1.0] and kernel.pending == 0
