@@ -41,6 +41,7 @@ from repro.crypto.hashing import sha256
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.bft.replica import ReplicaStats
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.util.dispatch import KindMap
 from repro.wire.codec import UNSIGNED, Hash32, Sig, SignedStruct, WireStruct
 from repro.wire.messages import SignedRequest
 
@@ -103,6 +104,8 @@ class LinearBftReplica:
 
     #: Message types this backend consumes (used by node-level dispatch).
     MESSAGE_TYPES = (PrePrepare, Vote, CommitCert, Checkpoint, ViewChange, NewView)
+    #: As :attr:`PbftReplica.KINDS`: the entry of ``MESSAGE_TYPES`` a message is.
+    KINDS = KindMap(MESSAGE_TYPES)
 
     def __init__(
         self,
@@ -203,17 +206,13 @@ class LinearBftReplica:
         self._on_new_primary(self.primary_id)
 
     def vote_is_redundant(self, message: Any) -> bool:
-        if isinstance(message, Vote):
+        kind = self.KINDS[type(message)]
+        if kind is Vote or kind is CommitCert:
             if message.seq < self._next_exec:
                 return True
             instance = self._instances.get(message.seq)
             return instance is not None and instance.certified
-        if isinstance(message, CommitCert):
-            instance = self._instances.get(message.seq)
-            return message.seq < self._next_exec or (
-                instance is not None and instance.certified
-            )
-        if isinstance(message, Checkpoint):
+        if kind is Checkpoint:
             return message.seq <= self.last_stable_seq
         return False
 
@@ -252,23 +251,28 @@ class LinearBftReplica:
     # -- dispatch ----------------------------------------------------------------------
 
     def on_message(self, src: str, message: Any) -> None:
-        if isinstance(message, PrePrepare):
-            self._on_preprepare(message)
-        elif isinstance(message, Vote):
+        kind = self.KINDS[type(message)]
+        if kind is Vote:
             self._on_vote(message)
-        elif isinstance(message, CommitCert):
+        elif kind is CommitCert:
             self._on_commit_cert(message)
-        elif isinstance(message, Checkpoint):
+        elif kind is PrePrepare:
+            self._on_preprepare(message)
+        elif kind is Checkpoint:
             self._on_checkpoint(message)
-        elif isinstance(message, ViewChange):
+        elif kind is ViewChange:
             self._on_view_change(message)
-        elif isinstance(message, NewView):
+        elif kind is NewView:
             self._on_new_view(message)
 
     # -- normal case -----------------------------------------------------------------------
 
     def _instance(self, seq: int) -> _LinearInstance:
-        return self._instances.setdefault(seq, _LinearInstance())
+        """The ordering state of ``seq``, created on first use."""
+        instance = self._instances.get(seq)
+        if instance is None:
+            instance = self._instances[seq] = _LinearInstance()
+        return instance
 
     def _in_watermarks(self, seq: int) -> bool:
         return self.last_stable_seq < seq <= self.last_stable_seq + self.config.watermark_window

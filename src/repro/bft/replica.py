@@ -41,6 +41,7 @@ from repro.bft.messages import (
 )
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.obs.trace import NULL_TRACER, Tracer
+from repro.util.dispatch import KindMap
 from repro.wire.messages import SignedRequest, null_request
 
 
@@ -79,6 +80,10 @@ class PbftReplica:
     #: Message types this backend consumes (used by node-level dispatch).
     MESSAGE_TYPES = (PrePrepare, Prepare, Commit, Checkpoint, ViewChange, NewView,
                      DecideFetch, DecideProof)
+    #: ``KINDS[type(message)]`` is the entry of ``MESSAGE_TYPES`` the message
+    #: is an instance of, or None; the node, the host and ``on_message`` all
+    #: dispatch on it.
+    KINDS = KindMap(MESSAGE_TYPES)
 
     def __init__(
         self,
@@ -226,46 +231,56 @@ class PbftReplica:
         sequence number are discarded after a table lookup.  The runtime
         uses this to charge reduced ingest cost for such messages.
         """
-        if isinstance(message, Prepare):
-            if message.seq < self._next_exec:
-                return True
-            instance = self._instances.get(message.seq)
-            return instance is not None and instance.prepared
-        if isinstance(message, Commit):
+        kind = self.KINDS[type(message)]
+        if kind is Commit:
             if message.seq < self._next_exec:
                 return True
             instance = self._instances.get(message.seq)
             return instance is not None and instance.committed
-        if isinstance(message, Checkpoint):
+        if kind is Prepare:
+            if message.seq < self._next_exec:
+                return True
+            instance = self._instances.get(message.seq)
+            return instance is not None and instance.prepared
+        if kind is Checkpoint:
             return message.seq <= self.last_stable_seq
         return False
 
     # -- message dispatch ---------------------------------------------------------
 
     def on_message(self, src: str, message: Any) -> None:
-        """Single entry point for all BFT protocol messages."""
-        if isinstance(message, PrePrepare):
-            self._on_preprepare(message)
-        elif isinstance(message, Prepare):
-            self._on_prepare(message)
-        elif isinstance(message, Commit):
+        """Single entry point for all BFT protocol messages.
+
+        Tests run most frequent kind first: per request a replica ingests
+        three commits, two or three prepares and at most one preprepare.
+        """
+        kind = self.KINDS[type(message)]
+        if kind is Commit:
             self._on_commit(message)
-        elif isinstance(message, Checkpoint):
+        elif kind is Prepare:
+            self._on_prepare(message)
+        elif kind is PrePrepare:
+            self._on_preprepare(message)
+        elif kind is Checkpoint:
             self._on_checkpoint(message)
-        elif isinstance(message, ViewChange):
+        elif kind is ViewChange:
             self._on_view_change(message)
-        elif isinstance(message, NewView):
+        elif kind is NewView:
             self._on_new_view(message)
-        elif isinstance(message, DecideFetch):
+        elif kind is DecideFetch:
             self._on_decide_fetch(message)
-        elif isinstance(message, DecideProof):
+        elif kind is DecideProof:
             self._on_decide_proof(message)
         # Unknown message types are ignored: a Byzantine peer may send junk.
 
     # -- ordering: preprepare / prepare / commit ------------------------------------
 
     def _instance(self, seq: int) -> _Instance:
-        return self._instances.setdefault(seq, _Instance())
+        """The ordering state of ``seq``, created on first use."""
+        instance = self._instances.get(seq)
+        if instance is None:
+            instance = self._instances[seq] = _Instance()
+        return instance
 
     def _in_watermarks(self, seq: int) -> bool:
         return self.last_stable_seq < seq <= self.last_stable_seq + self.config.watermark_window
@@ -316,7 +331,7 @@ class PbftReplica:
             replica_id=preprepare.primary_id, signature=preprepare.signature,
         )
         instance.prepares.setdefault(preprepare.primary_id, implicit)
-        self._check_prepared(preprepare.seq)
+        self._check_prepared(preprepare.seq, instance)
 
     def _on_prepare(self, prepare: Prepare) -> None:
         if self.in_view_change or prepare.view != self.view or not self._in_watermarks(prepare.seq):
@@ -332,10 +347,9 @@ class PbftReplica:
         if prepare.replica_id not in instance.prepares:
             instance.prepares[prepare.replica_id] = prepare
             self._log_bytes += prepare.encoded_size()
-        self._check_prepared(prepare.seq)
+        self._check_prepared(prepare.seq, instance)
 
-    def _check_prepared(self, seq: int) -> None:
-        instance = self._instance(seq)
+    def _check_prepared(self, seq: int, instance: _Instance) -> None:
         if instance.prepared or instance.preprepare is None:
             return
         digest = instance.preprepare.digest
@@ -370,10 +384,9 @@ class PbftReplica:
         if commit.replica_id not in instance.commits:
             instance.commits[commit.replica_id] = commit
             self._log_bytes += commit.encoded_size()
-        self._check_committed(commit.seq)
+        self._check_committed(commit.seq, instance)
 
-    def _check_committed(self, seq: int) -> None:
-        instance = self._instance(seq)
+    def _check_committed(self, seq: int, instance: _Instance) -> None:
         if instance.committed or not instance.prepared or instance.preprepare is None:
             return
         digest = instance.preprepare.digest

@@ -46,11 +46,19 @@ class ProcessDataFrame(WireStruct):
             raise CodecError(
                 f"frame data of {len(data)} bytes exceeds MVB maximum {MAX_FRAME_DATA_BYTES}"
             )
-        return ProcessDataFrame(port=port, data=data, checksum=frame_checksum(port, data))
+        frame = ProcessDataFrame(port=port, data=data, checksum=frame_checksum(port, data))
+        # The check sequence was computed from these very bytes a line ago:
+        # the frame starts out knowing its verdict instead of summing again.
+        frame.__dict__["valid"] = True
+        return frame
 
     @memoized
     def valid(self) -> bool:
-        """Check-sequence verdict, computed once: every node reads the same frame."""
+        """Check-sequence verdict, computed once: every node reads the same frame.
+
+        Only :meth:`create` pre-fills it; a corrupted, decoded or
+        ``replace``d frame has no memo and checks its bytes.
+        """
         return self.checksum == frame_checksum(self.port, self.data)
 
     def wire_size(self) -> int:

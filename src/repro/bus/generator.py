@@ -197,10 +197,14 @@ def _filler_frames(cycle_no: int, nbytes: int) -> list[ProcessDataFrame]:
     port = FILLER_PORT_BASE
     remaining = nbytes
     counter = 0
+    prefix = hashlib.sha256(f"filler:{cycle_no}:".encode())  # hashed once per cycle
     while remaining > 0:
         chunk = min(MAX_FRAME_DATA_BYTES, remaining)
-        material = hashlib.sha256(f"filler:{cycle_no}:{counter}".encode()).digest()
-        data = (material * ((chunk // len(material)) + 1))[:chunk]
+        hasher = prefix.copy()
+        hasher.update(str(counter).encode())
+        data = hasher.digest()
+        if chunk != len(data):
+            data = (data * ((chunk // len(data)) + 1))[:chunk]
         frames.append(ProcessDataFrame.create(port, data))
         port += 1
         counter += 1

@@ -19,7 +19,8 @@ from operator import attrgetter
 
 from repro.bus.frames import BusCycleData, ProcessDataFrame
 from repro.bus.nsdb import Nsdb
-from repro.wire.codec import Reader, Writer
+from repro.util.varint import encode_uvarint
+from repro.wire.codec import Reader
 from repro.wire.messages import Request
 
 #: Where a :class:`BusCycleData` instance keeps the reception results
@@ -66,13 +67,12 @@ class RelevanceFilter:
 
 def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
     """Deterministic payload: (port, data, valid) triples sorted by port."""
-    writer = Writer()
-    writer.put_uint(len(frames))
+    parts = [encode_uvarint(len(frames))]
     for frame in sorted(frames, key=attrgetter("port")):
-        writer.put_uint(frame.port)
-        writer.put_bytes(frame.data)
-        writer.put_bool(frame.valid)
-    return writer.getvalue()
+        data = frame.data
+        parts += (encode_uvarint(frame.port), encode_uvarint(len(data)), data,
+                  b"\x01" if frame.valid else b"\x00")
+    return b"".join(parts)
 
 
 def decode_cycle_payload(payload: bytes) -> list[tuple[int, bytes, bool]]:

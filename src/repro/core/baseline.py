@@ -32,9 +32,11 @@ from repro.chain.blockchain import Blockchain
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.monitor import LatencyRecorder
+from repro.util.dispatch import KindMap
 from repro.wire.messages import SignedRequest
 
 _BFT_MESSAGE_TYPES = (PrePrepare, Prepare, Commit, Checkpoint, ViewChange, NewView)
+_KINDS = KindMap((ClientRequestWrapper, Reply) + _BFT_MESSAGE_TYPES)
 
 
 class BaselineNode:
@@ -137,11 +139,12 @@ class BaselineNode:
     # -- network side ------------------------------------------------------------------
 
     def handle_message(self, src: str, message: Any) -> None:
-        if isinstance(message, ClientRequestWrapper):
+        kind = _KINDS[type(message)]
+        if kind is ClientRequestWrapper:
             self._on_client_request(src, message)
-        elif isinstance(message, Reply):
+        elif kind is Reply:
             self.client.on_reply(message)
-        elif isinstance(message, _BFT_MESSAGE_TYPES):
+        elif kind is not None:
             self.replica.on_message(src, message)
 
     def _on_client_request(self, src: str, wrapper: ClientRequestWrapper) -> None:

@@ -342,14 +342,11 @@ class ZugChainLayer:
                 entry.hard_timer = None
             if self.is_primary:
                 if not self._dedup.in_log(digest):  # ln. 39–41
-                    origin = entry.broadcast_origin or self.id
-                    if origin == self.id:
-                        signed = SignedRequest.create(entry.request, self.id, self.keypair)
-                    else:
-                        # Re-propose with our own signature but keep provenance:
-                        # the original broadcast signature is not stored, so the
-                        # new primary vouches with its own id (it did receive it).
-                        signed = SignedRequest.create(entry.request, self.id, self.keypair)
+                    # Signed with our own id whether the request came off our
+                    # bus or in a peer's broadcast (``entry.broadcast_origin``):
+                    # the original broadcast signature is not stored, so the
+                    # new primary vouches with its own id (it did receive it).
+                    signed = SignedRequest.create(entry.request, self.id, self.keypair)
                     self.stats.proposed += 1
                     self._propose(signed)
             else:

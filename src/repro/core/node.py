@@ -13,7 +13,7 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 from repro.bft.config import BftConfig
-from repro.bft.messages import Checkpoint, Commit, NewView, PrePrepare, Prepare, ViewChange
+from repro.bft.messages import Checkpoint
 from repro.bft.replica import PbftReplica
 from repro.bft.env import Env
 from repro.bus.frames import BusCycleData
@@ -27,9 +27,11 @@ from repro.core.statesync import StateRequest, StateReply, StateSync
 from repro.crypto.keys import KeyPair, KeyStore
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.monitor import LatencyRecorder
+from repro.util.dispatch import KindMap
 from repro.wire.messages import Request, SignedRequest
 
-_BFT_MESSAGE_TYPES = (PrePrepare, Prepare, Commit, Checkpoint, ViewChange, NewView)
+#: What the node handles itself; the replica's kinds are the backend's own.
+_NODE_KINDS = KindMap((ZugBroadcast, ZugForward, StateRequest, StateReply))
 
 
 class ZugChainNode:
@@ -151,20 +153,28 @@ class ZugChainNode:
     # -- network side ---------------------------------------------------------------
 
     def handle_message(self, src: str, message: Any) -> None:
-        """Dispatch one incoming consensus-network message."""
-        if isinstance(message, ZugBroadcast):
-            self.layer.on_broadcast(src, message)
-        elif isinstance(message, ZugForward):
-            self.layer.on_forward(src, message)
-        elif isinstance(message, StateRequest):
-            self.statesync.handle_request(src, message)
-        elif isinstance(message, StateReply):
-            self.statesync.handle_reply(src, message)
-        elif isinstance(message, self.replica.MESSAGE_TYPES):
-            if isinstance(message, Checkpoint):
+        """Dispatch one incoming consensus-network message.
+
+        The replica's kinds come first: ordering traffic is all but a
+        fraction of a percent of what a node ingests.
+        """
+        replica = self.replica
+        kind = replica.KINDS[type(message)]
+        if kind is not None:
+            if kind is Checkpoint:
                 # Lag detection: peers checkpointing far beyond our state.
                 self.statesync.observe_checkpoint(src, message)
-            self.replica.on_message(src, message)
+            replica.on_message(src, message)
+            return
+        kind = _NODE_KINDS[type(message)]
+        if kind is ZugBroadcast:
+            self.layer.on_broadcast(src, message)
+        elif kind is ZugForward:
+            self.layer.on_forward(src, message)
+        elif kind is StateRequest:
+            self.statesync.handle_request(src, message)
+        elif kind is StateReply:
+            self.statesync.handle_reply(src, message)
         elif self.export_handler is not None:
             self.export_handler.handle_message(src, message)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from repro.lint.engine import FileContext, Project
 from repro.lint.rules.protocol import CODEC_BASES, is_dataclass_def
@@ -436,6 +437,60 @@ class CallGraph:
                 if resolved is not None:
                     stack.append(resolved)
         return None
+
+
+def _type_call_subject(value: ast.AST) -> str | None:
+    """``x`` when ``value`` is ``type(x)`` or ``<table>[type(x)]``."""
+    if isinstance(value, ast.Subscript):
+        value = value.slice
+    if (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name) and value.func.id == "type"
+            and len(value.args) == 1 and isinstance(value.args[0], ast.Name)):
+        return value.args[0].id
+    return None
+
+
+def type_tests(nodes: Iterable[ast.AST]) -> list[tuple[str, list[ast.AST]]]:
+    """Every test of a name's type among one function's ``nodes``: (name, type exprs).
+
+    Two shapes dispatch on what a message is.  The ladder::
+
+        if isinstance(message, T): ...            # or (T1, T2)
+
+    and the kind idiom of :class:`repro.util.dispatch.KindMap`::
+
+        kind = self.KINDS[type(message)]          # or: kind = type(message)
+        if kind is T: ...
+
+    where ``kind`` is a local bound *only* from such expressions over one
+    name.  Both report ``message`` as the tested name, so dispatcher
+    detection, entry-point seeding and FLOW003's consumed set read a
+    handler the same way whichever shape it is written in.
+    """
+    nodes = list(nodes)
+    kind_of: dict[str, str | None] = {}
+    for node in nodes:
+        if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                and isinstance(node.targets[0], ast.Name)):
+            local = node.targets[0].id
+            subject = _type_call_subject(node.value)
+            kind_of[local] = subject if kind_of.get(local, subject) == subject else None
+    tests: list[tuple[str, list[ast.AST]]] = []
+    for node in nodes:
+        if (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                and len(node.args) == 2 and isinstance(node.args[0], ast.Name)):
+            types = node.args[1]
+            elements = types.elts if isinstance(types, (ast.Tuple, ast.List)) else [types]
+            tests.append((node.args[0].id, list(elements)))
+        elif (isinstance(node, ast.Compare) and len(node.ops) == 1
+                and isinstance(node.ops[0], ast.Is)
+                and isinstance(node.left, ast.Name)
+                and isinstance(node.comparators[0], (ast.Name, ast.Attribute))):
+            subject = kind_of.get(node.left.id)
+            if subject is not None:
+                tests.append((subject, [node.comparators[0]]))
+    return tests
 
 
 def _is_self_attr(node: ast.AST) -> bool:

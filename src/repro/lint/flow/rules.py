@@ -25,8 +25,9 @@ import re
 from typing import Iterator
 
 from repro.lint.engine import Finding, Project, Rule, register_rule
-from repro.lint.flow.callgraph import CallGraph, build_call_graph
+from repro.lint.flow.callgraph import CallGraph, build_call_graph, type_tests
 from repro.lint.flow.summaries import (
+    _walk_no_lambda,
     flow_analysis,
     gate_violations,
     taint_exempt_module,
@@ -105,8 +106,9 @@ class VerifyBeforeMutateRule(Rule):
 def _consumed_classes(project: Project, graph: CallGraph) -> dict[str, tuple[str, int]]:
     """Class keys dispatched on, mapped to (path, line) of first evidence.
 
-    Evidence is a ``*MESSAGE_TYPES*`` tuple or an ``isinstance`` test in a
-    handler-named function.
+    Evidence is a ``*MESSAGE_TYPES*`` tuple or a type test
+    (:func:`~repro.lint.flow.callgraph.type_tests`: ``isinstance`` or the
+    ``kind is T`` idiom) in a handler-named function.
     """
     consumed: dict[str, tuple[str, int]] = {}
 
@@ -131,33 +133,15 @@ def _consumed_classes(project: Project, graph: CallGraph) -> dict[str, tuple[str
                         if isinstance(element, ast.Name):
                             note(graph.resolve_class(ctx.module, element.id),
                                  ctx.path, element.lineno)
-            elif (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id == "isinstance"
-                    and len(node.args) == 2):
-                # Only isinstance tests inside handler-named functions count.
-                parent_fn = _enclosing_function(ctx, node)
-                if parent_fn is None or not _HANDLER_NAME_RE.search(parent_fn.name):
-                    continue
-                targets = node.args[1]
-                elements = (
-                    targets.elts if isinstance(targets, (ast.Tuple, ast.List))
-                    else [targets]
-                )
-                for element in elements:
-                    if isinstance(element, ast.Name):
-                        note(graph.resolve_class(ctx.module, element.id),
-                             ctx.path, element.lineno)
+            elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and _HANDLER_NAME_RE.search(node.name)):
+                # Only type tests inside handler-named functions count.
+                for _name, types in type_tests(_walk_no_lambda(node)):
+                    for element in types:
+                        if isinstance(element, ast.Name):
+                            note(graph.resolve_class(ctx.module, element.id),
+                                 ctx.path, element.lineno)
     return consumed
-
-
-def _enclosing_function(ctx, node: ast.AST) -> ast.FunctionDef | ast.AsyncFunctionDef | None:
-    current = ctx.parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return current
-        current = ctx.parents.get(current)
-    return None
 
 
 def _field_closure(graph: CallGraph, roots: set[str]) -> set[str]:

@@ -44,6 +44,7 @@ from repro.lint.flow.callgraph import (
     CallGraph,
     FunctionInfo,
     build_call_graph,
+    type_tests,
 )
 from repro.lint.rules.determinism import (
     _AMBIENT_RANDOM_FUNCS,
@@ -723,16 +724,9 @@ def _analyzable(fn: FunctionInfo) -> bool:
 
 
 def _dispatch_param(fn: FunctionInfo) -> str | None:
-    """Parameter isinstance-dispatched over >= 2 branches, if any."""
+    """Parameter whose type is tested (``type_tests``) two or more times, if any."""
     counts: dict[str, int] = {}
-    for node in _walk_no_lambda(fn.node):
-        if not isinstance(node, ast.Call):
-            continue
-        if not (isinstance(node.func, ast.Name) and node.func.id == "isinstance"):
-            continue
-        if len(node.args) != 2 or not isinstance(node.args[0], ast.Name):
-            continue
-        name = node.args[0].id
+    for name, _types in type_tests(_walk_no_lambda(fn.node)):
         if name in fn.params and name != "self":
             counts[name] = counts.get(name, 0) + 1
     for name, count in counts.items():

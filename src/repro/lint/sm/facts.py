@@ -974,74 +974,6 @@ def _handler_names(handler: ast.ExceptHandler) -> set[str]:
     return names
 
 
-# -- machine extraction ---------------------------------------------------------
-
-
-@dataclass
-class Machine:
-    """Extracted per-replica protocol machine: message type -> handler."""
-
-    class_key: str
-    dispatcher: str                                  # dispatcher function key
-    handlers: dict[str, str] = field(default_factory=dict)   # msg type -> fn key
-    phase_sets: dict[str, list[PhaseSet]] = field(default_factory=dict)
-
-
-def extract_machines(
-    graph: CallGraph,
-    flow: FlowAnalysis,
-    functions: dict[str, SmFunction],
-) -> dict[str, Machine]:
-    """Phase graphs for every isinstance-dispatching replica class."""
-    machines: dict[str, Machine] = {}
-    for key, param in sorted(flow.dispatchers.items()):
-        fn = graph.functions.get(key)
-        if fn is None or fn.class_name is None:
-            continue
-        if not fn.module.startswith(SM_PREFIXES):
-            continue
-        class_key = f"{fn.module}:{fn.class_name}"
-        machine = Machine(class_key=class_key, dispatcher=key)
-        local_types = graph.local_types(fn)
-        for node in _walk_no_lambda(fn.node):
-            if not isinstance(node, ast.If):
-                continue
-            types = _isinstance_types(node.test, param)
-            if not types:
-                continue
-            for sub in _walk_no_lambda(node):
-                if not isinstance(sub, ast.Call):
-                    continue
-                callee = graph.resolve_call(fn, sub, local_types)
-                if callee is None or callee.key == key:
-                    continue
-                for type_name in types:
-                    machine.handlers.setdefault(type_name, callee.key)
-        for handler_key in set(machine.handlers.values()) | {key}:
-            facts = functions.get(handler_key)
-            if facts is not None and facts.phase_sets:
-                machine.phase_sets[handler_key] = list(facts.phase_sets)
-        if machine.handlers:
-            machines[class_key] = machine
-    return machines
-
-
-def _isinstance_types(test: ast.AST, param: str) -> list[str]:
-    for node in _walk_no_lambda(test):
-        if not (isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name)
-                and node.func.id == "isinstance"
-                and len(node.args) == 2):
-            continue
-        target, types = node.args
-        if not (isinstance(target, ast.Name) and target.id == param):
-            continue
-        elts = types.elts if isinstance(types, ast.Tuple) else [types]
-        names = [terminal_name(elt) for elt in elts]
-        return [name for name in names if name]
-    return []
-
-
 # -- the analysis ---------------------------------------------------------------
 
 
@@ -1055,7 +987,6 @@ class SmAnalysis:
     reverse_calls: dict[str, list[CallSite]]     # callee key -> caller sites
     callers_of: dict[str, list[str]]             # callee key -> caller keys
     escapes: dict[str, list[RaiseFact]]          # dispatch root -> escaping
-    machines: dict[str, Machine]
 
 
 def _analyzable(fn: FunctionInfo) -> bool:
@@ -1085,11 +1016,10 @@ def sm_analysis(project: Project) -> SmAnalysis:
                 reverse.setdefault(site.callee, []).append(site)
                 callers.setdefault(site.callee, []).append(key)
         escapes = _propagate_raises(flow, functions)
-        machines = extract_machines(graph, flow, functions)
         analysis = SmAnalysis(
             graph=graph, flow=flow, functions=functions,
             reverse_calls=reverse, callers_of=callers,
-            escapes=escapes, machines=machines,
+            escapes=escapes,
         )
         project.cache["sm.analysis"] = analysis
     return analysis

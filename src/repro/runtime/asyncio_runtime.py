@@ -239,9 +239,7 @@ class AsyncioCluster:
                         # this stream are still well-delimited.
                         env.decode_errors += 1
                         continue
-                    env.run_inbound(
-                        ctx, lambda s=src, m=message: node.handle_message(s, m)
-                    )
+                    env.run_inbound(ctx, node.handle_message, src, message)
             except (asyncio.IncompleteReadError, ConnectionResetError):
                 pass
             except asyncio.CancelledError:

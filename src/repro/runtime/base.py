@@ -164,13 +164,18 @@ class BaseEnv:
     def broadcast(self, message: Any) -> None:
         """Send ``message`` to every known peer except this node."""
         self.counters.broadcasts += 1
-        self._emit(self.broadcast_targets(), message)
+        self._emit(self._other_peers(), message)
 
     def broadcast_targets(self) -> tuple[str, ...]:
-        """Canonical broadcast recipients: sorted peers, self excluded."""
-        return tuple(
-            peer for peer in sorted(self._peer_ids()) if peer != self._node_id
-        )
+        """Canonical broadcast recipients: sorted peers, self excluded.
+
+        What a broadcast reaches, for tests and tools; ``broadcast`` itself
+        hands ``_emit`` the unsorted peers, so an emission sorts once.
+        """
+        return tuple(sorted(self._other_peers()))
+
+    def _other_peers(self) -> list[str]:
+        return [peer for peer in self._peer_ids() if peer != self._node_id]
 
     def _emit(self, dsts: Iterable[str], message: Any) -> None:
         """The single funnel every outbound message passes through.
@@ -184,8 +189,8 @@ class BaseEnv:
         self.counters.messages_emitted += len(canonical)
         self._transport_emit(canonical, message, self.causal.stamp())
 
-    def run_inbound(self, ctx: CausalContext | None, fn: Callable[[], None]) -> None:
-        """Run an inbound-message handler under its causal context.
+    def run_inbound(self, ctx: CausalContext | None, fn: Callable[..., None], *args: Any) -> None:
+        """Run an inbound-message handler, ``fn(*args)``, under its causal context.
 
         Merges the sender's Lamport clock and scopes ``ctx`` as the
         current inbound context so events recorded during ``fn`` — and
@@ -198,7 +203,7 @@ class BaseEnv:
         previous = clock.inbound
         clock.inbound = ctx
         try:
-            fn()
+            fn(*args)
         finally:
             clock.inbound = previous
 

@@ -60,13 +60,15 @@ class SimEnv(BaseEnv):
         self, dsts: tuple[str, ...], message: Any, ctx: CausalContext
     ) -> None:
         size = wire_size(message)
-        cost = send_cost(message, self._model, copies=max(1, len(dsts)))
+        cost = send_cost(message, self._model, copies=len(dsts))
+        src = self._node_id
 
         def _put_on_wire() -> None:
             # ctx rides the delivery envelope via closure capture — the
             # in-process transport never serializes it.
+            network = self._network
             for dst in dsts:
-                if not self._network.send(self._node_id, dst, message, size, ctx):
+                if not network.send(src, dst, message, size, ctx):
                     self._note_drop()
 
         self._cpu.submit(cost, _put_on_wire)

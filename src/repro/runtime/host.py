@@ -51,6 +51,22 @@ class NodeHost:
         self.epoch = 0
         network.register(node.id, self._deliver)
 
+    @property
+    def node(self) -> HostedNode:
+        return self._node
+
+    @node.setter
+    def node(self, node: HostedNode) -> None:
+        """Bind a node incarnation (construction, and again on crash recovery).
+
+        What a delivery needs from the node is resolved here, once per
+        incarnation rather than per message: its replica, if it has one, for
+        the lazy-verification lookup, and its env's ``run_inbound``.
+        """
+        self._node = node
+        self._replica = getattr(node, "replica", None)
+        self._run_inbound = getattr(getattr(node, "env", None), "run_inbound", None)
+
     def advance_epoch(self) -> None:
         """Invalidate all deferred work enqueued for the current incarnation."""
         self.epoch += 1
@@ -63,7 +79,7 @@ class NodeHost:
         ctx = self._network.inbound_context
         # Lazy verification: votes that can no longer change replica state
         # are discarded after a table lookup, skipping signature checks.
-        replica = getattr(self.node, "replica", None)
+        replica = self._replica
         if replica is not None and replica.vote_is_redundant(message):
             cost = self._model.message_overhead_s + self._model.serialize_cost(size)
         else:
@@ -75,11 +91,10 @@ class NodeHost:
             if self.epoch != epoch:
                 return  # the node crashed after delivery; drop silently
             self.inbox_bytes -= size
-            env = getattr(self.node, "env", None)
-            if env is not None and hasattr(env, "run_inbound"):
-                env.run_inbound(ctx, lambda: self.node.handle_message(src, message))
+            if self._run_inbound is not None:
+                self._run_inbound(ctx, self._node.handle_message, src, message)
             else:
-                self.node.handle_message(src, message)
+                self._node.handle_message(src, message)
 
         self._cpu.submit(cost, _process)
 

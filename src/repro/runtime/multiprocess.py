@@ -270,9 +270,7 @@ def _worker_main(node_id: str, ids: list[str], inboxes: dict[str, Any],
                 except CodecError:
                     env.decode_errors += 1
                     continue
-                env.run_inbound(
-                    ctx, lambda s=src, m=message: node.handle_message(s, m)
-                )
+                env.run_inbound(ctx, node.handle_message, src, message)
             elif tag == "timer":
                 item[1].fire()
             elif tag == "inject":

@@ -84,18 +84,16 @@ class Kernel:
     """Virtual-time event loop."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in seconds.  A plain attribute, not a
+        #: property: every send, pipeline submission and timer reads it.
+        #: Only the kernel writes it.
+        self.now = 0.0
         self._seq = 0
         # (time, seq, timer): seq is unique, so tuple comparison is decided
         # in C before it could reach the timer or its callback.
         self._heap: list[tuple[float, int, Timer]] = []
         self._live = 0  # heap entries not cancelled
         self._events_fired = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
 
     @property
     def events_fired(self) -> int:
@@ -109,7 +107,7 @@ class Kernel:
         """Run ``callback`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ProtocolError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self._now + delay, callback)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_repeating(
         self, interval: float, callback: Callable[[], None]
@@ -119,8 +117,8 @@ class Kernel:
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> Timer:
         """Run ``callback`` at absolute virtual time ``time``."""
-        if time < self._now:
-            raise ProtocolError(f"cannot schedule at {time} < now {self._now}")
+        if time < self.now:
+            raise ProtocolError(f"cannot schedule at {time} < now {self.now}")
         timer = Timer(self, time, callback)
         heapq.heappush(self._heap, (time, self._seq, timer))
         self._seq += 1
@@ -136,7 +134,7 @@ class Kernel:
                 continue
             timer._kernel = None
             self._live -= 1
-            self._now = time
+            self.now = time
             self._events_fired += 1
             timer._callback()
             return True
@@ -156,8 +154,8 @@ class Kernel:
             if time > deadline:
                 break
             self.step()
-        if deadline > self._now:
-            self._now = deadline
+        if deadline > self.now:
+            self.now = deadline
 
     def run(self, max_events: int | None = None) -> None:
         """Drain the event heap (optionally bounded by ``max_events``)."""

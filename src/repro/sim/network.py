@@ -130,7 +130,9 @@ class Network:
                 spec = self._link_overrides.get(key)
                 if spec is not None:
                     return spec
-        return self._links.get((src, dst), self._default_link)
+        if self._links:
+            return self._links.get((src, dst), self._default_link)
+        return self._default_link
 
     @property
     def default_link(self) -> LinkSpec:
@@ -138,7 +140,12 @@ class Network:
         return self._default_link
 
     def endpoints(self) -> list[str]:
-        return sorted(self._endpoints)
+        """Registered endpoint ids, in registration order.
+
+        Not sorted: canonical recipient order is the emitter's job
+        (:meth:`repro.runtime.base.BaseEnv._emit`, :meth:`broadcast` here).
+        """
+        return list(self._endpoints)
 
     # -- fault control ------------------------------------------------------
 
@@ -176,12 +183,16 @@ class Network:
         the delivery envelope and exposed via :attr:`inbound_context`
         while the destination endpoint callback runs.
         """
-        if dst not in self._endpoints:
+        receive = self._endpoints.get(dst)
+        if receive is None:
             raise ConfigError(f"unknown destination {dst!r}")
-        if src in self._crashed or dst in self._crashed:
+        crashed = self._crashed
+        if crashed and (src in crashed or dst in crashed):
             self.stats.messages_dropped += 1
             return False
-        if frozenset((src, dst)) in self._partitioned:
+        # An empty partition set (the usual case) is not worth a frozenset.
+        partitioned = self._partitioned
+        if partitioned and frozenset((src, dst)) in partitioned:
             self.stats.messages_dropped += 1
             return False
 
@@ -193,21 +204,26 @@ class Network:
         self.stats.record_send(src, size_bytes)
         self._window_bytes[src] = self._window_bytes.get(src, 0) + size_bytes
 
-        now = self._kernel.now
         transmit = size_bytes * 8.0 / spec.bandwidth_bps
-        start = max(now, self._egress_busy_until.get(src, 0.0))
+        start = self._kernel.now
+        busy_until = self._egress_busy_until.get(src, 0.0)
+        if start < busy_until:
+            start = busy_until
         self._egress_busy_until[src] = start + transmit
-        jitter = self._rng.uniform(0.0, spec.jitter_s) if spec.jitter_s > 0 else 0.0
+        # uniform(0, j) is 0.0 + (j - 0.0) * random(): the same single draw
+        # and the same float, without the Python-level call.
+        jitter = spec.jitter_s * self._rng.random() if spec.jitter_s > 0 else 0.0
         arrival = start + transmit + spec.latency_s + jitter
 
         def _deliver() -> None:
-            if dst in self._crashed or frozenset((src, dst)) in self._partitioned:
+            if (crashed and dst in crashed) or (
+                    partitioned and frozenset((src, dst)) in partitioned):
                 self.stats.messages_dropped += 1
                 return
             self.stats.record_receive(dst, size_bytes)
             self.inbound_context = ctx
             try:
-                self._endpoints[dst](src, payload, size_bytes)
+                receive(src, payload, size_bytes)
             finally:
                 self.inbound_context = None
 
@@ -221,7 +237,7 @@ class Network:
         fan-out over Ethernet does.  Returns the number of copies sent.
         """
         sent = 0
-        for dst in self.endpoints():
+        for dst in sorted(self._endpoints):
             if dst == src and not include_self:
                 continue
             if self.send(src, dst, payload, size_bytes):

@@ -114,14 +114,16 @@ class CpuAccount:
         Returns the completion time.  Work starts when the pipeline frees up,
         which is what makes an overloaded baseline's latency explode.
         """
-        now = self._kernel.now
-        start = max(now, self._pipeline_busy_until)
+        start = self._kernel.now
+        if start < self._pipeline_busy_until:
+            start = self._pipeline_busy_until
         end = start + duration
         self._pipeline_busy_until = end
         self._pipeline_busy_total += duration
         self._window_busy += duration
-        self._queue_depth += 1
-        self._max_queue_depth = max(self._max_queue_depth, self._queue_depth)
+        depth = self._queue_depth = self._queue_depth + 1
+        if depth > self._max_queue_depth:
+            self._max_queue_depth = depth
 
         def _complete() -> None:
             self._queue_depth -= 1

@@ -36,9 +36,11 @@ from typing import Annotated, Callable, Sequence
 
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
 from repro.util.errors import CodecError
+from repro.util.memo import memoized
 from repro.util.varint import decode_uvarint, encode_uvarint, uvarint_size
 
 _SIZE_MEMO = "_encoded_size"
+_SIGNED_MEMO = "_signed_bytes"  # where ``SignedStruct._signed_bytes`` (a ``memoized``) keeps its value
 
 
 @dataclass(frozen=True)
@@ -406,6 +408,14 @@ class SignedStruct(WireStruct):
     write ``signing_payload()`` by hand: it is the security definition a
     reviewer audits, and it is not a function of the layout (a preprepare
     signs the request *digest*, a read reply signs block *hashes*).
+
+    The bytes it returns are memoised on the instance next to the size memo
+    (same rules: not a field, cold on ``dataclasses.replace``), and
+    ``signed()`` hands them to the signed copy — the simulator gives every
+    recipient the same frozen object, so a vote is hashed once, not once per
+    sign and verify.  Only the *input* of the check is kept: every
+    ``signed()`` and ``verify()`` still calls the key pair or key store, so
+    no verdict outlives the call that asked for it.
     """
 
     #: Name of the field holding the id the signature verifies under.
@@ -415,10 +425,19 @@ class SignedStruct(WireStruct):
         """The exact bytes the signature covers."""
         raise NotImplementedError
 
+    @memoized
+    def _signed_bytes(self) -> bytes:
+        return self.signing_payload()
+
     def signed(self, keypair: KeyPair):
         """A copy signed with ``keypair`` (messages are immutable)."""
-        return replace(self, signature=keypair.sign(self.signing_payload()))
+        payload = self._signed_bytes
+        copy = replace(self, signature=keypair.sign(payload))
+        # The signature is not part of what it covers, so the copy's payload
+        # is this one's; any other ``replace`` starts cold and hashes afresh.
+        copy.__dict__[_SIGNED_MEMO] = payload
+        return copy
 
     def verify(self, keystore: KeyStore) -> bool:
         """Whether the signature checks out under the signer's registered key."""
-        return keystore.verify(getattr(self, self.SIGNER), self.signing_payload(), self.signature)
+        return keystore.verify(getattr(self, self.SIGNER), self._signed_bytes, self.signature)

@@ -1,0 +1,148 @@
+"""The bus generator and payload encoder: same bytes, less work per frame.
+
+``ProcessDataFrame.create`` computes the check sequence once and the frame it
+returns already knows it is valid; only a frame whose bytes did not come from
+``create`` (corrupted, decoded, ``replace``d) checks them.  ``_filler_frames``
+and ``encode_cycle_payload`` were rewritten for speed; their output is pinned
+to digests taken at the commit before the rewrite.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from repro.bus import frames as frames_module
+from repro.bus.frames import BusCycleData, ProcessDataFrame, frame_checksum
+from repro.bus.generator import FILLER_PORT_BASE, _filler_frames
+from repro.bus.reception import decode_cycle_payload, encode_cycle_payload
+
+#: nbytes -> (frame count, sha256 of the frames' concatenated encodings,
+#: sha256 of encode_cycle_payload(frames), payload length), for cycle 7 at
+#: the parent commit.
+GOLDEN = {
+    0: (0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d", 1),
+    1: (1, "3bfd37f56cb82b4845bc1ac12cef993251bde5defe4fd3ed8bc9428911834e07",
+        "eba7fbef933ad9c5cd680b735027c1b7b0c78f0cb5fc31132f73be571913ff03", 6),
+    31: (1, "67a25f2e2747c1f4b68d7da0ecaa9c11f27e9fb40dd6b92942a11d2961a21d4e",
+         "a38cf5d7cdd807a93c20e7f25321c18f2420aca9501604ef6148cb46aad9fd3b", 36),
+    32: (1, "52dd41fb2ee50bde037d556e6aa4c6cf47cf231b873aeb092c614047b8456cbe",
+         "5cc9931254958c6284e8c010d5c922266a84ea1fcf6a644d3c307ce3dbee3396", 37),
+    33: (2, "e8dd9fd860abb8b5cbb12ccb8b4a558c7e2616b4a156f0199cfbc9c28f1581b5",
+         "feae844425490b4eec74ea22e47e24dfbe2c7577fbfb999385723bcaaf2ad998", 42),
+    964: (31, "bdf3fd45f7c891b44f19d70c726e818fe91ef3fbdf19cf8e81047c283bc0eeac",
+          "da9e9892bb7d198419a651a3faada46d6935da4ae2718a38c57d0d8eb60fc479", 1089),
+    8132: (255, "7a1cc754be9244ad12e15b853954f54a5511ec75ca162ba3f3d309e7ab0afa5a",
+           "41038de07747f5e5d0950f32ff021abc2077dfe8d5c03107e43e193eaeec7e45", 9154),
+}
+
+
+@pytest.fixture
+def checksums(monkeypatch):
+    """Counts ``frame_checksum`` calls made from the frames module."""
+    calls = []
+    monkeypatch.setattr(
+        frames_module, "frame_checksum",
+        lambda port, data: calls.append(port) or frame_checksum(port, data),
+    )
+    return calls
+
+
+# -- the validity memo ----------------------------------------------------------
+
+
+def test_a_created_frame_is_valid_without_a_second_checksum(checksums):
+    frame = ProcessDataFrame.create(0x120, b"\x01\x02\x03")
+    assert checksums == [0x120]
+    assert frame.valid and frame.valid
+    assert BusCycleData(cycle_no=1, timestamp_us=0, frames=(frame,)).invalid_frames == 0
+    assert encode_cycle_payload([frame]).endswith(b"\x01")
+    assert checksums == [0x120]                       # create() was the only sum
+    assert frame.checksum == frame_checksum(0x120, b"\x01\x02\x03")
+
+
+def test_the_verdict_is_not_part_of_the_frame():
+    created = ProcessDataFrame.create(0x120, b"\x01\x02\x03")
+    plain = ProcessDataFrame(port=0x120, data=b"\x01\x02\x03", checksum=created.checksum)
+    assert "valid" in vars(created) and "valid" not in vars(plain)
+    assert created == plain and hash(created) == hash(plain) and repr(created) == repr(plain)
+    assert created.encode() == plain.encode()
+    assert plain.valid
+
+
+def test_frames_not_made_by_create_check_their_own_bytes(checksums):
+    frame = ProcessDataFrame.create(0x120, b"\x01\x02\x03")
+    corrupted = frame.corrupted(5)
+    decoded = ProcessDataFrame.decode(frame.encode())
+    moved = dataclasses.replace(frame, port=0x121)
+    stale = dataclasses.replace(frame, data=b"\x01\x02\x04")
+    forged = ProcessDataFrame(port=0x120, data=b"\x01\x02\x03", checksum=frame.checksum ^ 1)
+    del checksums[:]
+    for other in (corrupted, decoded, moved, stale, forged):
+        assert "valid" not in vars(other)
+    assert [other.valid for other in (corrupted, decoded, moved, stale, forged)] == [
+        False, True, False, False, False]
+    assert len(checksums) == 5                        # each recomputed, once
+    assert [other.valid for other in (corrupted, decoded, moved, stale, forged)] == [
+        False, True, False, False, False]
+    assert len(checksums) == 5
+    cycle = BusCycleData(cycle_no=1, timestamp_us=0, frames=(frame, corrupted, stale))
+    assert cycle.invalid_frames == 2
+    assert [valid for _, _, valid in decode_cycle_payload(
+        encode_cycle_payload([frame, corrupted, stale]))] == [True, False, False]
+
+
+def test_corrupting_an_empty_frame_keeps_the_frame_and_its_verdict():
+    empty = ProcessDataFrame.create(0x7F, b"")
+    assert empty.corrupted(3) is empty and empty.valid
+
+
+# -- byte identity with the parent commit ---------------------------------------------
+
+
+@pytest.mark.parametrize("nbytes", sorted(GOLDEN))
+def test_filler_frames_and_their_payload_are_byte_identical_to_the_parent(nbytes):
+    count, frames_digest, payload_digest, payload_len = GOLDEN[nbytes]
+    frames = _filler_frames(7, nbytes)
+    assert len(frames) == count
+    assert sum(len(frame.data) for frame in frames) == nbytes
+    assert [frame.port for frame in frames] == list(
+        range(FILLER_PORT_BASE, FILLER_PORT_BASE + count))
+    assert all(frame.valid for frame in frames)
+    encoded = b"".join(frame.encode() for frame in frames)
+    assert hashlib.sha256(encoded).hexdigest() == frames_digest
+    payload = encode_cycle_payload(frames)
+    assert len(payload) == payload_len
+    assert hashlib.sha256(payload).hexdigest() == payload_digest
+    assert decode_cycle_payload(payload) == [(f.port, f.data, True) for f in frames]
+
+
+def test_filler_depends_on_the_cycle_and_the_frame_counter_only():
+    assert _filler_frames(7, 96) == _filler_frames(7, 96)
+    assert _filler_frames(7, 96)[:2] == _filler_frames(7, 64)
+    assert _filler_frames(8, 96) != _filler_frames(7, 96)
+    # The hashed text is ``filler:<cycle>:<counter>``, counter 11 of cycle 1
+    # must not collide with counter 1 of cycle 11.
+    assert _filler_frames(1, 32 * 12)[11].data != _filler_frames(11, 64)[1].data
+    expected = hashlib.sha256(b"filler:7:2").digest()
+    assert _filler_frames(7, 96)[2].data == expected
+    assert _filler_frames(7, 70)[2].data == expected[:6]
+
+
+def test_a_mixed_payload_is_byte_identical_to_the_parent():
+    # Varint edges the filler never reaches: a one-byte port, a three-byte
+    # port, data longer than 127 bytes, an empty frame, an invalid frame.
+    frames = _filler_frames(7, 100)
+    frames[1] = frames[1].corrupted(3)
+    frames += [
+        ProcessDataFrame.create(0x10, b"\x01\x02"),
+        ProcessDataFrame(port=70000, data=bytes(range(200)), checksum=0),
+        ProcessDataFrame.create(0x7F, b""),
+    ]
+    payload = encode_cycle_payload(frames)
+    assert len(payload) == 331
+    assert hashlib.sha256(payload).hexdigest() == (
+        "f35b4b313044c6b5a9453d70229c9aef26037eb1d4f95a254b52a5f63467f060")
+    assert decode_cycle_payload(payload) == sorted(
+        (frame.port, frame.data, frame.valid) for frame in frames)
