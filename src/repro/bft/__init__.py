@@ -1,11 +1,17 @@
-"""Byzantine fault tolerant agreement: a full PBFT implementation.
+"""Byzantine fault tolerant agreement: one replica core, two ordering phases.
 
-Comprises the ordering (preprepare/prepare/commit), checkpointing, and view
-change subprotocols of Castro & Liskov's PBFT, exposing exactly the
-interface of Table I that the ZugChain layer builds on:
+:class:`ReplicaCore` (:mod:`repro.bft.core`) is the primary-based replica
+minus its ordering phase — sequence assignment, in-order execution,
+checkpointing and the view change — exposing exactly the interface of
+Table I that the ZugChain layer builds on:
 
 * downcalls — ``propose(signed_request)`` and ``suspect(node_id)``;
 * upcalls — ``decide(signed_request, sn)`` and ``new_primary(node_id)``.
+
+The two backends subclass it with how a request gathers its quorum:
+:class:`PbftReplica` (Castro & Liskov's prepare/commit, plus execution gap
+fill) and :class:`LinearBftReplica` (votes to the primary, a broadcast commit
+certificate).  ``BACKENDS`` maps the ``bft_backend`` option's values to them.
 
 A traditional PBFT *client* (used by the paper's baseline, where every node
 forwards every bus request to the primary) lives in
@@ -23,9 +29,14 @@ from repro.bft.messages import (
     ViewChange,
 )
 from repro.bft.checkpoint import CheckpointCertificate
+from repro.bft.core import ReplicaCore
 from repro.bft.replica import PbftReplica
+from repro.bft.linear import LinearBftReplica
 from repro.bft.client import PbftClient, ClientRequestWrapper
 from repro.bft.env import Env, RecordingEnv
+
+#: ``bft_backend`` value -> replica class.
+BACKENDS: dict[str, type[ReplicaCore]] = {"pbft": PbftReplica, "linear": LinearBftReplica}
 
 __all__ = [
     "BftConfig",
@@ -37,7 +48,10 @@ __all__ = [
     "NewView",
     "PreparedProof",
     "CheckpointCertificate",
+    "ReplicaCore",
     "PbftReplica",
+    "LinearBftReplica",
+    "BACKENDS",
     "PbftClient",
     "ClientRequestWrapper",
     "Env",

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 
 from repro.bft.replica import PbftReplica
 from repro.bus.frames import BusCycleData
@@ -131,34 +132,21 @@ class DuplicateProposingLayer(ZugChainLayer):
 def make_zugchain_node(spec: ByzantineSpec, rng: random.Random, **node_kwargs) -> ZugChainNode:
     """Build a (possibly Byzantine) ZugChain node per ``spec``.
 
-    Composition order: a fabricating node is a node subclass; a delaying
-    primary swaps the replica; a duplicate-proposing primary swaps the
-    layer.  Specs combining all three are possible but not used by the
-    paper's experiments.
+    Composition order: a delaying primary is the node's ``replica_cls``
+    (PBFT, whatever backend was asked for: ``ScenarioConfig`` rejects the
+    combination); a fabricating node is a node subclass; a
+    duplicate-proposing primary swaps the layer.  Specs combining all three
+    are possible but not used by the paper's experiments.
     """
+    if spec.preprepare_delay_s > 0:
+        node_kwargs["replica_cls"] = partial(
+            DelayingPrimaryReplica, preprepare_delay_s=spec.preprepare_delay_s)
     if spec.fabricate_per_cycle > 0:
         node = FabricatingNode(
             fabricate_per_cycle=spec.fabricate_per_cycle, rng=rng, **node_kwargs
         )
     else:
         node = ZugChainNode(**node_kwargs)
-
-    if spec.preprepare_delay_s > 0:
-        delaying = DelayingPrimaryReplica(
-            env=node.env,
-            config=node.replica.config,
-            keypair=node.replica.keypair,
-            keystore=node.replica.keystore,
-            on_decide=node._decided,
-            on_new_primary=node._new_primary,
-            preprepare_delay_s=spec.preprepare_delay_s,
-            tracer=node.tracer,
-        )
-        node.replica = delaying
-        node.statesync.replica = delaying
-        node.layer._propose = delaying.propose
-        node.layer._suspect_bft = delaying.suspect
-        node.builder._record_checkpoint = delaying.record_checkpoint
 
     if spec.propose_duplicates:
         faulty_layer = DuplicateProposingLayer(

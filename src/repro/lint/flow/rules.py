@@ -7,7 +7,7 @@
 * **FLOW002** verify-before-mutate: a dispatcher-fed handler path that
   writes protocol state before the message's ``verify(...)`` /
   ``is_member(...)`` guards (must-analysis; cf. the guard idiom in
-  ``repro.bft.replica._on_preprepare``).
+  ``repro.bft.core.ReplicaCore._on_preprepare``).
 * **FLOW003** handler coverage: every registered wire tag is reachable
   from some backend's dispatch set (directly or as a field of a
   dispatched struct), and every dispatched codec class has a wire tag —

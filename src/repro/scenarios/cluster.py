@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
+from repro.bft import BACKENDS
 from repro.bft.config import BftConfig
 from repro.bus.faults import ReceptionFaultConfig
 from repro.bus.generator import GeneratorConfig, TrainDynamicsGenerator
@@ -64,8 +65,18 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.system not in ("zugchain", "baseline"):
             raise ConfigError(f"unknown system {self.system!r}")
-        if self.bft_backend not in ("pbft", "linear"):
+        if self.bft_backend not in BACKENDS:
             raise ConfigError(f"unknown BFT backend {self.bft_backend!r}")
+        if self.bft_backend != "pbft":
+            # Both would silently run PBFT replicas: the baseline node is
+            # PBFT behind a client, the delaying primary a PbftReplica.
+            if self.system == "baseline":
+                raise ConfigError("the baseline system runs on the pbft backend only")
+            delaying = sorted(node_id for node_id, spec in self.byzantine.items()
+                              if spec.preprepare_delay_s > 0)
+            if delaying:
+                raise ConfigError(
+                    f"preprepare_delay_s on {delaying} needs the pbft backend")
         if self.n < 4:
             raise ConfigError("the testbed requires n >= 4 (f >= 1)")
 
@@ -208,12 +219,6 @@ class SimulatedCluster:
         env = self.envs[node_id]
         cpu = self.cpus[node_id]
         if self.config.system == "zugchain":
-            from repro.bft.linear import LinearBftReplica
-            from repro.bft.replica import PbftReplica
-
-            replica_cls = (
-                LinearBftReplica if self.config.bft_backend == "linear" else PbftReplica
-            )
             return make_zugchain_node(
                 spec,
                 self.rng.stream(f"byzantine:{node_id}"),
@@ -224,7 +229,7 @@ class SimulatedCluster:
                 keystore=self.keystore,
                 nsdb=self.nsdb,
                 on_block=self._block_hook(node_id, cpu),
-                replica_cls=replica_cls,
+                replica_cls=BACKENDS[self.config.bft_backend],
                 block_store=self.stores[node_id],
                 tracer=self.tracer,
             )

@@ -1,15 +1,18 @@
-"""Synchronous test harness for driving PBFT replicas without the simulator.
+"""Synchronous test harness for driving BFT replicas without the simulator.
 
-Creates ``n`` replicas on :class:`RecordingEnv`s and pumps messages between
-them until quiescence.  A delivery filter lets tests drop or reroute
-messages (partitions, censoring primaries).  Timers are fired manually.
+Creates ``n`` replicas of one backend (``replica_cls``) on
+:class:`RecordingEnv`s and pumps messages between them until quiescence.  A
+delivery filter lets tests drop or reroute messages (partitions, censoring
+primaries).  Timers are fired manually.
 """
 
 from __future__ import annotations
 
+import inspect
+from types import ModuleType
 from typing import Callable
 
-from repro.bft import BftConfig, PbftReplica
+from repro.bft import BftConfig, NewView, PbftReplica, ReplicaCore, ViewChange
 from repro.bft.env import RecordingEnv
 from repro.crypto import HmacScheme, KeyStore
 from repro.wire import Request, SignedRequest
@@ -17,8 +20,17 @@ from repro.wire import Request, SignedRequest
 SCHEME = HmacScheme()
 
 
+def contract_tests(*modules: ModuleType) -> dict[str, Callable]:
+    """The tests of ``modules`` that leave the backend to ``make_cluster``."""
+    return {
+        name: test for module in modules for name, test in vars(module).items()
+        if name.startswith("test_") and "make_cluster" in inspect.signature(test).parameters
+    }
+
+
 class BftCluster:
-    def __init__(self, n: int = 4, **config_kwargs) -> None:
+    def __init__(self, n: int = 4, replica_cls: type[ReplicaCore] = PbftReplica,
+                 **config_kwargs) -> None:
         self.ids = [f"node-{i}" for i in range(n)]
         self.config = BftConfig(replica_ids=tuple(self.ids), **config_kwargs)
         self.keystore = KeyStore(scheme=SCHEME)
@@ -29,7 +41,7 @@ class BftCluster:
             self.keystore.register(node_id, pair.public)
 
         self.envs: dict[str, RecordingEnv] = {}
-        self.replicas: dict[str, PbftReplica] = {}
+        self.replicas: dict[str, ReplicaCore] = {}
         self.decided: dict[str, list[tuple[int, SignedRequest]]] = {i: [] for i in self.ids}
         self.new_primaries: dict[str, list[str]] = {i: [] for i in self.ids}
         self.stable_checkpoints: dict[str, list] = {i: [] for i in self.ids}
@@ -39,7 +51,7 @@ class BftCluster:
         for node_id in self.ids:
             env = RecordingEnv(node_id=node_id)
             self.envs[node_id] = env
-            self.replicas[node_id] = PbftReplica(
+            self.replicas[node_id] = replica_cls(
                 env=env,
                 config=self.config,
                 keypair=self.keypairs[node_id],
@@ -100,3 +112,37 @@ class BftCluster:
         return all(
             len({m[seq] for m in maps}) == 1 for seq in common
         )
+
+
+def laggard_misses_a_view_change(cluster: BftCluster, laggard: str = "node-3"):
+    """Seq 1 executed everywhere but at ``laggard``, then a view change without it.
+
+    Nothing about seq 1 reaches the laggard, seq 2 stops short of its last
+    phase everywhere (so the new view has something above seq 1 to
+    re-propose), and the laggard's ViewChange is lost, so the new primary's
+    quorum is exactly the replicas that executed seq 1.  Returns the two
+    requests and the NewView that was broadcast.
+    """
+    new_views = []
+
+    def view_0(src, dst, message):
+        seq = getattr(message, "seq", None)
+        last_phase = type(message).__name__ in ("Commit", "CommitCert")
+        return not (seq == 1 and dst == laggard) and not (seq == 2 and last_phase)
+
+    def view_change(src, dst, message):
+        if isinstance(message, NewView):
+            new_views.append(message)
+        return not (isinstance(message, ViewChange) and src == laggard)
+
+    cluster.delivery_filter = view_0
+    requests = [cluster.signed_request(cycle) for cycle in (1, 2)]
+    for request in requests:
+        cluster.replicas[cluster.ids[0]].propose(request)
+    cluster.pump()
+    assert cluster.decided[laggard] == []
+    cluster.delivery_filter = view_change
+    for node_id in cluster.ids[1:3]:
+        cluster.replicas[node_id].suspect()
+    cluster.pump()
+    return requests[0], requests[1], new_views[0]

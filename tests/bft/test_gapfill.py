@@ -11,7 +11,7 @@ plugged by the next view change with null requests.
 from repro.bft.messages import Commit, DecideFetch, DecideProof, PrePrepare
 from repro.wire.messages import is_null_request, null_request
 
-from tests.bft.harness import BftCluster
+from tests.bft.harness import BftCluster, laggard_misses_a_view_change
 
 
 def isolate_then_heal(cluster, victim="node-3", cycles=(1, 2, 3)):
@@ -71,6 +71,18 @@ def test_decide_proofs_fill_the_gap_and_execution_resumes():
     assert cluster.all_decided_consistent()
     # The stall is resolved: the gap timer is disarmed.
     assert victim._gap_timer is None or not victim._gap_timer.active
+
+
+def test_gap_fill_hands_a_laggard_the_reproposed_request():
+    # Where the shared view-change scenario ends for PBFT: the laggard holds
+    # the re-proposed seq 1 but nobody re-votes on what they executed, so it
+    # fetches the decision — the real request, committed in the old view.
+    cluster = BftCluster()
+    first, second, _ = laggard_misses_a_view_change(cluster)
+    assert cluster.decided["node-3"] == []
+    cluster.envs["node-3"].fire_next_timer()
+    cluster.pump()
+    assert cluster.decided["node-3"] == [(1, first), (2, second)]
 
 
 def test_forged_proof_rejected():

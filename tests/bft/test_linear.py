@@ -1,78 +1,37 @@
-"""LinearBFT backend tests (normal case, certificates, view change)."""
+"""LinearBFT backend tests: the shared contract, then what is linear's own."""
 
 import pytest
 
-from repro.bft import BftConfig
-from repro.bft.env import RecordingEnv
 from repro.bft.linear import CommitCert, LinearBftReplica, Vote
 from repro.bft.messages import PrePrepare
-from repro.crypto import HmacScheme, KeyStore
-from repro.wire import Request, SignedRequest
 
-SCHEME = HmacScheme()
-
-
-class LinearCluster:
-    """Message-pump harness mirroring tests/bft/harness.BftCluster."""
-
-    def __init__(self, n=4, **config_kwargs):
-        self.ids = [f"node-{i}" for i in range(n)]
-        self.config = BftConfig(replica_ids=tuple(self.ids), **config_kwargs)
-        self.keystore = KeyStore(scheme=SCHEME)
-        self.keypairs = {}
-        for node_id in self.ids:
-            pair = SCHEME.derive_keypair(node_id.encode())
-            self.keypairs[node_id] = pair
-            self.keystore.register(node_id, pair.public)
-        self.envs = {}
-        self.replicas = {}
-        self.decided = {i: [] for i in self.ids}
-        self.delivery_filter = lambda s, d, m: True
-        for node_id in self.ids:
-            env = RecordingEnv(node_id=node_id)
-            self.envs[node_id] = env
-            self.replicas[node_id] = LinearBftReplica(
-                env=env,
-                config=self.config,
-                keypair=self.keypairs[node_id],
-                keystore=self.keystore,
-                on_decide=lambda req, seq, node_id=node_id: self.decided[node_id].append((seq, req)),
-            )
-
-    def signed_request(self, cycle, node_id="node-0"):
-        request = Request(payload=b"p%d" % cycle, bus_cycle=cycle,
-                          recv_timestamp_us=cycle * 64000)
-        return SignedRequest.create(request, node_id, self.keypairs[node_id])
-
-    def pump(self, max_rounds=100):
-        for _ in range(max_rounds):
-            deliveries = []
-            for src, env in self.envs.items():
-                for dst, message in env.sent:
-                    deliveries.append((src, dst, message))
-                for message in env.broadcasts:
-                    for dst in self.ids:
-                        if dst != src:
-                            deliveries.append((src, dst, message))
-                env.clear()
-            if not deliveries:
-                return
-            for src, dst, message in deliveries:
-                if self.delivery_filter(src, dst, message):
-                    self.replicas[dst].on_message(src, message)
+from tests.bft import test_replica_ordering, test_viewchange
+from tests.bft.harness import contract_tests
 
 
-def test_single_request_decided_on_all():
-    cluster = LinearCluster()
+@pytest.fixture
+def replica_cls():
+    return LinearBftReplica
+
+
+# Every backend-independent test of the PBFT-named modules, on this backend.
+globals().update(contract_tests(test_replica_ordering, test_viewchange))
+
+
+def test_single_request_decided_on_all(make_cluster):
+    # ... in 3(n-1) deliveries: the preprepare out, the votes in, the certificate out.
+    cluster = make_cluster()
+    delivered = []
+    cluster.delivery_filter = lambda s, d, m: delivered.append(type(m).__name__) or True
     request = cluster.signed_request(1)
     assert cluster.replicas["node-0"].propose(request)
     cluster.pump()
-    for node_id in cluster.ids:
-        assert cluster.decided[node_id] == [(1, request)]
+    assert all(cluster.decided[i] == [(1, request)] for i in cluster.ids)
+    assert sorted(delivered) == ["CommitCert"] * 3 + ["PrePrepare"] * 3 + ["Vote"] * 3
 
 
-def test_votes_go_only_to_primary():
-    cluster = LinearCluster()
+def test_votes_go_only_to_primary(make_cluster):
+    cluster = make_cluster()
     cluster.replicas["node-0"].propose(cluster.signed_request(1))
     # Deliver the preprepare broadcast by hand, then inspect backup output:
     # votes are unicast to the primary, never broadcast (O(n) messages).
@@ -85,37 +44,8 @@ def test_votes_go_only_to_primary():
         assert cluster.envs[node_id].broadcasts_of_type(Vote) == []
 
 
-def test_sequence_order_and_consistency():
-    cluster = LinearCluster()
-    for cycle in range(1, 6):
-        cluster.replicas["node-0"].propose(cluster.signed_request(cycle))
-    cluster.pump()
-    for node_id in cluster.ids:
-        assert [seq for seq, _ in cluster.decided[node_id]] == [1, 2, 3, 4, 5]
-    digests = {tuple(req.digest for _, req in cluster.decided[i]) for i in cluster.ids}
-    assert len(digests) == 1
-
-
-def test_progress_with_one_crashed_backup():
-    cluster = LinearCluster()
-    cluster.delivery_filter = lambda s, d, m: "node-3" not in (s, d)
-    cluster.replicas["node-0"].propose(cluster.signed_request(1))
-    cluster.pump()
-    for node_id in ("node-0", "node-1", "node-2"):
-        assert len(cluster.decided[node_id]) == 1
-
-
-def test_no_progress_without_quorum():
-    cluster = LinearCluster()
-    cluster.delivery_filter = lambda s, d, m: s in ("node-0", "node-1") and d in ("node-0", "node-1")
-    cluster.replicas["node-0"].propose(cluster.signed_request(1))
-    cluster.pump()
-    for node_id in cluster.ids:
-        assert cluster.decided[node_id] == []
-
-
-def test_forged_commit_cert_rejected():
-    cluster = LinearCluster()
+def test_forged_commit_cert_rejected(make_cluster):
+    cluster = make_cluster()
     request = cluster.signed_request(1)
     replica = cluster.replicas["node-1"]
     preprepare = PrePrepare(view=0, seq=1, request=request, primary_id="node-0")
@@ -128,35 +58,22 @@ def test_forged_commit_cert_rejected():
     assert replica.stats.invalid_signatures == 1
 
 
-def test_conflicting_preprepare_triggers_suspicion():
-    cluster = LinearCluster()
-    replica = cluster.replicas["node-1"]
-    a = PrePrepare(view=0, seq=1, request=cluster.signed_request(1),
-                   primary_id="node-0").signed(cluster.keypairs["node-0"])
-    b = PrePrepare(view=0, seq=1, request=cluster.signed_request(2),
-                   primary_id="node-0").signed(cluster.keypairs["node-0"])
-    replica.on_message("node-0", a)
-    replica.on_message("node-0", b)
-    assert replica.stats.conflicting_preprepares == 1
-    assert replica.in_view_change
-
-
-def test_view_change_elects_new_primary():
-    cluster = LinearCluster()
+def test_view_change_elects_new_primary(make_cluster):
+    # Linear's own stake in a view change: the votes follow the primary.
+    cluster = make_cluster()
     for node_id in ("node-1", "node-2", "node-3"):
         cluster.replicas[node_id].suspect()
     cluster.pump()
-    for node_id in cluster.ids:
-        assert cluster.replicas[node_id].view == 1
-        assert cluster.replicas[node_id].primary_id == "node-1"
-    # Ordering works in the new view.
     assert cluster.replicas["node-1"].propose(cluster.signed_request(9, "node-1"))
+    preprepare = cluster.envs["node-1"].broadcasts_of_type(PrePrepare)[0]
+    cluster.replicas["node-2"].on_message("node-1", preprepare)
+    assert [dst for dst, _ in cluster.envs["node-2"].sent_of_type(Vote)] == ["node-1"]
     cluster.pump()
     assert all(len(cluster.decided[i]) == 1 for i in cluster.ids)
 
 
-def test_certified_request_survives_view_change():
-    cluster = LinearCluster()
+def test_certified_request_survives_view_change(make_cluster):
+    cluster = make_cluster()
     request = cluster.signed_request(1)
     # Block commit certificates: requests get certified on the primary only.
     cluster.delivery_filter = lambda s, d, m: not isinstance(m, CommitCert)
@@ -171,8 +88,8 @@ def test_certified_request_survives_view_change():
         assert [req.digest for _, req in cluster.decided[node_id]] == [request.digest]
 
 
-def test_checkpoint_garbage_collection():
-    cluster = LinearCluster(checkpoint_interval=1)
+def test_checkpoint_garbage_collection(make_cluster):
+    cluster = make_cluster(checkpoint_interval=1)
     cluster.replicas["node-0"].propose(cluster.signed_request(1))
     cluster.pump()
     for node_id in cluster.ids:
@@ -184,8 +101,8 @@ def test_checkpoint_garbage_collection():
         assert cert is not None and cert.verify(cluster.keystore, cluster.config)
 
 
-def test_commit_cert_roundtrip():
-    cluster = LinearCluster()
+def test_commit_cert_roundtrip(make_cluster):
+    cluster = make_cluster()
     request = cluster.signed_request(1)
     votes = tuple(
         Vote(view=0, seq=1, digest=request.digest,

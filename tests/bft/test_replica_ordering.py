@@ -1,8 +1,12 @@
-"""PBFT normal-case ordering tests."""
+"""Normal-case ordering tests.
+
+Tests taking ``make_cluster`` are the backend-independent contract and run on
+LinearBFT too (``conftest.py``); the rest is PBFT's own or needs no replica.
+"""
 
 import pytest
 
-from repro.bft import BftConfig, Commit, Prepare, PrePrepare
+from repro.bft import BftConfig, Prepare, PrePrepare
 from repro.util import ConfigError
 
 from tests.bft.harness import BftCluster
@@ -27,8 +31,8 @@ def test_config_quorums():
     assert config.primary_of_view(5) == "b"
 
 
-def test_single_request_decided_on_all_replicas():
-    cluster = BftCluster()
+def test_single_request_decided_on_all_replicas(make_cluster):
+    cluster = make_cluster()
     request = cluster.signed_request(1)
     assert cluster.replicas["node-0"].propose(request)
     cluster.pump()
@@ -36,13 +40,13 @@ def test_single_request_decided_on_all_replicas():
         assert cluster.decided[node_id] == [(1, request)]
 
 
-def test_backup_cannot_propose():
-    cluster = BftCluster()
+def test_backup_cannot_propose(make_cluster):
+    cluster = make_cluster()
     assert not cluster.replicas["node-1"].propose(cluster.signed_request(1))
 
 
-def test_sequence_numbers_are_consecutive():
-    cluster = BftCluster()
+def test_sequence_numbers_are_consecutive(make_cluster):
+    cluster = make_cluster()
     for cycle in range(1, 6):
         cluster.replicas["node-0"].propose(cluster.signed_request(cycle))
     cluster.pump()
@@ -51,8 +55,8 @@ def test_sequence_numbers_are_consecutive():
     assert cluster.all_decided_consistent()
 
 
-def test_decisions_survive_one_crashed_backup():
-    cluster = BftCluster()
+def test_decisions_survive_one_crashed_backup(make_cluster):
+    cluster = make_cluster()
     cluster.delivery_filter = lambda s, d, m: "node-3" not in (s, d)
     cluster.replicas["node-0"].propose(cluster.signed_request(1))
     cluster.pump()
@@ -61,9 +65,9 @@ def test_decisions_survive_one_crashed_backup():
     assert cluster.decided["node-3"] == []
 
 
-def test_no_decision_without_quorum():
+def test_no_decision_without_quorum(make_cluster):
     # Two of four replicas unreachable: 2f+1 = 3 commits cannot assemble.
-    cluster = BftCluster()
+    cluster = make_cluster()
     cluster.delivery_filter = lambda s, d, m: s in ("node-0", "node-1") and d in ("node-0", "node-1")
     cluster.replicas["node-0"].propose(cluster.signed_request(1))
     cluster.pump()
@@ -71,8 +75,8 @@ def test_no_decision_without_quorum():
         assert cluster.decided[node_id] == []
 
 
-def test_bad_preprepare_signature_dropped():
-    cluster = BftCluster()
+def test_bad_preprepare_signature_dropped(make_cluster):
+    cluster = make_cluster()
     request = cluster.signed_request(1)
     forged = PrePrepare(view=0, seq=1, request=request, primary_id="node-0",
                         signature=b"\x00" * 64)
@@ -82,8 +86,8 @@ def test_bad_preprepare_signature_dropped():
     assert cluster.replicas["node-1"].stats.invalid_signatures == 1
 
 
-def test_preprepare_from_non_primary_dropped():
-    cluster = BftCluster()
+def test_preprepare_from_non_primary_dropped(make_cluster):
+    cluster = make_cluster()
     request = cluster.signed_request(1, node_id="node-1")
     forged = PrePrepare(view=0, seq=1, request=request, primary_id="node-1")
     forged = forged.signed(cluster.keypairs["node-1"])
@@ -93,8 +97,8 @@ def test_preprepare_from_non_primary_dropped():
     assert cluster.replicas["node-2"].stats.stale_messages >= 1
 
 
-def test_wrong_view_messages_dropped():
-    cluster = BftCluster()
+def test_wrong_view_messages_dropped(make_cluster):
+    cluster = make_cluster()
     request = cluster.signed_request(1)
     stale = PrePrepare(view=7, seq=1, request=request, primary_id="node-0")
     stale = stale.signed(cluster.keypairs["node-0"])
@@ -102,8 +106,8 @@ def test_wrong_view_messages_dropped():
     assert cluster.decided["node-1"] == []
 
 
-def test_out_of_watermark_seq_dropped():
-    cluster = BftCluster(watermark_window=5)
+def test_out_of_watermark_seq_dropped(make_cluster):
+    cluster = make_cluster(watermark_window=5)
     request = cluster.signed_request(1)
     beyond = PrePrepare(view=0, seq=99, request=request, primary_id="node-0")
     beyond = beyond.signed(cluster.keypairs["node-0"])
@@ -111,29 +115,48 @@ def test_out_of_watermark_seq_dropped():
     assert cluster.replicas["node-1"].stats.stale_messages == 1
 
 
-def test_watermark_window_limits_primary():
-    cluster = BftCluster(watermark_window=3)
+def test_watermark_window_limits_primary(make_cluster):
+    cluster = make_cluster(watermark_window=3)
     # Without checkpoints, only `window` proposals may be outstanding.
     results = [cluster.replicas["node-0"].propose(cluster.signed_request(c))
                for c in range(1, 6)]
     assert results == [True, True, True, False, False]
 
 
-def test_execution_strictly_in_order():
-    # Drive a single replica with commit quorums arriving for seq 2 first.
-    cluster = BftCluster()
-    replica = cluster.replicas["node-3"]
-    reqs = {seq: cluster.signed_request(seq) for seq in (1, 2)}
-    for seq in (2, 1):  # deliver seq 2's ordering traffic first
-        preprepare = PrePrepare(view=0, seq=seq, request=reqs[seq], primary_id="node-0")
-        replica.on_message("node-0", preprepare.signed(cluster.keypairs["node-0"]))
-        for peer in ("node-1", "node-2"):
-            prepare = Prepare(view=0, seq=seq, digest=reqs[seq].digest, replica_id=peer)
-            replica.on_message(peer, prepare.signed(cluster.keypairs[peer]))
-        for peer in ("node-0", "node-1"):
-            commit = Commit(view=0, seq=seq, digest=reqs[seq].digest, replica_id=peer)
-            replica.on_message(peer, commit.signed(cluster.keypairs[peer]))
+def test_execution_strictly_in_order(make_cluster):
+    # Everything about seq 1 reaches node-3 only after seq 2 is fully ordered.
+    cluster = make_cluster()
+    held = []
+
+    def hold_seq_1(src, dst, message):
+        if dst == "node-3" and getattr(message, "seq", None) == 1:
+            held.append((src, message))
+            return False
+        return True
+
+    cluster.delivery_filter = hold_seq_1
+    for cycle in (1, 2):
+        cluster.replicas["node-0"].propose(cluster.signed_request(cycle))
+    cluster.pump()
+    assert [seq for seq, _ in cluster.decided["node-0"]] == [1, 2]
+    assert cluster.decided["node-3"] == []          # seq 2 is ordered and waits
+    cluster.delivery_filter = lambda s, d, m: True
+    for src, message in held:
+        cluster.replicas["node-3"].on_message(src, message)
+    cluster.pump()
     assert [seq for seq, _ in cluster.decided["node-3"]] == [1, 2]
+    assert cluster.all_decided_consistent()
+
+
+def test_conflicting_preprepare_triggers_suspicion(make_cluster):
+    cluster = make_cluster()
+    replica = cluster.replicas["node-1"]
+    for cycle in (1, 2):     # two different requests for one sequence number
+        preprepare = PrePrepare(view=0, seq=1, request=cluster.signed_request(cycle),
+                                primary_id="node-0")
+        replica.on_message("node-0", preprepare.signed(cluster.keypairs["node-0"]))
+    assert replica.stats.conflicting_preprepares == 1
+    assert replica.in_view_change
 
 
 def test_duplicate_votes_counted_once():
@@ -150,8 +173,8 @@ def test_duplicate_votes_counted_once():
     assert cluster.decided["node-3"] == []
 
 
-def test_log_size_grows_and_shrinks_with_gc():
-    cluster = BftCluster(checkpoint_interval=2)
+def test_log_size_grows_and_shrinks_with_gc(make_cluster):
+    cluster = make_cluster(checkpoint_interval=2)
     for cycle in (1, 2):
         cluster.replicas["node-0"].propose(cluster.signed_request(cycle))
     cluster.pump()
@@ -163,5 +186,6 @@ def test_log_size_grows_and_shrinks_with_gc():
     for node_id in cluster.ids:
         cluster.replicas[node_id].record_checkpoint(2, 1, b"\x22" * 32, digest)
     cluster.pump()
-    assert replica.last_stable_seq == 2
-    assert replica.log_size_bytes() < grown
+    for replica in cluster.replicas.values():
+        assert replica.last_stable_seq == 2
+        assert replica.log_size_bytes() == 0

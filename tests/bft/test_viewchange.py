@@ -1,14 +1,19 @@
-"""PBFT view change and checkpoint subprotocol tests."""
+"""View change and checkpoint subprotocol tests.
+
+Tests taking ``make_cluster`` are the backend-independent contract and run on
+LinearBFT too (``conftest.py``); the rest is PBFT's own or needs no replica.
+"""
 
 import pytest
 
-from repro.bft import Checkpoint, CheckpointCertificate, ViewChange
+from repro.bft import Checkpoint, CheckpointCertificate, NewView, PrePrepare, ViewChange
+from repro.wire.messages import is_null_request
 
-from tests.bft.harness import BftCluster
+from tests.bft.harness import BftCluster, laggard_misses_a_view_change
 
 
-def test_suspect_quorum_changes_view():
-    cluster = BftCluster()
+def test_suspect_quorum_changes_view(make_cluster):
+    cluster = make_cluster()
     # All three backups suspect a censoring primary.
     for node_id in ("node-1", "node-2", "node-3"):
         cluster.replicas[node_id].suspect()
@@ -21,10 +26,10 @@ def test_suspect_quorum_changes_view():
         assert cluster.new_primaries[node_id][-1] == "node-1"
 
 
-def test_single_faulty_suspicion_does_not_change_view():
+def test_single_faulty_suspicion_does_not_change_view(make_cluster):
     # Fault case (v) of §III-C: one faulty node suspecting the primary is
     # harmless — view changes need f+1 votes before correct nodes join.
-    cluster = BftCluster()
+    cluster = make_cluster()
     cluster.replicas["node-3"].suspect()
     cluster.pump()
     for node_id in ("node-0", "node-1", "node-2"):
@@ -35,8 +40,8 @@ def test_single_faulty_suspicion_does_not_change_view():
     assert len(cluster.decided["node-0"]) == 1
 
 
-def test_fplus1_join_rule():
-    cluster = BftCluster()
+def test_fplus1_join_rule(make_cluster):
+    cluster = make_cluster()
     # Two (= f+1) backups suspect; the third must join and the change completes.
     cluster.replicas["node-1"].suspect()
     cluster.replicas["node-2"].suspect()
@@ -64,8 +69,8 @@ def test_prepared_request_survives_view_change():
         assert [req.digest for _, req in cluster.decided[node_id]] == [request.digest]
 
 
-def test_ordering_works_after_view_change():
-    cluster = BftCluster()
+def test_ordering_works_after_view_change(make_cluster):
+    cluster = make_cluster()
     for node_id in ("node-1", "node-2", "node-3"):
         cluster.replicas[node_id].suspect()
     cluster.pump()
@@ -76,8 +81,8 @@ def test_ordering_works_after_view_change():
         assert len(cluster.decided[node_id]) == 1
 
 
-def test_view_change_timer_escalates():
-    cluster = BftCluster()
+def test_view_change_timer_escalates(make_cluster):
+    cluster = make_cluster()
     # Only node-1 and node-2 receive each other; the change to view 1 stalls.
     cluster.delivery_filter = lambda s, d, m: False
     cluster.replicas["node-1"].suspect()
@@ -91,8 +96,8 @@ def test_view_change_timer_escalates():
     assert 2 in votes and "node-1" in votes[2]
 
 
-def test_bad_view_change_signature_ignored():
-    cluster = BftCluster()
+def test_bad_view_change_signature_ignored(make_cluster):
+    cluster = make_cluster()
     forged = ViewChange(new_view=1, last_stable_seq=0,
                         stable_checkpoint_digest=b"\x00" * 32,
                         prepared=(), replica_id="node-2", signature=b"\x00" * 64)
@@ -158,8 +163,8 @@ def test_checkpoint_certificate_roundtrip():
     assert decoded.verify(cluster.keystore, cluster.config)
 
 
-def test_stable_checkpoint_advances_watermark_and_fires_upcall():
-    cluster = BftCluster(checkpoint_interval=1)
+def test_stable_checkpoint_advances_watermark_and_fires_upcall(make_cluster):
+    cluster = make_cluster(checkpoint_interval=1)
     cluster.replicas["node-0"].propose(cluster.signed_request(1))
     cluster.pump()
     digest = b"\x33" * 32
@@ -173,8 +178,8 @@ def test_stable_checkpoint_advances_watermark_and_fires_upcall():
         assert cert.verify(cluster.keystore, cluster.config)
 
 
-def test_divergent_checkpoint_digests_do_not_stabilize():
-    cluster = BftCluster()
+def test_divergent_checkpoint_digests_do_not_stabilize(make_cluster):
+    cluster = make_cluster()
     # Nodes disagree on state: no 2f+1 matching digests, nothing stabilizes.
     for index, node_id in enumerate(cluster.ids):
         digest = bytes([index]) * 32
@@ -184,13 +189,13 @@ def test_divergent_checkpoint_digests_do_not_stabilize():
         assert cluster.replicas[node_id].last_stable_seq == 0
 
 
-def test_lone_suspecter_abandons_on_stable_checkpoint():
+def test_lone_suspecter_abandons_on_stable_checkpoint(make_cluster):
     # A minority suspecter must not stay wedged: once 2f+1 peers sign a
     # checkpoint past its suspicion point, it abandons the view change and
     # resumes ordering in the view it never managed to leave.
     from repro.obs.trace import RecordingTracer
 
-    cluster = BftCluster()
+    cluster = make_cluster()
     victim = cluster.replicas["node-3"]
     tracer = RecordingTracer()
     victim.tracer = tracer
@@ -220,13 +225,11 @@ def test_lone_suspecter_abandons_on_stable_checkpoint():
     assert len(stalls) == 1 and stalls[0].ended_at is not None
 
 
-def test_view_change_plugs_unprepared_holes_with_nulls():
+def test_view_change_plugs_unprepared_holes_with_nulls(make_cluster):
     # Classic PBFT gap rule: a seq nobody prepared is filled with a null
     # request so later instances keep their sequence numbers.
-    from repro.bft import PrePrepare
-    from repro.wire.messages import is_null_request
 
-    cluster = BftCluster()
+    cluster = make_cluster()
     # Drop the view-0 preprepare for seq 2 to every backup: seq 2 never
     # prepares anywhere, seqs 1 and 3 decide normally but execution stalls.
     cluster.delivery_filter = (
@@ -248,4 +251,22 @@ def test_view_change_plugs_unprepared_holes_with_nulls():
         assert seqs == [1, 2, 3]
         null_decide = dict(cluster.decided[node_id])[2]
         assert is_null_request(null_decide.request)
+    assert cluster.all_decided_consistent()
+
+
+def test_view_change_reproposes_what_a_laggard_has_yet_to_execute(make_cluster):
+    # The three view-change rules that are only safe together: proofs cover
+    # executed instances, holes are plugged with nulls, and a backup skips
+    # reproposals of what it executed.  Without the first, seq 1 would be a
+    # hole below seq 2 and the laggard would be handed a null in its place.
+    cluster = make_cluster()
+    first, _second, new_view = laggard_misses_a_view_change(cluster)
+    reproposed = {preprepare.seq: preprepare.request for preprepare in new_view.preprepares}
+    assert reproposed[1] == first
+    assert cluster.replicas["node-3"]._instances[1].preprepare.digest == first.digest
+    for node_id in cluster.ids:
+        replica = cluster.replicas[node_id]
+        assert replica.view == 1 and not replica.in_view_change
+        assert replica.stats.conflicting_preprepares == 0
+        assert not any(is_null_request(signed.request) for _, signed in cluster.decided[node_id])
     assert cluster.all_decided_consistent()

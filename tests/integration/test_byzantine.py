@@ -55,6 +55,23 @@ def test_rate_limiting_bounds_fabrication_impact():
     assert result.view_changes == 0
 
 
+def test_delaying_primary_is_wired_like_any_other_replica():
+    # The node builds it as its replica_cls, so it holds all four upcalls:
+    # the last two drive certificate-triggered StateSync and soft-timeout cancel.
+    from repro.faults.behaviors import DelayingPrimaryReplica
+
+    cluster = SimulatedCluster(ScenarioConfig(
+        byzantine={"node-0": ByzantineSpec(preprepare_delay_s=0.25)}))
+    node = cluster.nodes["node-0"]
+    replica = node.replica
+    assert type(replica) is DelayingPrimaryReplica
+    assert replica._on_stable_checkpoint == node._stable_checkpoint
+    assert replica._on_preprepare_accepted == node._preprepare_accepted
+    assert (replica._on_decide, replica._on_new_primary) == (node._decided, node._new_primary)
+    assert node.statesync.replica is replica
+    assert type(cluster.nodes["node-1"].replica) is not DelayingPrimaryReplica
+
+
 def test_delaying_primary_stalls_until_soft_timeouts():
     _, clean = run_cluster(system="zugchain")
     cluster, delayed = run_cluster(

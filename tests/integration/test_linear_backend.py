@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.chaos import ChaosInjector, CrashRecover, FaultSchedule, LossWindow
 from repro.faults import ByzantineSpec
+from repro.obs.trace import RecordingTracer
 from repro.scenarios import ScenarioConfig, SimulatedCluster
 from repro.util import ConfigError
 
@@ -47,6 +49,37 @@ def test_linear_backend_checkpoints_support_export_path():
     assert cert.verify(cluster.keystore, cluster.bft_config)
 
 
+def test_linear_backend_recovers_like_pbft_under_the_crash_storm():
+    # perfbench's crash-storm schedule.  At t=13.8 node-2 abandons a view
+    # change on a stable checkpoint; unless that closes the stall in the trace
+    # (ReplicaCore._handle_checkpoint) the oracle reports OBS004.
+    cluster = SimulatedCluster(
+        ScenarioConfig(system="zugchain", seed=42, bft_backend="linear"),
+        tracer=RecordingTracer(),
+    )
+    ChaosInjector(cluster, FaultSchedule((
+        CrashRecover(3.0, 2.0, "node-0"),
+        LossWindow(8.0, 1.5, "node-1", "*", 1.0),
+        CrashRecover(11.0, 2.0, "node-2"),
+    ))).install()
+    result = cluster.run(20.0)
+    cluster.master.stop()
+    cluster.kernel.run_until(cluster.kernel.now + 4.0)
+    assert result.view_changes >= 1
+    assert len({cluster.nodes[i].chain.head.block_hash for i in cluster.ids}) == 1
+    assert cluster.check_invariants().to_dicts() == []
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ConfigError):
         ScenarioConfig(bft_backend="raft")
+
+
+@pytest.mark.parametrize("ignored", [
+    {"system": "baseline"},
+    {"byzantine": {"node-0": ByzantineSpec(preprepare_delay_s=0.25)}},
+], ids=["baseline", "delaying-primary"])
+def test_linear_backend_refuses_what_would_silently_run_pbft(ignored):
+    with pytest.raises(ConfigError):
+        ScenarioConfig(bft_backend="linear", **ignored)
+    ScenarioConfig(bft_backend="pbft", **ignored)
