@@ -20,30 +20,44 @@ See ``examples/`` for runnable scenarios and ``benchmarks/`` for the
 scripts that regenerate every figure and table of the paper's evaluation.
 """
 
-from repro.scenarios import ScenarioConfig, ScenarioResult, SimulatedCluster
-from repro.core import ZugChainConfig, ZugChainLayer, ZugChainNode, BaselineNode
-from repro.bft import BftConfig, PbftReplica
-from repro.chain import Block, Blockchain, BlockStore
-from repro.export.scenario import ExportScenario, ExportScenarioConfig
-from repro.jru import check_requirements, survival_probability
-
 __version__ = "1.0.0"
 
-__all__ = [
-    "ScenarioConfig",
-    "ScenarioResult",
-    "SimulatedCluster",
-    "ZugChainConfig",
-    "ZugChainLayer",
-    "ZugChainNode",
-    "BaselineNode",
-    "BftConfig",
-    "PbftReplica",
-    "Block",
-    "Blockchain",
-    "BlockStore",
-    "ExportScenario",
-    "ExportScenarioConfig",
-    "check_requirements",
-    "survival_probability",
-]
+#: Where each re-export lives.  Resolved on first access (PEP 562, as in
+#: :mod:`repro.runtime`): importing any ``repro.x`` submodule runs this file
+#: first, and a sweep worker that wants the cluster should not pay for the
+#: export scenario and the JRU model on the way.
+_LAZY = {
+    "ScenarioConfig": "repro.scenarios",
+    "ScenarioResult": "repro.scenarios",
+    "SimulatedCluster": "repro.scenarios",
+    "ZugChainConfig": "repro.core",
+    "ZugChainLayer": "repro.core",
+    "ZugChainNode": "repro.core",
+    "BaselineNode": "repro.core",
+    "BftConfig": "repro.bft",
+    "PbftReplica": "repro.bft",
+    "Block": "repro.chain",
+    "Blockchain": "repro.chain",
+    "BlockStore": "repro.chain",
+    "ExportScenario": "repro.export.scenario",
+    "ExportScenarioConfig": "repro.export.scenario",
+    "check_requirements": "repro.jru",
+    "survival_probability": "repro.jru",
+}
+
+__all__ = list(_LAZY)
+
+
+def __getattr__(name: str):
+    module_name = _LAZY.get(name)
+    if module_name is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module_name), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

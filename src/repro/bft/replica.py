@@ -157,6 +157,8 @@ class PbftReplica(ReplicaCore):
     def _check_prepared(self, seq: int, instance: _Instance) -> None:
         if instance.prepared or instance.preprepare is None:
             return
+        if len(instance.prepares) < self.config.prepared_quorum + 1:
+            return  # too few votes of any digest: nothing to count yet
         digest = instance.preprepare.digest
         matching = sum(
             1 for prep in instance.prepares.values() if prep.digest == digest
@@ -193,6 +195,8 @@ class PbftReplica(ReplicaCore):
 
     def _check_committed(self, seq: int, instance: _Instance) -> None:
         if instance.committed or not instance.prepared or instance.preprepare is None:
+            return
+        if len(instance.commits) < self.config.quorum:
             return
         digest = instance.preprepare.digest
         matching = sum(

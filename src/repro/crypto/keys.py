@@ -51,6 +51,35 @@ class Ed25519Scheme(SignatureScheme):
         return ed25519.verify(public, message, signature)
 
 
+_SHA256_BLOCK = 64
+_IPAD = bytes(byte ^ 0x36 for byte in range(256))
+_OPAD = bytes(byte ^ 0x5C for byte in range(256))
+#: The two SHA-256 states of one HMAC key: inner and outer pad block absorbed.
+_KeyedPads = tuple["hashlib._Hash", "hashlib._Hash"]
+
+
+def _keyed_pads(key: bytes) -> _KeyedPads:
+    """HMAC-SHA256's key schedule (RFC 2104): the hash states after the pad blocks.
+
+    ``hmac.new`` derives both per MAC; a key that signs thousands of votes
+    pays for them once and :func:`_mac` copies the states instead.
+    """
+    if len(key) > _SHA256_BLOCK:  # RFC 2104 hashes such a key first; no MAC key here is one
+        raise CryptoError(f"MAC key of {len(key)} bytes exceeds the {_SHA256_BLOCK}-byte block")
+    block = key.ljust(_SHA256_BLOCK, b"\x00")
+    return hashlib.sha256(block.translate(_IPAD)), hashlib.sha256(block.translate(_OPAD))
+
+
+def _mac(pads: _KeyedPads, message: bytes) -> bytes:
+    """``hmac.new(key, message, sha256).digest()`` for the key behind ``pads``."""
+    inner, outer = pads
+    inner = inner.copy()
+    inner.update(message)
+    outer = outer.copy()
+    outer.update(inner.digest())
+    return outer.digest()
+
+
 class HmacScheme(SignatureScheme):
     """HMAC-SHA256 "signature" with Ed25519-shaped keys and signatures.
 
@@ -72,29 +101,32 @@ class HmacScheme(SignatureScheme):
 
     def __init__(self) -> None:
         # The MAC key is a pure function of the public key, and that of the
-        # secret.  Only participants' keys reach sign/verify, so both tables
-        # are as large as the membership.
-        self._mac_keys: dict[bytes, bytes] = {}     # by public key
-        self._signing_keys: dict[bytes, bytes] = {}  # by secret
+        # secret, and HMAC's key schedule a pure function of the MAC key.
+        # Only participants' keys reach sign/verify, so both tables are as
+        # large as the membership.  What they hold is a *key*, set up: each
+        # MAC is still computed from its message, and no verdict is kept.
+        self._mac_keys: dict[bytes, _KeyedPads] = {}      # by public key
+        self._signing_keys: dict[bytes, _KeyedPads] = {}  # by secret
 
-    def _mac_key(self, public: bytes) -> bytes:
-        key = self._mac_keys.get(public)
-        if key is None:
-            key = self._mac_keys[public] = hashlib.sha256(b"hmac-mac-key" + public).digest()
-        return key
+    def _mac_key(self, public: bytes) -> _KeyedPads:
+        pads = self._mac_keys.get(public)
+        if pads is None:
+            pads = self._mac_keys[public] = _keyed_pads(
+                hashlib.sha256(b"hmac-mac-key" + public).digest())
+        return pads
 
     def sign(self, secret: bytes, message: bytes) -> bytes:
-        key = self._signing_keys.get(secret)
-        if key is None:
+        pads = self._signing_keys.get(secret)
+        if pads is None:
             public = hashlib.sha256(b"hmac-public" + secret).digest()
-            key = self._signing_keys[secret] = self._mac_key(public)
-        mac = hmac.new(key, message, hashlib.sha256).digest()
+            pads = self._signing_keys[secret] = self._mac_key(public)
+        mac = _mac(pads, message)
         return mac + mac  # pad to 64 bytes, matching Ed25519 signature size
 
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         if len(signature) != SIGNATURE_SIZE:
             return False
-        mac = hmac.new(self._mac_key(public), message, hashlib.sha256).digest()
+        mac = _mac(self._mac_key(public), message)
         return hmac.compare_digest(signature, mac + mac)
 
 

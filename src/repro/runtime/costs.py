@@ -53,6 +53,15 @@ def recv_cost(message: Any, model: CostModel) -> float:
     return cost
 
 
+def discard_cost(size_bytes: int, model: CostModel) -> float:
+    """CPU seconds to ingest ``size_bytes`` of a vote that is dropped unverified.
+
+    Deserialize and look up, nothing else: the lazy-verification path of
+    :meth:`~repro.runtime.host.NodeHost._deliver`.
+    """
+    return model.message_overhead_s + model.serialize_cost(size_bytes)
+
+
 def bus_parse_cost(cycle_wire_bytes: int, model: CostModel) -> float:
     """CPU seconds to parse one bus cycle's telegrams into a request."""
     return model.serialize_cost(cycle_wire_bytes) + model.hash_cost(cycle_wire_bytes)

@@ -61,17 +61,18 @@ class SimEnv(BaseEnv):
     ) -> None:
         size = wire_size(message)
         cost = send_cost(message, self._model, copies=len(dsts))
+        self._cpu.submit(cost, self._put_on_wire, dsts, message, size, ctx)
+
+    def _put_on_wire(
+        self, dsts: tuple[str, ...], message: Any, size: int, ctx: CausalContext
+    ) -> None:
+        # ctx rides the delivery envelope as an argument of the event — the
+        # in-process transport never serializes it.
+        network = self._network
         src = self._node_id
-
-        def _put_on_wire() -> None:
-            # ctx rides the delivery envelope via closure capture — the
-            # in-process transport never serializes it.
-            network = self._network
-            for dst in dsts:
-                if not network.send(src, dst, message, size, ctx):
-                    self._note_drop()
-
-        self._cpu.submit(cost, _put_on_wire)
+        for dst in dsts:
+            if not network.send(src, dst, message, size, ctx):
+                self._note_drop()
 
     def _transport_schedule(self, delay: float, timer: EnvTimer) -> Timer:
         return self._kernel.schedule(delay, timer.fire)

@@ -13,7 +13,7 @@ from typing import Any, Protocol
 from repro.bus.frames import BusCycleData
 from repro.bus.master import MvbMaster
 from repro.bus.faults import ReceptionFaultConfig
-from repro.runtime.costs import bus_parse_cost, recv_cost
+from repro.runtime.costs import bus_parse_cost, discard_cost, recv_cost
 from repro.sim.network import Network
 from repro.sim.resources import CostModel, CpuAccount
 
@@ -44,10 +44,10 @@ class NodeHost:
         self._model = model
         self.messages_received = 0
         self.inbox_bytes = 0  # messages received but not yet processed
-        #: Incarnation number.  Deferred work (CPU-pipeline closures) captures
-        #: the epoch at enqueue time and is dropped if the node crashed in
-        #: between — a dead incarnation's half-processed inbox must not leak
-        #: into its successor.
+        #: Incarnation number.  Deferred work (a ``_process`` on the CPU
+        #: pipeline) carries the epoch of its enqueue time and is dropped if
+        #: the node crashed in between — a dead incarnation's half-processed
+        #: inbox must not leak into its successor.
         self.epoch = 0
         network.register(node.id, self._deliver)
 
@@ -81,22 +81,20 @@ class NodeHost:
         # are discarded after a table lookup, skipping signature checks.
         replica = self._replica
         if replica is not None and replica.vote_is_redundant(message):
-            cost = self._model.message_overhead_s + self._model.serialize_cost(size)
+            cost = discard_cost(size, self._model)
         else:
             cost = recv_cost(message, self._model)
         self.inbox_bytes += size
-        epoch = self.epoch
+        self._cpu.submit(cost, self._process, self.epoch, size, ctx, src, message)
 
-        def _process() -> None:
-            if self.epoch != epoch:
-                return  # the node crashed after delivery; drop silently
-            self.inbox_bytes -= size
-            if self._run_inbound is not None:
-                self._run_inbound(ctx, self._node.handle_message, src, message)
-            else:
-                self._node.handle_message(src, message)
-
-        self._cpu.submit(cost, _process)
+    def _process(self, epoch: int, size: int, ctx: Any, src: str, message: Any) -> None:
+        if self.epoch != epoch:
+            return  # the node crashed after delivery; drop silently
+        self.inbox_bytes -= size
+        if self._run_inbound is not None:
+            self._run_inbound(ctx, self._node.handle_message, src, message)
+        else:
+            self._node.handle_message(src, message)
 
     def attach_bus(self, master: MvbMaster, faults: ReceptionFaultConfig | None = None) -> None:
         master.attach(self.node.id, self._on_bus_cycle, faults)

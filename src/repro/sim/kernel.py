@@ -8,26 +8,32 @@ same seed bit-for-bit reproducible.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Any, Callable
 
 from repro.util.errors import ProtocolError
 
 
 class Timer:
-    """A scheduled callback and the handle that cancels it.
+    """A scheduled call and the handle that cancels it.
 
     ZugChain's communication layer leans heavily on cancellable timers
     (soft/hard timeouts, Alg. 1 lines 11/16/23/31), so cancellation is a
     first-class, O(1) operation here: it marks this entry, which stays in
     the heap as a tombstone until its time comes up.
+
+    The entry holds the callback's arguments, so what a message hop hands
+    the kernel is a bound method and a tuple, not a closure made for it.
     """
 
-    __slots__ = ("time", "cancelled", "_callback", "_kernel")
+    __slots__ = ("time", "cancelled", "_callback", "_args", "_kernel")
 
-    def __init__(self, kernel: "Kernel", time: float, callback: Callable[[], None]) -> None:
+    def __init__(
+        self, kernel: "Kernel", time: float, callback: Callable[..., None], args: tuple
+    ) -> None:
         self.time = time
         self.cancelled = False
         self._callback = callback
+        self._args = args
         self._kernel: Kernel | None = kernel  # None once fired or cancelled
 
     @property
@@ -103,11 +109,11 @@ class Kernel:
     def pending(self) -> int:
         return self._live
 
-    def schedule(self, delay: float, callback: Callable[[], None]) -> Timer:
-        """Run ``callback`` after ``delay`` seconds of virtual time."""
+    def schedule(self, delay: float, callback: Callable[..., None], *args: Any) -> Timer:
+        """Run ``callback(*args)`` after ``delay`` seconds of virtual time."""
         if delay < 0:
             raise ProtocolError(f"cannot schedule into the past (delay={delay})")
-        return self.schedule_at(self.now + delay, callback)
+        return self.schedule_at(self.now + delay, callback, *args)
 
     def schedule_repeating(
         self, interval: float, callback: Callable[[], None]
@@ -115,11 +121,11 @@ class Kernel:
         """Run ``callback`` every ``interval`` seconds until cancelled."""
         return RepeatingTimer(self, interval, callback)
 
-    def schedule_at(self, time: float, callback: Callable[[], None]) -> Timer:
-        """Run ``callback`` at absolute virtual time ``time``."""
+    def schedule_at(self, time: float, callback: Callable[..., None], *args: Any) -> Timer:
+        """Run ``callback(*args)`` at absolute virtual time ``time``."""
         if time < self.now:
             raise ProtocolError(f"cannot schedule at {time} < now {self.now}")
-        timer = Timer(self, time, callback)
+        timer = Timer(self, time, callback, args)
         heapq.heappush(self._heap, (time, self._seq, timer))
         self._seq += 1
         self._live += 1
@@ -136,7 +142,7 @@ class Kernel:
             self._live -= 1
             self.now = time
             self._events_fired += 1
-            timer._callback()
+            timer._callback(*timer._args)
             return True
         return False
 

@@ -215,20 +215,27 @@ class Network:
         jitter = spec.jitter_s * self._rng.random() if spec.jitter_s > 0 else 0.0
         arrival = start + transmit + spec.latency_s + jitter
 
-        def _deliver() -> None:
-            if (crashed and dst in crashed) or (
-                    partitioned and frozenset((src, dst)) in partitioned):
-                self.stats.messages_dropped += 1
-                return
-            self.stats.record_receive(dst, size_bytes)
-            self.inbound_context = ctx
-            try:
-                receive(src, payload, size_bytes)
-            finally:
-                self.inbound_context = None
-
-        self._kernel.schedule_at(arrival, _deliver)
+        self._kernel.schedule_at(
+            arrival, self._deliver, receive, src, dst, payload, size_bytes, ctx)
         return True
+
+    def _deliver(
+        self, receive: Callable[[str, Any, int], None],
+        src: str, dst: str, payload: Any, size_bytes: int, ctx: Any,
+    ) -> None:
+        """Arrival of one copy: the fault sets are read again, as they are now."""
+        crashed = self._crashed
+        partitioned = self._partitioned
+        if (crashed and dst in crashed) or (
+                partitioned and frozenset((src, dst)) in partitioned):
+            self.stats.messages_dropped += 1
+            return
+        self.stats.record_receive(dst, size_bytes)
+        self.inbound_context = ctx
+        try:
+            receive(src, payload, size_bytes)
+        finally:
+            self.inbound_context = None
 
     def broadcast(self, src: str, payload: Any, size_bytes: int, include_self: bool = False) -> int:
         """Send to every registered endpoint (optionally including ``src``).

@@ -25,7 +25,7 @@ Calibration anchors from the paper (§V-B):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Any, Callable
 
 from repro.sim.kernel import Kernel
 from repro.sim.monitor import TimeSeries
@@ -108,8 +108,8 @@ class CpuAccount:
         """Seconds of queued pipeline work not yet completed."""
         return max(0.0, self._pipeline_busy_until - self._kernel.now)
 
-    def submit(self, duration: float, callback: Callable[[], None]) -> float:
-        """Queue ``duration`` seconds of pipeline work; fire ``callback`` when done.
+    def submit(self, duration: float, callback: Callable[..., None], *args: Any) -> float:
+        """Queue ``duration`` seconds of pipeline work; fire ``callback(*args)`` when done.
 
         Returns the completion time.  Work starts when the pipeline frees up,
         which is what makes an overloaded baseline's latency explode.
@@ -124,13 +124,12 @@ class CpuAccount:
         depth = self._queue_depth = self._queue_depth + 1
         if depth > self._max_queue_depth:
             self._max_queue_depth = depth
-
-        def _complete() -> None:
-            self._queue_depth -= 1
-            callback()
-
-        self._kernel.schedule_at(end, _complete)
+        self._kernel.schedule_at(end, self._complete, callback, args)
         return end
+
+    def _complete(self, callback: Callable[..., None], args: tuple) -> None:
+        self._queue_depth -= 1
+        callback(*args)
 
     def charge_background(self, duration: float) -> None:
         """Account CPU work running off the ordering pipeline."""

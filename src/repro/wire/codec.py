@@ -31,7 +31,7 @@ bound to each length prefix and checks it was consumed exactly.
 from __future__ import annotations
 
 import typing
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Annotated, Callable, Sequence
 
 from repro.crypto.keys import SIGNATURE_SIZE, KeyPair, KeyStore
@@ -382,23 +382,32 @@ def _derive_codec(cls: type) -> None:
     Runs from ``__init_subclass__``, before ``@dataclass`` has seen the
     class, so it reads the annotations the dataclass fields will be made
     from — in the same (base-first) order ``__init__`` takes them, which is
-    what lets the reader build the instance positionally.
+    what lets the reader build the instance positionally.  A class with a
+    ``signature`` field also gets ``_with_signature(self, signature)``, the
+    same positional construction from its own fields with that one swapped:
+    what ``dataclasses.replace`` does through a field scan and a kwargs dict.
     """
     names: dict = {"cls": cls}
+    hints = typing.get_type_hints(cls, include_extras=True)
     writes, reads = [], []
-    for name, hint in typing.get_type_hints(cls, include_extras=True).items():
+    for name, hint in hints.items():
         lines, read = _field_code(hint, f"self.{name}", names)
         writes += lines
         reads.append(read)
+    copies = ["signature" if name == "signature" else f"self.{name}" for name in hints]
     source = "\n".join([
         "def _write_fields(self, w):",
         *[f"    {line}" for line in writes or ["pass"]],
         "def _read_fields(r):",
         f"    return cls({', '.join(reads)})",  # arguments evaluate in wire order
+        "def _with_signature(self, signature):",
+        f"    return cls({', '.join(copies)})",
     ])
     exec(source, names)
     cls._write_fields = names["_write_fields"]
     cls._read_fields = staticmethod(names["_read_fields"])
+    if "signature" in hints:
+        cls._with_signature = names["_with_signature"]
 
 
 class SignedStruct(WireStruct):
@@ -432,9 +441,9 @@ class SignedStruct(WireStruct):
     def signed(self, keypair: KeyPair):
         """A copy signed with ``keypair`` (messages are immutable)."""
         payload = self._signed_bytes
-        copy = replace(self, signature=keypair.sign(payload))
+        copy = self._with_signature(keypair.sign(payload))
         # The signature is not part of what it covers, so the copy's payload
-        # is this one's; any other ``replace`` starts cold and hashes afresh.
+        # is this one's; a ``dataclasses.replace`` starts cold and hashes afresh.
         copy.__dict__[_SIGNED_MEMO] = payload
         return copy
 

@@ -6,7 +6,7 @@ LinearBFT too (``conftest.py``); the rest is PBFT's own or needs no replica.
 
 import pytest
 
-from repro.bft import BftConfig, Prepare, PrePrepare
+from repro.bft import BftConfig, Commit, Prepare, PrePrepare
 from repro.util import ConfigError
 
 from tests.bft.harness import BftCluster
@@ -171,6 +171,32 @@ def test_duplicate_votes_counted_once():
     for _ in range(5):
         replica.on_message("node-1", signed_prepare)
     assert cluster.decided["node-3"] == []
+
+
+def test_votes_for_another_digest_fill_the_table_but_not_the_quorum():
+    # len(votes) reaching the quorum only ends the shortcut; the count of
+    # votes matching the preprepare's digest is what decides.
+    cluster = BftCluster()
+    replica = cluster.replicas["node-3"]
+    request = cluster.signed_request(1)
+    preprepare = PrePrepare(view=0, seq=1, request=request, primary_id="node-0")
+    replica.on_message("node-0", preprepare.signed(cluster.keypairs["node-0"]))
+    instance = replica._instance(1)
+
+    def vote(kind, voter, digest):
+        message = kind(view=0, seq=1, digest=digest, replica_id=voter)
+        replica.on_message(voter, message.signed(cluster.keypairs[voter]))
+
+    stray = b"\xee" * 32
+    vote(Prepare, "node-1", stray)
+    assert len(instance.prepares) == 3 and not instance.prepared  # primary's, own, a stray
+    vote(Prepare, "node-2", request.digest)
+    assert instance.prepared and not instance.committed
+    vote(Commit, "node-1", stray)
+    vote(Commit, "node-2", request.digest)
+    assert len(instance.commits) == 3 and not instance.committed  # own, a stray, node-2's
+    vote(Commit, "node-0", request.digest)
+    assert instance.committed and cluster.decided["node-3"] == [(1, request)]
 
 
 def test_log_size_grows_and_shrinks_with_gc(make_cluster):

@@ -7,6 +7,7 @@ from repro.bft.messages import Checkpoint, Commit, PrePrepare, Prepare, ViewChan
 from repro.core.messages import ZugBroadcast, ZugForward
 from repro.crypto import HmacScheme
 from repro.runtime import ETHERNET_OVERHEAD_BYTES, recv_cost, send_cost, wire_size
+from repro.runtime.costs import discard_cost
 from repro.sim.resources import CostModel
 from repro.wire import Request, SignedRequest
 
@@ -98,3 +99,14 @@ def test_vote_types_have_symmetric_unit_costs():
 def test_client_wrapper_costs_one_signature():
     wrapper = ClientRequestWrapper(request=signed_request())
     assert MODEL.sign_s < send_cost(wrapper, MODEL) < MODEL.sign_s + 1e-3 + MODEL.hash_cost(100)
+
+
+def test_discarding_a_vote_costs_its_ingest_without_the_verify():
+    vote = prepare()
+    size = wire_size(vote)
+    # Exactly the terms of recv_cost that do not depend on the signature:
+    # the simulated numbers hang on this sum, so it is pinned, not bounded.
+    assert discard_cost(size, MODEL) == MODEL.message_overhead_s + MODEL.serialize_cost(size)
+    assert discard_cost(size, MODEL) == pytest.approx(recv_cost(vote, MODEL) - MODEL.verify_s)
+    assert discard_cost(2 * size, MODEL) - discard_cost(size, MODEL) == pytest.approx(
+        MODEL.serialize_per_byte_s * size)

@@ -66,13 +66,17 @@ def test_receive_order_preserved_per_node():
     assert seqs == [1, 2, 3, 4, 5]
 
 
+def _run_until_delivered(kernel, host):
+    """Fire events up to the network arrival; the CPU pipeline item stays queued."""
+    while host.inbox_bytes == 0 and kernel.step():
+        pass
+
+
 def test_inbox_bytes_rises_and_falls():
     kernel, network, cpu, node, host, env = make_stack()
     network.register("node-1", lambda *a: None)
     network.send("node-1", "node-0", prepare_msg(), 150)
-    # Deliver the network event but stop before the CPU pipeline finishes.
-    while host.inbox_bytes == 0 and kernel.step():
-        pass
+    _run_until_delivered(kernel, host)
     assert host.inbox_bytes == 150
     kernel.run()
     assert host.inbox_bytes == 0
@@ -106,3 +110,73 @@ def test_now_tracks_kernel():
     kernel.schedule(2.0, lambda: None)
     kernel.run()
     assert env.now() == 2.0  # zuglint: disable=DET005
+
+
+def test_node_crashed_between_delivery_and_completion_never_sees_the_message():
+    kernel, network, cpu, node, host, env = make_stack()
+    network.register("node-1", lambda *a: None)
+    network.send("node-1", "node-0", prepare_msg(), 150)
+    _run_until_delivered(kernel, host)
+    assert host.inbox_bytes == 150 and host.messages_received == 1
+    host.advance_epoch()  # what SimulatedCluster.crash_node does to the host
+    assert host.inbox_bytes == 0
+    # The successor's inbox is its own: a message of the new epoch goes through.
+    network.send("node-1", "node-0", prepare_msg(), 90)
+    kernel.run()
+    assert [message.seq for _, message in node.handled] == [1]
+    assert len(node.handled) == 1 and host.messages_received == 2
+    assert host.inbox_bytes == 0 and cpu.queue_depth == 0
+
+
+def test_destination_lost_between_send_and_arrival_is_counted_as_the_senders_copy_only():
+    kernel, network, cpu, node, host, env = make_stack()
+    network.register("node-1", lambda *a: None)
+    env.send("node-1", prepare_msg())
+    kernel.step()  # pipeline completion: the copy is on the wire
+    assert network.stats.messages_sent["node-0"] == 1
+    network.crash("node-1")
+    kernel.run()
+    # Dropped where it landed: the sender's env was told "sent", so this is
+    # the network's drop, not the env's.
+    assert network.stats.messages_dropped == 1 and env.counters.drops == 0
+
+
+def test_a_copy_refused_at_the_wire_is_the_envs_drop():
+    kernel, network, cpu, node, host, env = make_stack()
+    for peer in ("node-1", "node-2"):
+        network.register(peer, lambda *a: None)
+    network.crash("node-2")
+    env.send_many(("node-1", "node-2"), prepare_msg())
+    kernel.run()
+    assert network.stats.messages_sent["node-0"] == 1
+    assert env.counters.drops == 1
+
+
+def test_causal_context_rides_the_hop_from_emission_to_handler():
+    kernel, network, cpu, node, host, env = make_stack()
+    node.env = SimEnv("node-0", kernel, network, cpu, CostModel())
+    host.node = node  # rebind, as on recovery: resolves the env's run_inbound
+    seen = []
+    node.handle_message = lambda src, message: seen.append((src, node.env.causal.inbound))
+    sender_cpu = CpuAccount(kernel, CostModel(), name="node-1")
+    sender = SimEnv("node-1", kernel, network, sender_cpu, CostModel())
+    network.register("node-1", lambda *a: None)
+    sender.send("node-0", prepare_msg())
+    kernel.run()
+    [(src, ctx)] = seen
+    assert src == "node-1" and ctx is not None and ctx.origin == "node-1"
+    assert node.env.causal.inbound is None and network.inbound_context is None
+
+
+def test_a_hop_makes_no_function_of_its_own():
+    # What a hop hands the kernel is a bound method and its arguments.  A
+    # nested ``def`` or lambda in one of these shows up as a code object
+    # among the function's constants — and is a closure per message again.
+    import types
+
+    from repro.sim.network import Network as Net
+
+    for hop in (Net.send, NodeHost._deliver, SimEnv._transport_emit, CpuAccount.submit):
+        nested = [const.co_name for const in hop.__code__.co_consts
+                  if isinstance(const, types.CodeType)]
+        assert not nested, f"{hop.__qualname__} defines {nested} per call"

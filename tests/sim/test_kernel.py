@@ -200,3 +200,71 @@ def test_repeating_timer_cancelled_from_its_own_callback_stops():
     repeating = kernel.schedule_repeating(0.5, tick)
     kernel.run()
     assert ticks == [0.5, 1.0] and kernel.pending == 0
+
+
+def test_schedule_and_schedule_at_carry_arguments_to_the_callback():
+    kernel = Kernel()
+    fired = []
+    kernel.schedule(1.0, fired.append, "delay+arg")
+    kernel.schedule_at(2.0, lambda *args: fired.append(args), "at", 2, None)
+    kernel.schedule(3.0, lambda: fired.append("delay"))
+    kernel.schedule_at(4.0, lambda: fired.append("at"))
+    kernel.run()
+    assert fired == ["delay+arg", ("at", 2, None), "delay", "at"]
+
+
+def test_equal_time_events_with_arguments_fire_in_scheduling_order():
+    # The arguments ride in the heap entry behind (time, seq): a list, a
+    # dict and None have no ``<``, so a heap that reached them would raise.
+    kernel = Kernel()
+    fired = []
+    for args in (([1],), ({"k": 2},), (None,), ([0],)):
+        kernel.schedule_at(1.0, fired.append, *args)
+    kernel.schedule_at(1.0, lambda: fired.append("no-args"))
+    kernel.run()
+    assert fired == [[1], {"k": 2}, None, [0], "no-args"]
+
+
+def test_cancel_before_and_after_fire_keeps_pending_exact():
+    kernel = Kernel()
+    fired = []
+    early = kernel.schedule(1.0, fired.append, "early")
+    doomed = kernel.schedule(2.0, fired.append, "doomed")
+    kernel.schedule(3.0, fired.append, "late")
+    assert kernel.pending == 3
+    doomed.cancel()
+    doomed.cancel()  # idempotent: one entry, counted out once
+    assert kernel.pending == 2 and not doomed.active
+    kernel.run_until(1.0)
+    assert fired == ["early"] and kernel.pending == 1
+    early.cancel()  # already fired: a no-op on the accounting
+    assert kernel.pending == 1
+    kernel.run()
+    assert fired == ["early", "late"] and kernel.pending == 0 and kernel.events_fired == 2
+
+
+def test_raising_callback_leaves_clock_and_pending_consistent():
+    kernel = Kernel()
+    fired = []
+
+    def boom(label):
+        raise RuntimeError(label)
+
+    kernel.schedule(1.0, boom, "first")
+    kernel.schedule(2.0, fired.append, "second")
+    with pytest.raises(RuntimeError, match="first"):
+        kernel.run()
+    # The event that raised is spent: counted, off the heap, clock at its time.
+    assert kernel.now == 1.0 and kernel.pending == 1 and kernel.events_fired == 1  # zuglint: disable=DET005
+    kernel.run()
+    assert fired == ["second"] and kernel.pending == 0
+
+
+def test_repeating_timer_still_rides_the_same_schedule():
+    kernel = Kernel()
+    ticks = []
+    handle = kernel.schedule_repeating(1.0, lambda: ticks.append(kernel.now))
+    kernel.run_until(3.5)
+    handle.cancel()
+    kernel.run_until(10.0)
+    assert ticks == [1.0, 2.0, 3.0] and kernel.pending == 0

@@ -182,3 +182,62 @@ def test_deterministic_with_same_seed():
 
     assert run(5) == run(5)
     assert run(5) != run(6)
+
+
+IN_FLIGHT = LinkSpec(latency_s=0.010, jitter_s=0.0, bandwidth_bps=100e6)
+
+
+@pytest.mark.parametrize("fault", ["crash", "partition"])
+def test_fault_between_send_and_arrival_drops_and_counts_at_arrival(fault):
+    kernel, net = make_net(IN_FLIGHT)
+    box_b = attach_inbox(net, "b")
+    attach_inbox(net, "a")
+    assert net.send("a", "b", "x", 10)  # on the wire: the sender was told so
+    if fault == "crash":
+        net.crash("b")
+    else:
+        net.partition("a", "b")
+    assert net.stats.messages_dropped == 0  # not yet: it is lost when it lands
+    kernel.run()
+    assert box_b == []
+    assert net.stats.messages_dropped == 1
+    assert net.stats.bytes_sent["a"] == 10 and "b" not in net.stats.bytes_received
+
+
+@pytest.mark.parametrize("fault", ["crash", "partition"])
+def test_fault_lifted_before_arrival_delivers(fault):
+    # Arrival reads the fault sets as they are then, not as they were at send.
+    kernel, net = make_net(IN_FLIGHT)
+    box_b = attach_inbox(net, "b")
+    attach_inbox(net, "a")
+    net.send("a", "b", "x", 10)
+    if fault == "crash":
+        net.crash("b")
+        net.recover("b")
+    else:
+        net.partition("a", "b")
+        net.heal_all()
+    kernel.run()
+    assert box_b == [("a", "x", 10)]
+    assert net.stats.messages_dropped == 0 and net.stats.bytes_received["b"] == 10
+
+
+def test_inbound_context_is_exposed_for_the_callback_only_even_if_it_raises():
+    kernel, net = make_net(IN_FLIGHT)
+    seen = []
+
+    def receive(src, payload, size):
+        seen.append(net.inbound_context)
+        if payload == "boom":
+            raise RuntimeError(payload)
+
+    net.register("b", receive)
+    attach_inbox(net, "a")
+    net.send("a", "b", "boom", 10, ctx="ctx-1")
+    net.send("a", "b", "fine", 10, ctx="ctx-2")
+    net.send("a", "b", "bare", 10)
+    with pytest.raises(RuntimeError, match="boom"):
+        kernel.run()
+    assert seen == ["ctx-1"] and net.inbound_context is None
+    kernel.run()
+    assert seen == ["ctx-1", "ctx-2", None] and net.inbound_context is None

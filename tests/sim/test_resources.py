@@ -112,3 +112,35 @@ def test_memory_sampling():
     mem.sample(2.0)
     assert len(mem.series) == 2
     assert mem.series.values[1] > mem.series.values[0]
+
+
+def test_submit_passes_arguments_and_still_takes_bare_callbacks():
+    kernel = Kernel()
+    cpu = CpuAccount(kernel, CostModel())
+    done = []
+    assert cpu.submit(0.010, done.append, "with-arg") == pytest.approx(0.010)
+    cpu.submit(0.010, lambda *args: done.append(args), "a", 2)
+    cpu.submit(0.010, lambda: done.append("bare"))
+    assert cpu.queue_depth == 3
+    kernel.run()
+    assert done == ["with-arg", ("a", 2), "bare"]
+    assert cpu.queue_depth == 0 and cpu.max_queue_depth == 3
+
+
+def test_raising_pipeline_callback_leaves_queue_depth_consistent():
+    kernel = Kernel()
+    cpu = CpuAccount(kernel, CostModel())
+    done = []
+
+    def boom(label):
+        raise RuntimeError(label)
+
+    cpu.submit(0.010, boom, "first")
+    cpu.submit(0.010, done.append, "second")
+    with pytest.raises(RuntimeError, match="first"):
+        kernel.run()
+    # The failed item left the pipeline; the one behind it is still queued.
+    assert cpu.queue_depth == 1 and kernel.pending == 1
+    assert kernel.now == pytest.approx(0.010)
+    kernel.run()
+    assert done == ["second"] and cpu.queue_depth == 0

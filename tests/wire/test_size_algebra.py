@@ -134,6 +134,9 @@ def test_signed_verifies_under_its_own_key_and_no_other(cls):
     signed = unsigned.signed(PAIR)
     assert signed.signature != UNSIGNED and signed != unsigned
     assert dataclasses.replace(signed, signature=UNSIGNED) == unsigned
+    # The generated constructor against the reference it replaced.
+    reference = dataclasses.replace(unsigned, signature=PAIR.sign(unsigned.signing_payload()))
+    assert type(signed) is cls and signed == reference and signed.encode() == reference.encode()
     assert signed.verify(own)
     assert not signed.verify(other)
     assert not unsigned.verify(own)
