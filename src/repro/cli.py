@@ -28,7 +28,7 @@ from repro.jru import check_requirements, required_nodes_for_target, survival_pr
 from repro.obs.sinks import write_trace
 from repro.obs.trace import RecordingTracer
 from repro.runtime.wallclock import today_str, wall_timer
-from repro.scenarios import ScenarioConfig, SimulatedCluster
+from repro.scenarios import RUNTIMES, ScenarioConfig, run_scenario
 from repro.sweep import (
     BenchRecorder,
     cycle_sweep_spec,
@@ -42,19 +42,20 @@ from repro.sweep import (
 def _add_run_parser(subparsers) -> None:
     parser = subparsers.add_parser("run", help="run a recorder scenario and report metrics")
     parser.add_argument("--system", choices=("zugchain", "baseline"), default="zugchain")
-    parser.add_argument("--runtime", choices=("sim", "tcp", "mp"), default="sim",
+    parser.add_argument("--runtime", choices=tuple(RUNTIMES), default="sim",
                         help="sim: deterministic simulator; tcp: real asyncio "
                              "sockets on localhost; mp: one OS process per "
-                             "node over multiprocessing queues (both zugchain "
-                             "only, wall-clock paced, trace timestamps are "
-                             "debug-grade)")
+                             "node over multiprocessing queues (both wall-"
+                             "clock paced, trace timestamps are debug-grade)")
     parser.add_argument("--cycle-ms", type=float, nargs="+", default=[64.0],
                         metavar="MS", help="bus cycle time(s); more than one "
                                            "value turns the run into a sweep")
     parser.add_argument("--payload", type=int, nargs="+", default=[1024],
                         metavar="BYTES", help="payload bytes per cycle; more "
                                               "than one value sweeps the axis")
-    parser.add_argument("--duration", type=float, default=30.0, help="simulated seconds")
+    parser.add_argument("--duration", type=float, default=30.0,
+                        help="measured seconds (simulated, or wall-clock on "
+                             "tcp/mp), after --warmup seconds of the same")
     parser.add_argument("--warmup", type=float, default=3.0)
     parser.add_argument("--nodes", type=int, default=4)
     parser.add_argument("--seed", type=int, default=42)
@@ -164,40 +165,44 @@ def _write_bench(recorder: BenchRecorder, path_arg: str, out) -> str:
 def _cmd_run(args, out) -> int:
     if len(args.cycle_ms) > 1 or len(args.payload) > 1:
         return _cmd_run_sweep(args, out)
-    if args.runtime == "tcp":
-        return _cmd_run_tcp(args, out)
-    if args.runtime == "mp":
-        return _cmd_run_mp(args, out)
     tracer = RecordingTracer() if args.trace else None
-    cluster = SimulatedCluster(ScenarioConfig(
+    config = ScenarioConfig(
         system=args.system,
         n=args.nodes,
         seed=args.seed,
         cycle_time_s=args.cycle_ms[0] / 1000.0,
         payload_bytes=args.payload[0],
-    ), tracer=tracer)
+    )
+
+    def run():
+        return run_scenario(config, args.runtime, args.duration, args.warmup, tracer)
+
     recorder = (BenchRecorder(wall_timer())
                 if args.record_bench is not None else None)
     if recorder is not None:
-        elapsed, result = recorder.time_call(
-            lambda: cluster.run(duration_s=args.duration, warmup_s=args.warmup))
+        elapsed, result = recorder.time_call(run)
         recorder.record_suite(f"cli:run:{args.system}", [elapsed], units=1,
                               sim_seconds=args.duration, jobs=1)
     else:
-        result = cluster.run(duration_s=args.duration, warmup_s=args.warmup)
+        result = run()
     print(result.summary_row(), file=out)
     print(f"p99 latency   : {result.p99_latency_s * 1000:.2f} ms", file=out)
-    print(f"logged        : {result.requests_logged}/{result.requests_expected}", file=out)
+    print(f"logged        : {result.requests_logged}/{result.requests_expected}"
+          f"{'' if result.completed else '  (INCOMPLETE)'}", file=out)
     print(f"view changes  : {result.view_changes}", file=out)
-    chain = cluster.nodes[cluster.ids[0]].chain
-    print(f"chain         : height {chain.height}, base {chain.base_height}, "
-          f"head {chain.head.block_hash.hex()[:16]}…", file=out)
+    heights = sorted(set(result.chain_heights.values()))
+    tallest = max(result.chain_heights, key=result.chain_heights.get, default="")
+    print(f"chain         : heights {heights}, head "
+          f"{result.head_hashes.get(tallest, '')[:16] or '-'}…, heads "
+          f"{'consistent' if result.heads_consistent else 'DIVERGED'}", file=out)
+    for node_id, error in sorted(result.errors.items()):
+        print(f"node error    : {node_id}: {error}", file=out)
     if tracer is not None:
         count = write_trace(tracer.iter_events(), args.trace)
         print(f"trace         : {count} events -> {args.trace}", file=out)
     if recorder is not None:
         _write_bench(recorder, args.record_bench, out)
-    return 0
+    return 0 if result.completed and result.heads_consistent else 1
 
 
 def _cmd_run_sweep(args, out) -> int:
@@ -421,74 +426,6 @@ def _cmd_chaos(args, out) -> int:
     return 0 if all(record.passed for record in records) else 1
 
 
-def _cmd_run_tcp(args, out) -> int:
-    from repro.runtime.tcp_scenario import TcpScenarioConfig, run_tcp_scenario
-
-    if args.system != "zugchain":
-        print("repro run: --runtime tcp supports --system zugchain only",
-              file=sys.stderr)
-        return 2
-    cycle_time_s = args.cycle_ms[0] / 1000.0
-    cycles = max(1, round(args.duration / cycle_time_s))
-    tracer = RecordingTracer() if args.trace else None
-    config = TcpScenarioConfig(
-        n=args.nodes,
-        cycles=cycles,
-        cycle_time_s=cycle_time_s,
-        payload_bytes=args.payload[0],
-    )
-    result = run_tcp_scenario(config, tracer=tracer)
-    print(f"runtime       : tcp ({args.nodes} nodes, {cycles} bus cycles "
-          f"@ {args.cycle_ms[0]:g} ms)", file=out)
-    print(f"logged        : {result.requests_logged}/{result.requests_expected}"
-          f"{'' if result.completed else '  (INCOMPLETE)'}", file=out)
-    heights = sorted(set(result.chain_heights.values()))
-    print(f"chain         : heights {heights}, heads "
-          f"{'consistent' if result.heads_consistent else 'DIVERGED'}", file=out)
-    if tracer is not None:
-        count = write_trace(tracer.iter_events(), args.trace)
-        print(f"trace         : {count} events -> {args.trace} "
-              f"(relative per-node timestamps, debug-grade)", file=out)
-    return 0 if result.completed and result.heads_consistent else 1
-
-
-def _cmd_run_mp(args, out) -> int:
-    from repro.runtime.multiprocess import (
-        MultiprocessScenarioConfig,
-        run_multiprocess_scenario,
-    )
-
-    if args.system != "zugchain":
-        print("repro run: --runtime mp supports --system zugchain only",
-              file=sys.stderr)
-        return 2
-    cycle_time_s = args.cycle_ms[0] / 1000.0
-    cycles = max(1, round(args.duration / cycle_time_s))
-    config = MultiprocessScenarioConfig(
-        n=args.nodes,
-        cycles=cycles,
-        cycle_time_s=cycle_time_s,
-        payload_bytes=args.payload[0],
-        trace=bool(args.trace),
-    )
-    result = run_multiprocess_scenario(config)
-    print(f"runtime       : mp ({args.nodes} node processes, {cycles} bus "
-          f"cycles @ {args.cycle_ms[0]:g} ms)", file=out)
-    print(f"logged        : {result.requests_logged}/{result.requests_expected}"
-          f"{'' if result.completed else '  (INCOMPLETE)'}", file=out)
-    heights = sorted(set(result.chain_heights.values()))
-    print(f"chain         : heights {heights}, heads "
-          f"{'consistent' if result.heads_consistent else 'DIVERGED'}", file=out)
-    for node_id, error in sorted(result.errors.items()):
-        print(f"worker error  : {node_id}: {error}", file=out)
-    if args.trace:
-        count = write_trace(result.trace_events, args.trace)
-        print(f"trace         : {count} events -> {args.trace} "
-              f"(merged worker shards, per-node relative timestamps)", file=out)
-    ok = result.completed and result.heads_consistent and not result.errors
-    return 0 if ok else 1
-
-
 def _cmd_export(args, out) -> int:
     scenario = ExportScenario(ExportScenarioConfig(
         n_blocks=args.blocks,
@@ -520,13 +457,12 @@ def _cmd_reliability(args, out) -> int:
 
 
 def _cmd_requirements(args, out) -> int:
-    cluster = SimulatedCluster(ScenarioConfig(
+    result = run_scenario(ScenarioConfig(
         system="zugchain",
         seed=args.seed,
         cycle_time_s=args.cycle_ms / 1000.0,
         payload_bytes=args.payload,
-    ))
-    result = cluster.run(duration_s=args.duration, warmup_s=3.0)
+    ), "sim", duration_s=args.duration, warmup_s=3.0)
     report = check_requirements(result, persist_payload_bytes=args.payload)
     for line in report.lines():
         print(line, file=out)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from repro.crypto import ed25519
 from repro.util.errors import CryptoError
@@ -187,6 +188,23 @@ class KeyStore:
         if public is None:
             return False
         return self.scheme.verify(public, message, signature)
+
+
+def derive_keys(
+    scheme: SignatureScheme, participant_ids: Iterable[str]
+) -> tuple[dict[str, KeyPair], KeyStore]:
+    """The permissioned setup: each participant's key pair, derived from its
+    id, and the key store that knows all of their public keys.
+
+    Ids are the only input, so a process that derives the same membership
+    (a multiprocess worker, a data center) arrives at the same keys.
+    """
+    keystore = KeyStore(scheme=scheme)
+    keypairs: dict[str, KeyPair] = {}
+    for participant_id in participant_ids:
+        pair = keypairs[participant_id] = scheme.derive_keypair(participant_id.encode())
+        keystore.register(participant_id, pair.public)
+    return keypairs, keystore
 
 
 def default_scheme(fast: bool = True) -> SignatureScheme:

@@ -20,7 +20,7 @@ from repro.runtime.env import SimEnv
 from repro.sim.kernel import Kernel
 from repro.sim.network import LinkSpec, Network
 from repro.sim.resources import CostModel, CpuAccount
-from repro.crypto.keys import KeyStore, default_scheme
+from repro.crypto.keys import default_scheme, derive_keys
 from repro.util.rng import RngRegistry
 
 
@@ -55,12 +55,7 @@ class ExportScenario:
         self.replica_ids = [f"node-{i}" for i in range(config.n_replicas)]
         self.dc_ids = [f"dc-{i}" for i in range(config.n_datacenters)]
         self.bft_config = BftConfig(replica_ids=tuple(self.replica_ids))
-        self.keystore = KeyStore(scheme=scheme)
-        keypairs = {}
-        for pid in self.replica_ids + self.dc_ids:
-            pair = scheme.derive_keypair(pid.encode())
-            keypairs[pid] = pair
-            self.keystore.register(pid, pair.public)
+        keypairs, self.keystore = derive_keys(scheme, self.replica_ids + self.dc_ids)
 
         chain, certs = seed_chain_and_checkpoints(
             self.bft_config, keypairs, config.n_blocks,

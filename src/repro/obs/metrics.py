@@ -18,6 +18,7 @@ counters" gap: fault-injection runs can now assert on
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from typing import Any, Mapping
 
 from repro.util.errors import ProtocolError
@@ -227,6 +228,29 @@ def fold_env_counters(registry: MetricsRegistry, envs: Mapping[str, Any]) -> Non
             value = getattr(env, extra, None)
             if value is not None:
                 registry.counter(f"env.{extra}").inc(int(value))
+
+
+def fold_node(registry: MetricsRegistry, node: Any) -> None:
+    """Fold one node's protocol stats into its registry.
+
+    The one place stats objects become metric names, so a counter means the
+    same on the simulator, over TCP and in a multiprocess worker's report.
+    Read at collection time from what the protocol already maintains
+    (:class:`LayerStats`, :class:`ReplicaStats`): nothing on the hot path,
+    and untraced runs have metrics too.
+    """
+    registry.inc_from(asdict(node.replica.stats), prefix="bft.")
+    layer = getattr(node, "layer", None)
+    if layer is not None:
+        registry.inc_from(asdict(layer.stats), prefix="layer.")
+    registry.gauge("chain.height").set(node.chain.height)
+    registry.counter("chain.bytes").inc(node.chain.total_size_bytes())
+    registry.counter("requests.logged").inc(node.requests_logged)
+    sync = getattr(node, "statesync", None)
+    if sync is not None:
+        registry.counter("sync.completed").inc(sync.syncs_completed)
+        registry.counter("sync.rejected").inc(sync.syncs_rejected)
+        registry.counter("sync.retried").inc(sync.syncs_retried)
 
 
 class ClusterMetrics:

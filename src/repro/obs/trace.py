@@ -43,8 +43,8 @@ name                        emitted when
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from repro.util.errors import ProtocolError
 
@@ -194,6 +194,16 @@ class RecordingTracer(Tracer):
         )
         self._seq += 1
         self._events.append(event)
+
+    def adopt(self, events: Iterable[TraceEvent]) -> None:
+        """Append events recorded elsewhere (worker shards, merged), in order.
+
+        ``seq`` is renumbered to continue this stream; per-node ``idx`` and
+        the ``cause`` references built on it are left alone.
+        """
+        for event in events:
+            self._events.append(replace(event, seq=self._seq))
+            self._seq += 1
 
     def __len__(self) -> int:
         return len(self._events)

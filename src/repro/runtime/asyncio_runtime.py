@@ -20,13 +20,15 @@ the train Ethernet.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
 import repro.wire.tags  # noqa: F401  (registers all message types)
+from repro.bus.frames import BusCycleData
 from repro.obs.causal import CausalContext
-from repro.obs.metrics import ClusterMetrics, MetricsRegistry, fold_env_counters
+from repro.obs.metrics import ClusterMetrics, MetricsRegistry, fold_node
 from repro.runtime.base import BaseEnv, EnvTimer
+from repro.runtime.live import NodeFinal, node_final
 from repro.util.errors import CodecError
 from repro.wire.registry import decode_message, encode_message
 
@@ -70,11 +72,6 @@ class AsyncioEnv(BaseEnv):
         self.decode_errors = 0
         #: Inbound frames over the size cap (connection is dropped).
         self.oversize_frames = 0
-
-    @property
-    def send_errors(self) -> int:
-        """Undeliverable outbound copies (legacy alias for counters.drops)."""
-        return self.counters.drops
 
     def _running_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
@@ -158,8 +155,10 @@ class AsyncioCluster:
     """N ZugChain nodes on localhost TCP, fed by an in-process bus source.
 
     The bus is local to each node in the real deployment too (every node
-    reads the MVB directly), so the feeder injects parsed requests via
-    ``node.inject_request`` rather than tunnelling telegrams over TCP.
+    reads the MVB directly), so :meth:`deliver` hands each node the cycle's
+    telegrams rather than tunnelling them over TCP.  With ``start``,
+    ``poll``, ``stop`` and ``finals`` that makes it a
+    :class:`~repro.runtime.live.LiveCluster`.
     """
 
     def __init__(self, node_factory: Callable[[AsyncioEnv], Any], n: int = 4,
@@ -172,6 +171,9 @@ class AsyncioCluster:
         self.peers: dict[str, tuple[str, int]] = {}
         self._handler_tasks: set[asyncio.Task] = set()
         self._started = False
+        #: Nothing lands here: a handler that raises takes its connection
+        #: down, and the run then fails to settle.
+        self.errors: dict[str, str] = {}
 
     async def start(self) -> None:
         # The check-and-set happens before the first await, so it is atomic
@@ -261,8 +263,20 @@ class AsyncioCluster:
     def envs(self) -> dict[str, AsyncioEnv]:
         return {node_id: hosted.env for node_id, hosted in self.hosted.items()}
 
+    def deliver(self, cycle: BusCycleData) -> None:
+        for hosted in self.hosted.values():
+            hosted.node.on_bus_cycle(cycle)
+
+    def poll(self) -> dict[str, int]:
+        return {node_id: hosted.node.requests_logged
+                for node_id, hosted in self.hosted.items()}
+
+    def finals(self) -> dict[str, NodeFinal]:
+        return {node_id: node_final(hosted.node, hosted.env)
+                for node_id, hosted in self.hosted.items()}
+
     def aggregate_metrics(self) -> MetricsRegistry:
-        """Cluster-level counter fold over every node's AsyncioEnv.
+        """Cluster-level counter fold over every node and its AsyncioEnv.
 
         Includes the transport-layer ``env.decode_errors`` and
         ``env.oversize_frames`` alongside the shared emission counters, so
@@ -270,16 +284,8 @@ class AsyncioCluster:
         """
         cluster = ClusterMetrics()
         for node_id, hosted in sorted(self.hosted.items()):
-            registry = cluster.node(node_id)
-            replica = getattr(hosted.node, "replica", None)
-            if replica is not None:
-                registry.inc_from(asdict(replica.stats), prefix="bft.")
-            layer = getattr(hosted.node, "layer", None)
-            if layer is not None:
-                registry.inc_from(asdict(layer.stats), prefix="layer.")
-        merged = cluster.aggregate()
-        fold_env_counters(merged, self.envs())
-        return merged
+            fold_node(cluster.node(node_id), hosted.node)
+        return cluster.aggregate(envs=self.envs())
 
     async def stop(self) -> None:
         for hosted in self.hosted.values():

@@ -142,6 +142,18 @@ class BaseEnv:
     def node_id(self) -> str:
         return self._node_id
 
+    def bind_tracer(self, tracer: Any) -> None:
+        """Give this node's trace events causal identity (``node#idx``, cause).
+
+        Binding the clock is what turns causal annotation on for a node, and
+        ``carry`` makes a serializing transport put each emission's context
+        in its envelope (in-process transports always hand it over).  A
+        disabled tracer, or one that keeps no clocks, binds nothing.
+        """
+        if tracer.enabled and hasattr(tracer, "bind_clock"):
+            tracer.bind_clock(self._node_id, self.causal)
+            self.causal.carry = True
+
     # -- emission (canonical path) ------------------------------------------
 
     def send(self, dst: str, message: Any) -> None:

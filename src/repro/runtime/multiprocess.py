@@ -26,23 +26,31 @@ only supplies the physical half:
 
 ``tests/runtime/test_env_conformance.py`` runs the shared battery over
 this adapter alongside SimEnv / RecordingEnv / AsyncioEnv, and
-:class:`MultiprocessCluster` drives a full ZugChain consensus workload
-across worker processes (``tests/runtime/test_multiprocess_cluster.py``).
+:class:`MultiprocessCluster` hosts a scenario's nodes across worker
+processes for the live driver (``run_scenario(config, "mp", ...)``).
 """
 
 from __future__ import annotations
 
+import asyncio
+import queue
 import threading
 import time
-from dataclasses import dataclass, field
 from multiprocessing import get_context
-from queue import Empty
 from typing import Any, Callable, Iterable
 
 import repro.wire.tags  # noqa: F401  (registers all message types)
+from repro.bus.frames import BusCycleData
 from repro.obs.causal import CausalContext, merge_shards
-from repro.obs.trace import TraceEvent
+from repro.obs.trace import RecordingTracer, Tracer
 from repro.runtime.base import BaseEnv, EnvTimer
+from repro.runtime.live import (
+    POLL_INTERVAL_S,
+    SETTLE_CEILING_S,
+    NodeFinal,
+    node_final,
+)
+from repro.scenarios.recipe import NodeRecipe, ScenarioConfig
 from repro.util.errors import CodecError
 from repro.wire.registry import decode_message, encode_message
 
@@ -132,15 +140,16 @@ class MultiprocessEnv(BaseEnv):
 
 
 # ---------------------------------------------------------------------------
-# Cluster: N ZugChain nodes, one process each, fed by an in-parent bus.
+# Cluster: N recipe-built nodes, one process each, fed by an in-parent bus.
 # ---------------------------------------------------------------------------
 
 #: Worker inbox items are tagged tuples:
 #:   ("msg", src, frame, ctx)     peer message (registry-encoded) + causal
 #:                                context bytes ("" when untraced)
-#:   ("inject", cycle, payload)   bus feeder: one consolidated MVB reading
+#:   ("cycle", frame)             bus feeder: one wire-encoded BusCycleData
 #:   ("report",)                  progress probe → ("report", id, logged)
-#:   ("stop",)                    finish → ("final", id, summary dict)
+#:   ("stop",)                    finish → ("final", id, NodeFinal)
+#: and a worker that raises sends ("error", id, repr) instead.
 #:
 #: Timers never cross the mp.Queue (their callbacks are closures, not
 #: picklable — and they are same-process anyway): each worker multiplexes
@@ -148,63 +157,15 @@ class MultiprocessEnv(BaseEnv):
 #: node runs strictly single-threaded.
 
 
-@dataclass
-class MultiprocessScenarioConfig:
-    """Shape of one process-parallel cluster run (mirrors the TCP scenario)."""
-
-    n: int = 4
-    cycles: int = 12
-    cycle_time_s: float = 0.03
-    payload_bytes: int = 64
-    block_size: int = 5
-    soft_timeout_s: float = 0.5
-    hard_timeout_s: float = 0.5
-    settle_timeout_s: float = 30.0
-    #: Run every worker with a per-process RecordingTracer shard; shards
-    #: ride back in the final report and merge deterministically.
-    trace: bool = False
-
-
-@dataclass
-class MultiprocessScenarioResult:
-    """What a run observed, for CLI reporting and assertions."""
-
-    requests_expected: int
-    requests_logged: int              # min over nodes
-    chain_heights: dict[str, int] = field(default_factory=dict)
-    head_hashes: dict[str, str] = field(default_factory=dict)
-    heads_consistent: bool = True
-    completed: bool = True
-    env_counters: dict[str, dict[str, int]] = field(default_factory=dict)
-    errors: dict[str, str] = field(default_factory=dict)
-    #: Canonical merge of the per-worker trace shards (empty untraced).
-    trace_events: list[TraceEvent] = field(default_factory=list)
-
-
-def _payload(cycle: int, size: int) -> bytes:
-    stamp = b"mp-cycle-%d." % cycle
-    if len(stamp) >= size:
-        return stamp[: max(size, 1)]
-    return stamp + b"x" * (size - len(stamp))
-
-
-def _worker_main(node_id: str, ids: list[str], inboxes: dict[str, Any],
-                 results: Any, config: MultiprocessScenarioConfig) -> None:
+def _worker_main(node_id: str, config: ScenarioConfig, traced: bool,
+                 inboxes: dict[str, Any], results: Any) -> None:
     """One node's process: build the stack, drain the inbox, report."""
-    from repro.bft import BftConfig
-    from repro.bus.nsdb import standard_jru_catalog
-    from repro.core import ZugChainConfig, ZugChainNode
-    from repro.crypto import HmacScheme, KeyStore
-    from repro.wire import Request
-
-    import queue as local_queue
-
     try:
         inbox = inboxes[node_id]
         # The single-consumer mailbox: the pump thread forwards mp-inbox
         # items into it, timer fires land in it directly, and the node
         # only ever runs on the loop below — one thread, no data races.
-        mailbox: local_queue.Queue = local_queue.Queue()
+        mailbox: queue.Queue = queue.Queue()
 
         def pump() -> None:
             while True:
@@ -215,45 +176,19 @@ def _worker_main(node_id: str, ids: list[str], inboxes: dict[str, Any],
 
         threading.Thread(target=pump, daemon=True).start()
         channels = {
-            peer: QueueChannel(inboxes[peer]) for peer in ids if peer != node_id
+            peer: QueueChannel(peer_inbox)
+            for peer, peer_inbox in inboxes.items() if peer != node_id
         }
         env = MultiprocessEnv(
             node_id, channels,
             timer_dispatch=lambda timer: mailbox.put(("timer", timer)),
         )
-        tracer = None
-        if config.trace:
-            from repro.obs.trace import RecordingTracer
-
-            # Each worker records its own shard; binding the env's clock
-            # gives events per-node identity (node#idx) so the parent's
-            # merge needs no renumbering of causal references.  carry=True
-            # makes emissions serialize their context into the queue tuple.
-            tracer = RecordingTracer()
-            tracer.bind_clock(node_id, env.causal)
-            env.causal.carry = True
-        scheme = HmacScheme()
-        keystore = KeyStore(scheme=scheme)
-        keypairs = {}
-        for peer in ids:
-            pair = scheme.derive_keypair(peer.encode())
-            keypairs[peer] = pair
-            keystore.register(peer, pair.public)
-        node = ZugChainNode(
-            env=env,
-            bft_config=BftConfig(
-                replica_ids=tuple(ids), checkpoint_interval=config.block_size,
-            ),
-            zug_config=ZugChainConfig(
-                soft_timeout_s=config.soft_timeout_s,
-                hard_timeout_s=config.hard_timeout_s,
-                checkpoint_interval=config.block_size,
-            ),
-            keypair=keypairs[node_id],
-            keystore=keystore,
-            nsdb=standard_jru_catalog(),
-            tracer=tracer,
-        )
+        # Each worker records its own shard; the recipe binds the env's
+        # clock, which gives events per-node identity (node#idx) so the
+        # parent's merge needs no renumbering of causal references, and
+        # makes emissions serialize their context into the queue tuple.
+        tracer = RecordingTracer() if traced else None
+        node = NodeRecipe(config).build_node(node_id, env, tracer)
 
         while True:
             item = mailbox.get()
@@ -273,150 +208,105 @@ def _worker_main(node_id: str, ids: list[str], inboxes: dict[str, Any],
                 env.run_inbound(ctx, node.handle_message, src, message)
             elif tag == "timer":
                 item[1].fire()
-            elif tag == "inject":
-                _, cycle, payload = item
-                node.inject_request(Request(
-                    payload=payload,
-                    bus_cycle=cycle,
-                    recv_timestamp_us=int(cycle * config.cycle_time_s * 1e6),
-                ))
+            elif tag == "cycle":
+                try:
+                    cycle = BusCycleData.decode(item[1])
+                except CodecError:
+                    env.decode_errors += 1
+                    continue
+                node.on_bus_cycle(cycle)
             elif tag == "report":
                 results.put(("report", node_id, node.requests_logged))
             elif tag == "stop":
-                chain = node.chain
-                results.put(("final", node_id, {
-                    "requests_logged": node.requests_logged,
-                    "chain_height": chain.height,
-                    "head_hash": chain.head.block_hash.hex() if chain.height > 0 else "",
-                    "env_counters": env.counters.snapshot(),
-                    # The worker's trace shard rides home with the final
-                    # report: TraceEvents are frozen scalar dataclasses,
-                    # picklable across the queue by construction.
-                    "trace": tracer.events if tracer is not None else [],
-                }))
+                # TraceEvents are frozen scalar dataclasses, picklable across
+                # the queue by construction, like the rest of the final.
+                results.put(("final", node_id, node_final(
+                    node, env, tracer.events if tracer is not None else None)))
                 return
     except Exception as exc:  # pragma: no cover - surfaced to the parent
         results.put(("error", node_id, repr(exc)))
 
 
 class MultiprocessCluster:
-    """N ZugChain nodes, one OS process each, joined by inbox queues.
+    """N recipe-built nodes, one OS process each, joined by inbox queues.
 
-    The bus is local to each node in the real deployment (every node
-    reads the MVB directly), so the parent feeder injects the same
-    consolidated reading into every worker's inbox — the multiprocess
-    analogue of the TCP scenario's in-process feeder.
+    A :class:`~repro.runtime.live.LiveCluster`.  The bus is local to each
+    node in the real deployment (every node reads the MVB directly), so
+    :meth:`deliver` puts the same wire-encoded cycle on every worker's
+    inbox.  Nothing here blocks — the live driver runs it on an event
+    loop — except :meth:`join`, which the caller runs after the loop.
     """
 
-    def __init__(self, config: MultiprocessScenarioConfig) -> None:
-        self.config = config
-        self.ids = [f"node-{i}" for i in range(config.n)]
+    def __init__(self, recipe: NodeRecipe, tracer: Tracer | None = None) -> None:
+        self.config = recipe.config
+        self.tracer = tracer if tracer is not None and tracer.enabled else None
+        self.ids = recipe.ids
         self._ctx = get_context("fork")
         self.inboxes = {node_id: self._ctx.Queue() for node_id in self.ids}
         self.results = self._ctx.Queue()
         self.processes: dict[str, Any] = {}
+        self.errors: dict[str, str] = {}
+        self._logged = {node_id: 0 for node_id in self.ids}
+        self._finals: dict[str, NodeFinal] = {}
 
-    def start(self) -> None:
+    async def start(self) -> None:
         for node_id in self.ids:
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(node_id, self.ids, self.inboxes, self.results, self.config),
+                args=(node_id, self.config, self.tracer is not None,
+                      self.inboxes, self.results),
                 daemon=True,
             )
             process.start()
             self.processes[node_id] = process
 
-    def run(self) -> MultiprocessScenarioResult:
-        """Feed the bus, wait for every node to log every cycle, collect."""
-        config = self.config
-        self.start()
-        try:
-            for cycle in range(1, config.cycles + 1):
-                payload = _payload(cycle, config.payload_bytes)
-                for node_id in self.ids:
-                    self.inboxes[node_id].put(("inject", cycle, payload))
-                time.sleep(config.cycle_time_s)
+    def deliver(self, cycle: BusCycleData) -> None:
+        frame = cycle.encode()
+        for inbox in self.inboxes.values():
+            inbox.put(("cycle", frame))
 
-            completed = self._wait_logged(config.cycles, config.settle_timeout_s)
-            finals, errors = self._stop_and_collect()
-        finally:
-            self._terminate()
+    def poll(self) -> dict[str, int]:
+        """Take in what the workers answered so far, and probe them again."""
+        self._drain()
+        for inbox in self.inboxes.values():
+            inbox.put(("report",))
+        return self._logged
 
-        heights = {i: finals.get(i, {}).get("chain_height", 0) for i in self.ids}
-        heads = {i: finals.get(i, {}).get("head_hash", "") for i in self.ids}
-        distinct_heads = {h for h in heads.values() if h}
-        logged = [finals.get(i, {}).get("requests_logged", 0) for i in self.ids]
-        trace_events: list[TraceEvent] = []
-        if config.trace:
-            trace_events = merge_shards(
-                {i: finals.get(i, {}).get("trace", []) for i in self.ids}
-            )
-        return MultiprocessScenarioResult(
-            requests_expected=config.cycles,
-            requests_logged=min(logged) if logged else 0,
-            chain_heights=heights,
-            head_hashes=heads,
-            heads_consistent=len(distinct_heads) <= 1,
-            completed=completed and not errors,
-            env_counters={
-                i: finals.get(i, {}).get("env_counters", {}) for i in self.ids
-            },
-            errors=errors,
-            trace_events=trace_events,
-        )
-
-    # -- internals -------------------------------------------------------------
-
-    def _wait_logged(self, target: int, timeout_s: float) -> bool:
-        deadline = time.monotonic() + timeout_s
-        progress = {node_id: 0 for node_id in self.ids}
-        while time.monotonic() < deadline:
-            for node_id in self.ids:
-                self.inboxes[node_id].put(("report",))
-            expected = len(self.ids)
-            seen = 0
-            while seen < expected and time.monotonic() < deadline:
-                try:
-                    kind, node_id, value = self.results.get(timeout=1.0)
-                except Empty:
-                    break
-                if kind == "error":
-                    return False
-                if kind == "report":
-                    progress[node_id] = value
-                    seen += 1
-            if all(count >= target for count in progress.values()):
-                return True
-            time.sleep(0.05)
-        return False
-
-    def _stop_and_collect(self) -> tuple[dict[str, dict], dict[str, str]]:
-        for node_id in self.ids:
-            self.inboxes[node_id].put(("stop",))
-        finals: dict[str, dict] = {}
-        errors: dict[str, str] = {}
-        deadline = time.monotonic() + self.config.settle_timeout_s
-        while len(finals) + len(errors) < len(self.ids) and time.monotonic() < deadline:
+    def _drain(self) -> None:
+        while True:
             try:
-                kind, node_id, value = self.results.get(timeout=1.0)
-            except Empty:
-                continue
-            if kind == "final":
-                finals[node_id] = value
+                kind, node_id, value = self.results.get_nowait()
+            except queue.Empty:
+                return
+            if kind == "report":
+                self._logged[node_id] = value
+            elif kind == "final":
+                self._finals[node_id] = value
             elif kind == "error":
-                errors[node_id] = value
-        return finals, errors
+                self.errors[node_id] = value
 
-    def _terminate(self) -> None:
+    async def stop(self) -> None:
+        """Ask every worker for its final; wait for those that can still send one."""
+        for inbox in self.inboxes.values():
+            inbox.put(("stop",))
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + SETTLE_CEILING_S
+        while loop.time() < deadline:
+            self._drain()
+            if len(self._finals) + len(self.errors) >= len(self.processes):
+                break
+            await asyncio.sleep(POLL_INTERVAL_S)
+        if self.tracer is not None and hasattr(self.tracer, "adopt"):
+            self.tracer.adopt(merge_shards(
+                {node_id: final.trace for node_id, final in self._finals.items()}))
+
+    def finals(self) -> dict[str, NodeFinal]:
+        return {i: self._finals[i] for i in self.ids if i in self._finals}
+
+    def join(self) -> None:
+        """Reap the workers (blocking); one that has not exited by now is killed."""
         for process in self.processes.values():
             process.join(timeout=2.0)
             if process.is_alive():
                 process.terminate()
                 process.join(timeout=2.0)
-
-
-def run_multiprocess_scenario(
-    config: MultiprocessScenarioConfig,
-) -> MultiprocessScenarioResult:
-    """Run one ZugChain consensus workload with one process per node."""
-    return MultiprocessCluster(config).run()

@@ -6,117 +6,37 @@ master emits one cycle every ``cycle_time_s`` with a configurable
 consolidated payload size.  The same scenario builds either system under
 test ("zugchain" or "baseline"), with optional per-node Byzantine specs
 and bus reception faults.
+
+:func:`run_scenario` runs a :class:`ScenarioConfig` on any of ``RUNTIMES``;
+:class:`SimulatedCluster` is the simulator's steppable object for callers
+that schedule faults or keep running after the window.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
-
-from repro.bft import BACKENDS
-from repro.bft.config import BftConfig
-from repro.bus.faults import ReceptionFaultConfig
-from repro.bus.generator import GeneratorConfig, TrainDynamicsGenerator
 from repro.bus.master import BusConfig, MvbMaster
-from repro.bus.nsdb import standard_jru_catalog
 from repro.bft.checkpoint import CheckpointCertificate
 from repro.chain.blockchain import PruneCertificate
 from repro.chain.store import MemoryBlockStore
-from repro.core.baseline import BaselineNode
-from repro.core.layer import ZugChainConfig
-from repro.core.node import ZugChainNode
-from repro.crypto.keys import KeyStore, default_scheme
-from repro.faults.behaviors import ByzantineSpec, make_zugchain_node
 from repro.obs.check import OracleReport, check_trace
-from repro.obs.metrics import ClusterMetrics, MetricsRegistry
-from repro.obs.spans import pair_request_spans
+from repro.obs.metrics import ClusterMetrics, MetricsRegistry, fold_node
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime.env import SimEnv
 from repro.runtime.host import NodeHost
+from repro.scenarios.recipe import (
+    NodeRecipe,
+    ScenarioConfig,
+    ScenarioResult,
+    head_hex,
+    reference_latency,
+    request_phases,
+)
 from repro.sim.kernel import Kernel
 from repro.sim.monitor import LatencyRecorder, TimeSeries
 from repro.sim.network import LinkSpec, Network
 from repro.sim.resources import CostModel, CpuAccount, MemoryAccount
 from repro.util.errors import ConfigError
 from repro.util.rng import RngRegistry
-
-
-@dataclass(frozen=True)
-class ScenarioConfig:
-    """Everything a run needs; defaults reproduce the paper's main setting."""
-
-    system: str = "zugchain"             # "zugchain" | "baseline"
-    n: int = 4
-    seed: int = 42
-    cycle_time_s: float = 0.064
-    payload_bytes: int = 1024
-    block_size: int = 10
-    soft_timeout_s: float = 0.250
-    hard_timeout_s: float = 0.250
-    view_change_timeout_s: float = 0.500
-    retention_s: float = 45.0            # auto-prune window (export stand-in)
-    sample_interval_s: float = 1.0
-    preprepare_cancels_soft: bool = True
-    filtering_enabled: bool = True
-    max_open_per_node: int = 16
-    bft_backend: str = "pbft"            # "pbft" | "linear"
-    bus_faults: dict[str, ReceptionFaultConfig] = field(default_factory=dict)
-    byzantine: dict[str, ByzantineSpec] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.system not in ("zugchain", "baseline"):
-            raise ConfigError(f"unknown system {self.system!r}")
-        if self.bft_backend not in BACKENDS:
-            raise ConfigError(f"unknown BFT backend {self.bft_backend!r}")
-        if self.bft_backend != "pbft":
-            # Both would silently run PBFT replicas: the baseline node is
-            # PBFT behind a client, the delaying primary a PbftReplica.
-            if self.system == "baseline":
-                raise ConfigError("the baseline system runs on the pbft backend only")
-            delaying = sorted(node_id for node_id, spec in self.byzantine.items()
-                              if spec.preprepare_delay_s > 0)
-            if delaying:
-                raise ConfigError(
-                    f"preprepare_delay_s on {delaying} needs the pbft backend")
-        if self.n < 4:
-            raise ConfigError("the testbed requires n >= 4 (f >= 1)")
-
-
-@dataclass
-class ScenarioResult:
-    """Measurements of one run, in the units the paper reports."""
-
-    system: str
-    cycle_time_s: float
-    payload_bytes: int
-    duration_s: float
-    mean_latency_s: float
-    p99_latency_s: float
-    max_latency_s: float
-    requests_logged: int
-    requests_expected: int
-    network_utilization: float          # fraction of the 100 Mbit/s egress (mean over nodes)
-    cpu_utilization: float              # fraction of total 4-core CPU (max over nodes)
-    memory_mean_bytes: float
-    memory_peak_bytes: float
-    view_changes: int
-    # Aggregated cluster counters (layer/bft/env prefixes) and, when the run
-    # was traced, the per-phase latency decomposition from span pairing.
-    metrics: dict[str, int] = field(default_factory=dict)
-    phases: dict[str, dict[str, float]] = field(default_factory=dict)
-    # Invariant-oracle findings (repro.obs.check) over the trace, as plain
-    # dicts so results stay picklable across sweep workers.  Empty for
-    # untraced runs and for traced runs where every invariant holds.
-    findings: list[dict] = field(default_factory=list)
-
-    def summary_row(self) -> str:
-        return (
-            f"{self.system:9s} cycle={self.cycle_time_s * 1000:6.1f}ms "
-            f"payload={self.payload_bytes:5d}B "
-            f"lat={self.mean_latency_s * 1000:8.2f}ms "
-            f"net={self.network_utilization * 100:6.2f}% "
-            f"cpu={self.cpu_utilization * 100:5.1f}% "
-            f"mem={self.memory_mean_bytes / 1e6:6.2f}MB"
-        )
 
 
 class SimulatedCluster:
@@ -128,35 +48,19 @@ class SimulatedCluster:
         self.kernel = Kernel()
         self.rng = RngRegistry(config.seed)
         self.model = CostModel()
-        self.scheme = default_scheme(fast=True)
         self.network = Network(
             self.kernel, self.rng.stream("ethernet"), LinkSpec.train_ethernet()
         )
-        self.nsdb = standard_jru_catalog()
-        self.generator = TrainDynamicsGenerator(
-            self.nsdb,
-            GeneratorConfig(target_payload_bytes=config.payload_bytes),
-            self.rng,
-        )
+        self.recipe = NodeRecipe(config, self.rng)
+        self.ids = self.recipe.ids
+        self.bft_config = self.recipe.bft_config
+        self.keystore = self.recipe.keystore
+        self.nsdb = self.recipe.nsdb
+        self.generator = self.recipe.generator()
         self.master = MvbMaster(
             self.kernel, self.generator, BusConfig(cycle_time_s=config.cycle_time_s),
             self.rng,
         )
-
-        self.ids = [f"node-{i}" for i in range(config.n)]
-        self.bft_config = BftConfig(
-            replica_ids=tuple(self.ids),
-            checkpoint_interval=config.block_size,
-            view_change_timeout_s=config.view_change_timeout_s,
-            max_open_per_node=config.max_open_per_node,
-        )
-        self.keystore = KeyStore(scheme=self.scheme)
-        keypairs = {}
-        for node_id in self.ids:
-            pair = self.scheme.derive_keypair(node_id.encode())
-            keypairs[node_id] = pair
-            self.keystore.register(node_id, pair.public)
-        self._keypairs = keypairs
 
         self.cpus: dict[str, CpuAccount] = {}
         self.nodes: dict[str, object] = {}
@@ -173,24 +77,11 @@ class SimulatedCluster:
         self.crash_counts: dict[str, int] = {i: 0 for i in self.ids}
         self.recovery_counts: dict[str, int] = {i: 0 for i in self.ids}
 
-        self._zug_config = ZugChainConfig(
-            soft_timeout_s=config.soft_timeout_s,
-            hard_timeout_s=config.hard_timeout_s,
-            checkpoint_interval=config.block_size,
-            max_open_per_node=config.max_open_per_node,
-            preprepare_cancels_soft=config.preprepare_cancels_soft,
-            filtering_enabled=config.filtering_enabled,
-        )
-
         for node_id in self.ids:
             cpu = CpuAccount(self.kernel, self.model, name=node_id)
             self.cpus[node_id] = cpu
             env = SimEnv(node_id, self.kernel, self.network, cpu, self.model)
             self.envs[node_id] = env
-            if self.tracer.enabled and hasattr(self.tracer, "bind_clock"):
-                # Bind the env's causal clock so this node's events carry
-                # per-node identity and cause edges.
-                self.tracer.bind_clock(node_id, env.causal)
             self.stores[node_id] = MemoryBlockStore()
             node = self._build_node(node_id)
             host = NodeHost(node, self.network, cpu, self.model)
@@ -198,8 +89,7 @@ class SimulatedCluster:
             self.nodes[node_id] = node
             self.hosts[node_id] = host
             self.memory_series[node_id] = TimeSeries(name=f"{node_id}.memory")
-            spec = config.byzantine.get(node_id, ByzantineSpec())
-            crash_at = spec.crash_at_s
+            crash_at = self.recipe.spec(node_id).crash_at_s
             if crash_at is not None:
                 self.kernel.schedule(crash_at, self._crash_hook(node_id))
 
@@ -215,32 +105,12 @@ class SimulatedCluster:
         *identity* with fresh in-memory state — exactly what restarting the
         recorder process on an M-COM would produce.
         """
-        spec = self.config.byzantine.get(node_id, ByzantineSpec())
-        env = self.envs[node_id]
-        cpu = self.cpus[node_id]
-        if self.config.system == "zugchain":
-            return make_zugchain_node(
-                spec,
-                self.rng.stream(f"byzantine:{node_id}"),
-                env=env,
-                bft_config=self.bft_config,
-                zug_config=self._zug_config,
-                keypair=self._keypairs[node_id],
-                keystore=self.keystore,
-                nsdb=self.nsdb,
-                on_block=self._block_hook(node_id, cpu),
-                replica_cls=BACKENDS[self.config.bft_backend],
-                block_store=self.stores[node_id],
-                tracer=self.tracer,
-            )
-        return BaselineNode(
-            env=env,
-            bft_config=self.bft_config,
-            keypair=self._keypairs[node_id],
-            keystore=self.keystore,
-            nsdb=self.nsdb,
-            on_block=self._block_hook(node_id, cpu),
+        return self.recipe.build_node(
+            node_id,
+            self.envs[node_id],
             tracer=self.tracer,
+            block_store=self.stores[node_id],
+            on_block=self._block_hook(node_id, self.cpus[node_id]),
         )
 
     def _block_hook(self, node_id: str, cpu: CpuAccount):
@@ -389,32 +259,14 @@ class SimulatedCluster:
         return self.nodes[node_id].latency
 
     def primary_id(self) -> str:
-        views = [self.nodes[i].replica.view for i in self.ids]
-        view = max(set(views), key=views.count)
-        return self.bft_config.primary_of_view(view)
+        return self.recipe.primary_of([self.nodes[i].replica.view for i in self.ids])
 
     def collect_metrics(self) -> ClusterMetrics:
-        """Per-node registries built from the protocol stats objects.
-
-        Populated at collection time from the counters the protocol already
-        maintains (:class:`LayerStats`, :class:`ReplicaStats`), so metrics
-        cost nothing on the hot path and exist for untraced runs too.
-        """
+        """Per-node registries: the shared protocol fold plus crash accounting."""
         cluster = ClusterMetrics()
         for node_id in self.ids:
-            node = self.nodes[node_id]
             registry = cluster.node(node_id)
-            registry.inc_from(asdict(node.replica.stats), prefix="bft.")
-            layer = getattr(node, "layer", None)
-            if layer is not None:
-                registry.inc_from(asdict(layer.stats), prefix="layer.")
-            registry.gauge("chain.height").set(node.chain.height)
-            registry.counter("requests.logged").inc(node.requests_logged)
-            sync = getattr(node, "statesync", None)
-            if sync is not None:
-                registry.counter("sync.completed").inc(sync.syncs_completed)
-                registry.counter("sync.rejected").inc(sync.syncs_rejected)
-                registry.counter("sync.retried").inc(sync.syncs_retried)
+            fold_node(registry, self.nodes[node_id])
             registry.counter("node.crashes").inc(self.crash_counts[node_id])
             registry.counter("node.recoveries").inc(self.recovery_counts[node_id])
         return cluster
@@ -425,51 +277,33 @@ class SimulatedCluster:
 
     def _collect(self, since: float, duration_s: float) -> ScenarioResult:
         primary = self.primary_id()
-        latency = self.nodes[primary].latency.since(since)
-        if len(latency) == 0:  # primary crashed scenarios: use another node
-            for node_id in self.ids:
-                candidate = self.nodes[node_id].latency.since(since)
-                if len(candidate) > 0:
-                    latency = candidate
-                    break
+        latency = reference_latency(
+            primary, {i: self.nodes[i].latency.since(since) for i in self.ids})
         net_utils = [self.network.window_utilization(i) for i in self.ids
                      if not self.network.is_crashed(i)]
         cpu_utils = [self.cpus[i].window_utilization() for i in self.ids
                      if not self.network.is_crashed(i)]
         mem_values = [v for i in self.ids for v in self.memory_series[i].values]
-        expected = int(duration_s / self.config.cycle_time_s)
-        view_changes = max(
-            self.nodes[i].replica.stats.view_changes_completed for i in self.ids
-        )
         phases: dict[str, dict[str, float]] = {}
         findings: list[dict] = []
         if self.tracer.enabled and hasattr(self.tracer, "iter_events"):
-            report = pair_request_spans(
-                self.tracer.iter_events(), node=primary, since=since
-            )
-            phases = {
-                name: stats.snapshot() for name, stats in report.phase_stats.items()
-            }
-            phases["end_to_end"] = report.end_to_end.snapshot()
+            phases = request_phases(self.tracer.iter_events(), primary, since)
             findings = self.check_invariants().to_dicts()
-        return ScenarioResult(
-            system=self.config.system,
-            cycle_time_s=self.config.cycle_time_s,
-            payload_bytes=self.config.payload_bytes,
-            duration_s=duration_s,
-            mean_latency_s=latency.mean(),
-            p99_latency_s=latency.p99(),
-            max_latency_s=latency.maximum(),
+        return ScenarioResult.measured(
+            self.config, duration_s, latency,
             requests_logged=len(latency),
-            requests_expected=expected,
+            requests_expected=int(duration_s / self.config.cycle_time_s),
             network_utilization=(sum(net_utils) / len(net_utils)) if net_utils else 0.0,
             cpu_utilization=max(cpu_utils) if cpu_utils else 0.0,
             memory_mean_bytes=(sum(mem_values) / len(mem_values)) if mem_values else 0.0,
             memory_peak_bytes=max(mem_values) if mem_values else 0.0,
-            view_changes=view_changes,
+            view_changes=max(
+                self.nodes[i].replica.stats.view_changes_completed for i in self.ids),
             metrics=self.aggregate_metrics().counter_values(),
             phases=phases,
             findings=findings,
+            chain_heights={i: self.nodes[i].chain.height for i in self.ids},
+            head_hashes={i: head_hex(self.nodes[i].chain) for i in self.ids},
         )
 
     def faulty_node_ids(self) -> tuple[str, ...]:
@@ -480,10 +314,7 @@ class SimulatedCluster:
         trace, so omission checks must still excuse them)."""
         faulty = set(self._ever_crashed)
         for node_id in self.ids:
-            spec = self.config.byzantine.get(node_id, ByzantineSpec())
-            if spec.is_faulty:
-                faulty.add(node_id)
-            if self.network.is_crashed(node_id):
+            if self.recipe.spec(node_id).is_faulty or self.network.is_crashed(node_id):
                 faulty.add(node_id)
         return tuple(sorted(faulty))
 
@@ -504,3 +335,60 @@ class SimulatedCluster:
             faulty=self.faulty_node_ids(),
             vc_bound_s=vc_bound_s,
         )
+
+
+# -- one entry point, the runtime as a parameter ------------------------------------
+
+
+def _run_sim(config, duration_s, warmup_s, tracer) -> ScenarioResult:
+    return SimulatedCluster(config, tracer).run(duration_s, warmup_s)
+
+
+def _run_tcp(config, duration_s, warmup_s, tracer) -> ScenarioResult:
+    from repro.runtime.asyncio_runtime import AsyncioCluster
+    from repro.runtime.live import run_live
+
+    recipe = NodeRecipe(config)
+    cluster = AsyncioCluster(
+        lambda env: recipe.build_node(env.node_id, env, tracer), n=config.n)
+    return run_live(cluster, recipe, duration_s, warmup_s, tracer)
+
+
+def _run_mp(config, duration_s, warmup_s, tracer) -> ScenarioResult:
+    from repro.runtime.live import run_live
+    from repro.runtime.multiprocess import MultiprocessCluster
+
+    recipe = NodeRecipe(config)
+    cluster = MultiprocessCluster(recipe, tracer)
+    try:
+        return run_live(cluster, recipe, duration_s, warmup_s, tracer)
+    finally:
+        cluster.join()
+
+
+#: ``runtime`` value -> how a scenario runs there.  The live entries import
+#: their runtime when called: a simulator run loads no event loop, thread or
+#: process machinery.
+RUNTIMES = {
+    "sim": _run_sim,     # deterministic discrete-event simulator
+    "tcp": _run_tcp,     # asyncio TCP sockets on localhost, wall-clock paced
+    "mp": _run_mp,       # one OS process per node over multiprocessing queues
+}
+
+
+def run_scenario(
+    config: ScenarioConfig,
+    runtime: str,
+    duration_s: float,
+    warmup_s: float = 0.0,
+    tracer: Tracer | None = None,
+) -> ScenarioResult:
+    """Run ``config`` on one of ``RUNTIMES`` and measure it.
+
+    The bus runs for ``warmup_s + duration_s``; figures cover the last
+    ``duration_s``.  A recording ``tracer`` holds the run's events afterwards
+    and puts the oracle's verdict on :attr:`ScenarioResult.findings`.
+    """
+    if runtime not in RUNTIMES:
+        raise ConfigError(f"unknown runtime {runtime!r} (known: {', '.join(RUNTIMES)})")
+    return RUNTIMES[runtime](config, duration_s, warmup_s, tracer)

@@ -31,7 +31,7 @@ from repro.obs import (
 )
 from repro.obs.sinks import encode_event
 from repro.obs.trace import TraceEvent
-from repro.scenarios import ScenarioConfig, SimulatedCluster
+from repro.scenarios import ScenarioConfig, SimulatedCluster, run_scenario
 
 SEED = 1234
 
@@ -262,38 +262,32 @@ def test_causal_conformance_sim():
     assert shape["chain_shapes"] == [",".join(LIFECYCLE)]
 
 
-def test_causal_conformance_tcp():
-    from repro.runtime.tcp_scenario import TcpScenarioConfig, run_tcp_scenario
+LIVE_CONFIG = ScenarioConfig(cycle_time_s=0.02, payload_bytes=64, block_size=5,
+                             soft_timeout_s=0.4, hard_timeout_s=0.4)
 
+
+def test_causal_conformance_tcp():
     tracer = RecordingTracer()
-    result = run_tcp_scenario(
-        TcpScenarioConfig(cycles=5, cycle_time_s=0.02), tracer=tracer
-    )
+    result = run_scenario(LIVE_CONFIG, "tcp", 5 * LIVE_CONFIG.cycle_time_s, tracer=tracer)
     assert result.completed and result.heads_consistent
     shape = assert_causal_conformance(tracer.events, "tcp")
     assert shape["nodes"] == 4
-    # TCP injects the bus reading synchronously on the event loop before
+    # TCP delivers the bus cycle synchronously on the event loop before
     # any consensus traffic for it can arrive: bus.rx leads here too.
     assert shape["chain_shapes"] == [",".join(LIFECYCLE)]
 
 
 def test_causal_conformance_multiprocess():
-    from repro.runtime.multiprocess import (
-        MultiprocessScenarioConfig,
-        run_multiprocess_scenario,
-    )
-
-    result = run_multiprocess_scenario(
-        MultiprocessScenarioConfig(cycles=5, trace=True)
-    )
+    tracer = RecordingTracer()
+    result = run_scenario(LIVE_CONFIG, "mp", 5 * LIVE_CONFIG.cycle_time_s, tracer=tracer)
     assert result.completed and result.heads_consistent
     assert not result.errors
     # The mp queue can race the bus feed against consensus traffic, so the
     # battery checks consensus-order invariance, not bus.rx's position.
-    shape = assert_causal_conformance(result.trace_events, "mp")
+    shape = assert_causal_conformance(tracer.events, "mp")
     assert shape["nodes"] == 4
     # Every worker shard contributed causal identities to the merge.
     nodes_with_identity = {
-        event.node for event in result.trace_events if event.idx >= 0
+        event.node for event in tracer.events if event.idx >= 0
     }
     assert len(nodes_with_identity) == 4

@@ -15,16 +15,18 @@ import pytest
 
 from repro.obs import RecordingTracer, write_trace
 from repro.obs.cli import main as obs_main
-from repro.runtime.tcp_scenario import TcpScenarioConfig, run_tcp_scenario
+from repro.scenarios import ScenarioConfig, run_scenario
 
 CYCLES = 5
+CYCLE_TIME_S = 0.02
 
 
 @pytest.fixture(scope="module")
 def traced_run():
     tracer = RecordingTracer()
-    config = TcpScenarioConfig(n=4, cycles=CYCLES, cycle_time_s=0.02)
-    result = run_tcp_scenario(config, tracer=tracer)
+    config = ScenarioConfig(n=4, cycle_time_s=CYCLE_TIME_S, payload_bytes=64, block_size=5,
+                            soft_timeout_s=0.4, hard_timeout_s=0.4)
+    result = run_scenario(config, "tcp", CYCLES * CYCLE_TIME_S, tracer=tracer)
     return result, list(tracer.iter_events())
 
 

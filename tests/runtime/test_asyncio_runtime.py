@@ -8,34 +8,16 @@ import hypothesis  # noqa: F401  (pre-import: the pytest plugin imports it lazil
 #                   imported inside a deep teardown stack)
 import pytest
 
-from repro.bft import BftConfig
-from repro.bus.nsdb import standard_jru_catalog
-from repro.core import ZugChainConfig, ZugChainNode
-from repro.crypto import HmacScheme, KeyStore
 from repro.runtime.asyncio_runtime import AsyncioCluster
+from repro.scenarios import NodeRecipe, ScenarioConfig
 from repro.wire import Request
 
-SCHEME = HmacScheme()
-IDS = ["node-0", "node-1", "node-2", "node-3"]
-KEYPAIRS = {i: SCHEME.derive_keypair(i.encode()) for i in IDS}
-KEYSTORE = KeyStore(scheme=SCHEME)
-for _i, _p in KEYPAIRS.items():
-    KEYSTORE.register(_i, _p.public)
-
-BFT_CONFIG = BftConfig(replica_ids=tuple(IDS), checkpoint_interval=5)
-ZUG_CONFIG = ZugChainConfig(soft_timeout_s=0.4, hard_timeout_s=0.4,
-                            checkpoint_interval=5)
+RECIPE = NodeRecipe(ScenarioConfig(block_size=5, soft_timeout_s=0.4, hard_timeout_s=0.4))
+IDS = RECIPE.ids
 
 
 def make_node(env):
-    return ZugChainNode(
-        env=env,
-        bft_config=BFT_CONFIG,
-        zug_config=ZUG_CONFIG,
-        keypair=KEYPAIRS[env.node_id],
-        keystore=KEYSTORE,
-        nsdb=standard_jru_catalog(),
-    )
+    return RECIPE.build_node(env.node_id, env)
 
 
 def bus_request(cycle):

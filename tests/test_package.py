@@ -37,6 +37,9 @@ def test_importing_the_cluster_does_not_import_export_or_jru():
         "loaded = sorted(name for name in sys.modules\n"
         "                if name.split('.')[:2] in (['repro', 'export'], ['repro', 'jru']))\n"
         "print(loaded)\n"
+        "live = ('asyncio', 'multiprocessing', 'threading',\n"
+        "        'repro.runtime.asyncio_runtime', 'repro.runtime.multiprocess')\n"
+        "print(sorted(name for name in live if name in sys.modules))\n"
         "from repro import ExportScenario, check_requirements\n"
         "print('repro.export.scenario' in sys.modules, 'repro.jru' in sys.modules)\n"
     )
@@ -46,4 +49,6 @@ def test_importing_the_cluster_does_not_import_export_or_jru():
         capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[]", "True True"]
+    # Neither does it load a live runtime or what one runs on: ``RUNTIMES``
+    # names tcp and mp, and imports them when one is asked for.
+    assert done.stdout.splitlines() == ["[]", "[]", "True True"]
