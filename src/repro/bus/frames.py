@@ -46,10 +46,16 @@ class ProcessDataFrame(WireStruct):
             raise CodecError(
                 f"frame data of {len(data)} bytes exceeds MVB maximum {MAX_FRAME_DATA_BYTES}"
             )
-        frame = ProcessDataFrame(port=port, data=data, checksum=frame_checksum(port, data))
-        # The check sequence was computed from these very bytes a line ago:
-        # the frame starts out knowing its verdict instead of summing again.
-        frame.__dict__["valid"] = True
+        # Fields and verdict go straight into the instance dict: the frozen
+        # ``__init__`` costs three ``object.__setattr__`` calls per telegram,
+        # and the check sequence is computed from these very bytes, so the
+        # frame starts out knowing it is valid instead of summing again.
+        frame = object.__new__(ProcessDataFrame)
+        state = frame.__dict__
+        state["port"] = port
+        state["data"] = data
+        state["checksum"] = frame_checksum(port, data)
+        state["valid"] = True
         return frame
 
     @memoized
@@ -84,23 +90,27 @@ class BusCycleData(WireStruct):
     frames: tuple[ProcessDataFrame, ...]
 
     @memoized
-    def _wire_size(self) -> int:
-        return sum(frame.wire_size() for frame in self.frames)
+    def _totals(self) -> tuple[int, int]:
+        """``(data bytes, failed check sequences)`` from one walk over the frames."""
+        data_size = invalid = 0
+        for frame in self.frames:
+            data_size += len(frame.data)
+            if not frame.valid:
+                invalid += 1
+        return data_size, invalid
 
-    @memoized
-    def _data_size(self) -> int:
-        return sum(len(frame.data) for frame in self.frames)
-
-    @memoized
+    @property
     def invalid_frames(self) -> int:
         """How many telegrams of this set fail their check sequence."""
-        return sum(1 for frame in self.frames if not frame.valid)
+        return self._totals[1]
 
     def wire_size(self) -> int:
-        return self._wire_size
+        # Every telegram carries the same overhead, so the sum of the frames'
+        # ``wire_size()`` is algebra on the data size.
+        return FRAME_OVERHEAD_BYTES * len(self.frames) + self._totals[0]
 
     def data_size(self) -> int:
-        return self._data_size
+        return self._totals[0]
 
     def __getstate__(self) -> dict:
         # Fields only: what receivers memoised on this telegram set (sizes,

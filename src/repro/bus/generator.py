@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from repro.bus.frames import MAX_FRAME_DATA_BYTES, ProcessDataFrame
 from repro.bus.nsdb import Nsdb
-from repro.bus.signals import SignalValue
+from repro.bus.signals import SignalDef, SignalValue
 from repro.util.errors import ConfigError
 from repro.util.rng import RngRegistry
 
@@ -133,80 +133,80 @@ class TrainDynamicsGenerator:
 
     # -- per-cycle output ------------------------------------------------------
 
+    def _samples(self, cycle_no: int, dt_s: float) -> list[tuple[SignalDef, bytes]]:
+        """Advance the dynamics by one cycle; the due signals with their raw bytes."""
+        self._advance(dt_s)
+        due = self._nsdb.due_in_cycle(cycle_no)
+        try:
+            models = [self._MODELS[definition.name] for definition in due]
+        except KeyError as missing:
+            raise ConfigError(f"generator has no model for signal {missing.args[0]!r}") from None
+        return [
+            (definition, definition.encode_value(model(self, cycle_no)))
+            for definition, model in zip(due, models)
+        ]
+
     def signals_for_cycle(self, cycle_no: int, dt_s: float) -> list[SignalValue]:
         """Advance the dynamics by one cycle and emit the due signal values."""
-        self._advance(dt_s)
-        values: list[SignalValue] = []
-        for definition in self._nsdb.due_in_cycle(cycle_no):
-            values.append(SignalValue.of(definition, self._current_value(definition.name, cycle_no)))
-        return values
-
-    def _current_value(self, name: str, cycle_no: int):
-        if name == "speed":
-            return min(self._speed_kmh, 409.5)
-        if name == "odometer":
-            return self._odometer_m % 400_000.0
-        if name == "brake_pipe_pressure":
-            return max(0.0, 5.0 - self._brake_demand_pct / 25.0)
-        if name == "emergency_brake":
-            return self._emergency
-        if name == "service_brake_demand":
-            return self._brake_demand_pct
-        if name == "driver_command":
-            return 0b10 if self._phase in (_Phase.ACCELERATING, _Phase.CRUISING) else 0b01
-        if name == "atp_intervention":
-            return self._atp_intervention
-        if name == "atp_mode":
-            return 2 if self._speed_kmh > 0 else 1
-        if name == "door_state":
-            return self._doors_open_mask
-        if name == "traction_effort":
-            return 150.0 if self._phase is _Phase.ACCELERATING else 20.0
-        if name == "pantograph_state":
-            return 0b1
-        if name == "horn_active":
-            return False
-        if name == "cab_active":
-            return 1
-        if name == "vendor_diagnostics":
-            return self._opaque_diagnostics(cycle_no)
-        raise ConfigError(f"generator has no model for signal {name!r}")
+        return [
+            SignalValue(definition=definition, raw=raw)
+            for definition, raw in self._samples(cycle_no, dt_s)
+        ]
 
     def _opaque_diagnostics(self, cycle_no: int) -> bytes:
         width = self._nsdb.signal("vendor_diagnostics").width_bytes
         return hashlib.sha256(f"diag:{cycle_no}".encode()).digest()[:width]
 
+    #: Signal name -> model(generator, cycle_no): what the train writes to
+    #: that signal's port this cycle.
+    _MODELS = {
+        "speed": lambda self, _: min(self._speed_kmh, 409.5),
+        "odometer": lambda self, _: self._odometer_m % 400_000.0,
+        "brake_pipe_pressure": lambda self, _: max(0.0, 5.0 - self._brake_demand_pct / 25.0),
+        "emergency_brake": lambda self, _: self._emergency,
+        "service_brake_demand": lambda self, _: self._brake_demand_pct,
+        "driver_command": lambda self, _: (
+            0b10 if self._phase in (_Phase.ACCELERATING, _Phase.CRUISING) else 0b01),
+        "atp_intervention": lambda self, _: self._atp_intervention,
+        "atp_mode": lambda self, _: 2 if self._speed_kmh > 0 else 1,
+        "door_state": lambda self, _: self._doors_open_mask,
+        "traction_effort": lambda self, _: 150.0 if self._phase is _Phase.ACCELERATING else 20.0,
+        "pantograph_state": lambda self, _: 0b1,
+        "horn_active": lambda self, _: False,
+        "cab_active": lambda self, _: 1,
+        "vendor_diagnostics": _opaque_diagnostics,
+    }
+
     # -- frame assembly ---------------------------------------------------------
 
     def frames_for_cycle(self, cycle_no: int, dt_s: float) -> list[ProcessDataFrame]:
         """Signal frames plus deterministic filler up to the target payload size."""
+        create = ProcessDataFrame.create
         frames = [
-            ProcessDataFrame.create(value.definition.port, value.raw)
-            for value in self.signals_for_cycle(cycle_no, dt_s)
+            create(definition.port, raw) for definition, raw in self._samples(cycle_no, dt_s)
         ]
         target = self._config.target_payload_bytes
         if target:
             current = sum(len(frame.data) for frame in frames)
-            frames.extend(_filler_frames(cycle_no, max(0, target - current)))
+            frames.extend(_filler_frames(cycle_no, target - current))
         return frames
 
 
 def _filler_frames(cycle_no: int, nbytes: int) -> list[ProcessDataFrame]:
-    """Deterministic padding frames (same bytes on every node for a cycle)."""
-    frames = []
-    port = FILLER_PORT_BASE
-    remaining = nbytes
-    counter = 0
-    prefix = hashlib.sha256(f"filler:{cycle_no}:".encode())  # hashed once per cycle
-    while remaining > 0:
-        chunk = min(MAX_FRAME_DATA_BYTES, remaining)
-        hasher = prefix.copy()
-        hasher.update(str(counter).encode())
-        data = hasher.digest()
-        if chunk != len(data):
-            data = (data * ((chunk // len(data)) + 1))[:chunk]
-        frames.append(ProcessDataFrame.create(port, data))
-        port += 1
-        counter += 1
-        remaining -= chunk
-    return frames
+    """Deterministic padding frames (same bytes on every node for a cycle).
+
+    Frame ``counter`` carries ``sha256("filler:<cycle>:<counter>")``: one
+    digest fills one telegram exactly, and the last is cut to the remainder.
+    """
+    full, tail = divmod(max(nbytes, 0), MAX_FRAME_DATA_BYTES)
+    copy = hashlib.sha256(f"filler:{cycle_no}:".encode()).copy  # hashed once per cycle
+    digests = []
+    append = digests.append
+    for counter in range(full + (tail > 0)):
+        hasher = copy()
+        hasher.update(b"%d" % counter)
+        append(hasher.digest())
+    if tail:
+        digests[-1] = digests[-1][:tail]
+    create = ProcessDataFrame.create
+    return [create(port, data) for port, data in enumerate(digests, FILLER_PORT_BASE)]

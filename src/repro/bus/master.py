@@ -117,6 +117,11 @@ class MvbMaster:
     def stop(self) -> None:
         self._running = False
 
+    @staticmethod
+    def _deliver(on_cycle: Callable[[BusCycleData], None], deliveries: list[BusCycleData]) -> None:
+        for delivery in deliveries:
+            on_cycle(delivery)
+
     def _tick(self) -> None:
         if not self._running:
             return
@@ -134,13 +139,8 @@ class MvbMaster:
             deliveries = list(fault_state.apply(cycle))
             skew = self._skew_s.get(device_id, 0.0)
             if skew > 0:
-                # A skewed device's deliveries leave the synchronous instant;
-                # the default argument pins the current cycle's telegrams.
-                self._kernel.schedule(
-                    skew,
-                    lambda frames=deliveries, cb=on_cycle: [cb(d) for d in frames],
-                )
+                # A skewed device's deliveries leave the synchronous instant.
+                self._kernel.schedule(skew, self._deliver, on_cycle, deliveries)
             else:
-                for delivery in deliveries:
-                    on_cycle(delivery)
+                self._deliver(on_cycle, deliveries)
         self._kernel.schedule(self._config.cycle_time_s, self._tick)

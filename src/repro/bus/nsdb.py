@@ -9,6 +9,7 @@ writers and the recorder nodes subscribe as readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.bus.signals import SignalDef, SignalKind
 from repro.util.errors import ConfigError
@@ -22,6 +23,10 @@ class Nsdb:
     _ports: dict[int, str] = field(default_factory=dict)
     _writers: dict[str, set[str]] = field(default_factory=dict)
     _readers: dict[str, set[str]] = field(default_factory=dict)
+    # Derived from ``signals`` by ``add_signal``, so the per-cycle and
+    # per-telegram questions below are a lookup, not a walk of the catalog.
+    _change_only_ports: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
+    _poll_schedule: tuple[SignalDef, ...] | None = field(default=None, repr=False, compare=False)
 
     def add_signal(self, definition: SignalDef) -> None:
         if definition.name in self.signals:
@@ -33,6 +38,9 @@ class Nsdb:
             )
         self.signals[definition.name] = definition
         self._ports[definition.port] = definition.name
+        if definition.log_on_change_only:
+            self._change_only_ports |= {definition.port}
+        self._poll_schedule = None
 
     def signal(self, name: str) -> SignalDef:
         try:
@@ -48,6 +56,11 @@ class Nsdb:
 
     def has_port(self, port: int) -> bool:
         return port in self._ports
+
+    @property
+    def change_only_ports(self) -> frozenset[int]:
+        """Ports whose signal is logged on change only (a value: replaced, never mutated)."""
+        return self._change_only_ports
 
     def assign_writer(self, device: str, signal_name: str) -> None:
         self.signal(signal_name)  # validates existence
@@ -69,17 +82,23 @@ class Nsdb:
             key=lambda sig: sig.port,
         )
 
+    def _schedule(self) -> tuple[SignalDef, ...]:
+        """The catalog in port order, sorted once and kept until a signal is added."""
+        schedule = self._poll_schedule
+        if schedule is None:
+            schedule = self._poll_schedule = tuple(
+                sorted(self.signals.values(), key=attrgetter("port")))
+        return schedule
+
     def all_signals(self) -> list[SignalDef]:
-        return sorted(self.signals.values(), key=lambda sig: sig.port)
+        return list(self._schedule())
 
     def due_in_cycle(self, cycle_no: int) -> list[SignalDef]:
-        """Signals scheduled for transmission in ``cycle_no``.
+        """Signals scheduled for transmission in ``cycle_no``, in port order.
 
         The MVB master polls each signal every ``period_cycles`` cycles.
         """
-        return [
-            sig for sig in self.all_signals() if cycle_no % sig.period_cycles == 0
-        ]
+        return [sig for sig in self._schedule() if cycle_no % sig.period_cycles == 0]
 
 
 def standard_jru_catalog() -> Nsdb:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from repro.bus.frames import BusCycleData, ProcessDataFrame
+from repro.bus.frames import MAX_FRAME_DATA_BYTES, BusCycleData, ProcessDataFrame
 from repro.bus.nsdb import Nsdb
 from repro.util.varint import encode_uvarint
 from repro.wire.codec import Reader
@@ -46,12 +46,12 @@ class RelevanceFilter:
     last_raw: dict[int, bytes] = field(default_factory=dict)
 
     def apply(self, frames: tuple[ProcessDataFrame, ...]) -> list[ProcessDataFrame]:
-        nsdb = self.nsdb
+        change_only = self.nsdb.change_only_ports
         last_raw = self.last_raw
         retained: list[ProcessDataFrame] = []
         for frame in frames:
             port = frame.port
-            if nsdb.has_port(port) and nsdb.by_port(port).log_on_change_only:
+            if port in change_only:
                 if last_raw.get(port) == frame.data:
                     continue
                 if last_raw is self.last_raw:
@@ -65,12 +65,36 @@ class RelevanceFilter:
         self.last_raw = {}
 
 
+class _SmallVarints(dict):
+    """``encode_uvarint`` of the values below ``limit``, each encoded on first use.
+
+    An entry head is ``uvarint(port) ‖ uvarint(len)``, and both range over
+    small spaces (the 12-bit port space, the telegram data lengths), so a
+    payload looks its varints up instead of calling the encoder three times
+    per telegram.  Anything outside the range is encoded and not kept.
+    """
+
+    def __init__(self, limit: int) -> None:
+        self._limit = limit
+
+    def __missing__(self, value: int) -> bytes:
+        encoded = encode_uvarint(value)
+        if value < self._limit:
+            self[value] = encoded
+        return encoded
+
+
+_PORT_VARINTS = _SmallVarints(0x1000)
+_LENGTH_VARINTS = _SmallVarints(MAX_FRAME_DATA_BYTES + 1)
+
+
 def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
     """Deterministic payload: (port, data, valid) triples sorted by port."""
+    ports, lengths = _PORT_VARINTS, _LENGTH_VARINTS
     parts = [encode_uvarint(len(frames))]
     for frame in sorted(frames, key=attrgetter("port")):
         data = frame.data
-        parts += (encode_uvarint(frame.port), encode_uvarint(len(data)), data,
+        parts += (ports[frame.port], lengths[len(data)], data,
                   b"\x01" if frame.valid else b"\x00")
     return b"".join(parts)
 

@@ -10,7 +10,9 @@ wall clock), the wait until every node logged every cycle, and the same
 Timestamps of a live run are debug-grade: each node's ``env.now()`` counts
 from that env's first clock read and a real scheduler paces the run, so a
 re-run is never byte-identical.  Ordering is what holds (cluster-wide
-``seq``, per-node monotonic time, ``bus.rx`` before ``req.logged``).
+``seq``, per-node monotonic time, a digest's first ``bus.rx`` anywhere before
+every ``req.logged`` of it — per node too where the cycle is delivered in
+order, but a multiprocess backup may log from consensus traffic first).
 """
 
 from __future__ import annotations

@@ -4,7 +4,10 @@
 returns already knows it is valid; only a frame whose bytes did not come from
 ``create`` (corrupted, decoded, ``replace``d) checks them.  ``_filler_frames``
 and ``encode_cycle_payload`` were rewritten for speed; their output is pinned
-to digests taken at the commit before the rewrite.
+to digests taken at the commit before the rewrite.  A second rewrite made the
+whole front end — generator, filter, encoder, cycle aggregates — do its
+per-telegram work once: ``JOURNEY`` pins 600 cycles of it to the bytes of the
+commit before, and the work is counted, not timed.
 """
 
 import dataclasses
@@ -13,9 +16,25 @@ import hashlib
 import pytest
 
 from repro.bus import frames as frames_module
+from repro.bus import nsdb as nsdb_module
+from repro.bus import reception as reception_module
 from repro.bus.frames import BusCycleData, ProcessDataFrame, frame_checksum
-from repro.bus.generator import FILLER_PORT_BASE, _filler_frames
-from repro.bus.reception import decode_cycle_payload, encode_cycle_payload
+from repro.bus.generator import (
+    FILLER_PORT_BASE,
+    GeneratorConfig,
+    TrainDynamicsGenerator,
+    _filler_frames,
+)
+from repro.bus.nsdb import standard_jru_catalog
+from repro.bus.reception import (
+    BusReceiver,
+    RelevanceFilter,
+    decode_cycle_payload,
+    encode_cycle_payload,
+)
+from repro.bus.signals import SignalDef
+from repro.util.rng import RngRegistry
+from repro.util.varint import encode_uvarint
 
 #: nbytes -> (frame count, sha256 of the frames' concatenated encodings,
 #: sha256 of encode_cycle_payload(frames), payload length), for cycle 7 at
@@ -35,6 +54,20 @@ GOLDEN = {
           "da9e9892bb7d198419a651a3faada46d6935da4ae2718a38c57d0d8eb60fc479", 1089),
     8132: (255, "7a1cc754be9244ad12e15b853954f54a5511ec75ca162ba3f3d309e7ab0afa5a",
            "41038de07747f5e5d0950f32ff021abc2077dfe8d5c03107e43e193eaeec7e45", 9154),
+}
+
+#: target_payload_bytes -> (sha256 over the 600 payloads
+#: ``encode_cycle_payload(filter.apply(frames_for_cycle(c)))`` of cycles 1-600,
+#: sha256 of ``BusCycleData.encode()`` of cycle 4, its length), seed 42 at the
+#: parent commit.  The journey polls every period, rolls an ATP intervention
+#: (cycle 268), emergency-brakes to a stop (276-359) and opens the doors (360).
+JOURNEY = {
+    0: ("e7feb5cbd16fb61e542df42ada85805f95e5b82ff4beb9bfc6f0e1dcc9133a91",
+        "9e28f4b82a6ab5d97265a453a4cbb48d780a7e63374f09608bffe102c304fcda", 112),
+    1024: ("5086bed3fdfa9582408264821deecf6112d46538aeb34ea8a762ede337d50088",
+           "a40dad62abfd890ac09992d15df4a5291465d5d274c4fbc4c72df126152161b3", 1270),
+    8192: ("1da7f03c4f4371fedc9c8ac1d495be1fe029f5a5c76575a404a5247a2cfdfddc",
+           "d6bf9194a5e967c8c2b4db4b46e8f21f8d615f11f519012a87f5b6904fd195f2", 9673),
 }
 
 
@@ -146,3 +179,88 @@ def test_a_mixed_payload_is_byte_identical_to_the_parent():
         "f35b4b313044c6b5a9453d70229c9aef26037eb1d4f95a254b52a5f63467f060")
     assert decode_cycle_payload(payload) == sorted(
         (frame.port, frame.data, frame.valid) for frame in frames)
+
+
+@pytest.mark.parametrize("target", sorted(JOURNEY))
+def test_a_journey_through_the_front_end_is_byte_identical_to_the_parent(target):
+    payloads_digest, cycle4_digest, cycle4_len = JOURNEY[target]
+    nsdb = standard_jru_catalog()
+    generator = TrainDynamicsGenerator(
+        nsdb, GeneratorConfig(target_payload_bytes=target), RngRegistry(42))
+    relevance = RelevanceFilter(nsdb=nsdb)
+    payloads = hashlib.sha256()
+    suppressed = 0
+    seen = {"atp": False, "emergency": False, "doors": False}
+    for cycle_no in range(1, 601):
+        frames = tuple(generator.frames_for_cycle(cycle_no, 0.064))
+        if cycle_no == 4:
+            encoded = BusCycleData(cycle_no=4, timestamp_us=4 * 64000, frames=frames).encode()
+            assert len(encoded) == cycle4_len
+            assert hashlib.sha256(encoded).hexdigest() == cycle4_digest
+        retained = relevance.apply(frames)
+        suppressed += len(frames) - len(retained)
+        by_port = {frame.port: frame.data for frame in frames}
+        seen["atp"] |= by_port[0x130] == b"\x01"
+        seen["emergency"] |= by_port[0x111] == b"\x01"
+        seen["doors"] |= by_port[0x140] != b"\x00\x00"
+        payloads.update(encode_cycle_payload(retained))
+    assert payloads.hexdigest() == payloads_digest
+    # What the digest is meant to cover did happen on the way.
+    assert all(seen.values()), seen
+    assert generator.phase == "stopped" and suppressed > 1000
+
+
+# -- work counted, not timed -----------------------------------------------------
+
+
+def test_one_bulk_cycle_on_four_receivers_sums_and_encodes_each_telegram_once(
+        checksums, monkeypatch):
+    varints = []
+    monkeypatch.setattr(
+        reception_module, "encode_uvarint",
+        lambda value: varints.append(value) or encode_uvarint(value))
+    # The varint tables are filled on first use, process-wide: count from cold.
+    for name in ("_PORT_VARINTS", "_LENGTH_VARINTS"):
+        warm = getattr(reception_module, name)
+        monkeypatch.setattr(reception_module, name, type(warm)(warm._limit))
+    nsdb = standard_jru_catalog()
+    generator = TrainDynamicsGenerator(
+        nsdb, GeneratorConfig(target_payload_bytes=8192), RngRegistry(42))
+    receivers = [BusReceiver(nsdb) for _ in range(4)]
+
+    def one_cycle(cycle_no):
+        del checksums[:], varints[:]
+        frames = tuple(generator.frames_for_cycle(cycle_no, 0.064))
+        cycle = BusCycleData(cycle_no=cycle_no, timestamp_us=0, frames=frames)
+        requests = [receiver.on_cycle(cycle, 64000) for receiver in receivers]
+        assert len({request.payload for request in requests}) == 1
+        assert cycle.wire_size() == sum(frame.wire_size() for frame in frames)
+        return frames
+
+    frames = one_cycle(4)                             # every poll period is due
+    assert len(frames) == 269 and sum(len(frame.data) for frame in frames) == 8192
+    assert len(checksums) == 269                      # create(), nothing after it
+    # The frame count, then each distinct port and data length, once.
+    ports, lengths = {f.port for f in frames}, {len(f.data) for f in frames}
+    assert sorted(varints) == sorted([269, *ports, *lengths])
+    assert len(varints) == 1 + 269 + 6
+
+    frames = one_cycle(8)                             # same ports, warm tables
+    assert len(checksums) == 269
+    assert len(varints) == 1                          # the frame count alone
+
+
+def test_the_catalog_is_sorted_once_not_once_per_cycle(monkeypatch):
+    sorts = []
+    monkeypatch.setattr(
+        nsdb_module, "sorted",
+        lambda *args, **kwargs: sorts.append(1) or sorted(*args, **kwargs), raising=False)
+    nsdb = standard_jru_catalog()
+    generator = TrainDynamicsGenerator(nsdb, GeneratorConfig(), RngRegistry(42))
+    for cycle_no in range(1, 50):
+        generator.frames_for_cycle(cycle_no, 0.064)
+    assert nsdb.all_signals() == sorted(nsdb.signals.values(), key=lambda sig: sig.port)
+    assert len(sorts) == 1
+    nsdb.add_signal(SignalDef("axle_temperature", port=0x0F0, width_bytes=1))
+    assert [sig.name for sig in nsdb.due_in_cycle(50)][0] == "axle_temperature"
+    assert len(sorts) == 2

@@ -123,6 +123,29 @@ def test_per_device_fault_independence():
     assert 40 < len(seen["bad"]) < 160
 
 
+def test_a_skewed_device_gets_a_held_and_the_current_cycle_in_order_after_the_offset():
+    kernel, master = make_bus(cycle_time=0.064)
+    arrivals = []
+    master.attach("skewed", lambda cycle: arrivals.append((kernel.now, cycle.cycle_no)),
+                  ReceptionFaultConfig(delay_cycle_prob=0.5))
+    master.set_skew("skewed", 0.010)
+    master.start()
+    kernel.run_until(0.064 * 200 + 0.010 + 1e-6)
+    # Every delivery left the synchronous instant by exactly the offset ...
+    for when, _ in arrivals:
+        assert (when - 0.010) / 0.064 == pytest.approx(round((when - 0.010) / 0.064))
+    # ... and a delayed cycle arrives with its successor, the held one first.
+    by_instant = {}
+    for when, cycle_no in arrivals:
+        by_instant.setdefault(when, []).append(cycle_no)
+    pairs = {when: cycles for when, cycles in by_instant.items() if len(cycles) == 2}
+    assert len(pairs) > 20
+    for when, (held, current) in pairs.items():
+        assert held + 1 == current == round((when - 0.010) / 0.064)
+    assert [cycle_no for _, cycle_no in arrivals] == sorted(cycle_no for _, cycle_no in arrivals)
+    assert master.device_faults("skewed").cycles_delayed > 40
+
+
 def test_noisy_preset_rates_are_low():
     cfg = ReceptionFaultConfig.noisy()
     assert 0 < cfg.drop_cycle_prob < 0.01
