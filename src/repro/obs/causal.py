@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from typing import Annotated, Iterable, Mapping
+from dataclasses import dataclass, field
+from typing import Annotated, Iterable, Mapping, NamedTuple
 
+from repro.obs.fold import fold_trace
 from repro.obs.trace import TraceEvent
 from repro.util.errors import CodecError
 from repro.wire.codec import Biased, WireStruct
@@ -146,7 +147,7 @@ def merge_shards(
     merged = sorted(
         (event for shard in shard_lists for event in shard), key=_merge_key
     )
-    return [replace(event, seq=seq) for seq, event in enumerate(merged)]
+    return [event._replace(seq=seq) for seq, event in enumerate(merged)]
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +155,7 @@ def merge_shards(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CausalEdge:
+class CausalEdge(NamedTuple):
     """One happens-before edge between two events (by trace ``seq``)."""
 
     parent: int
@@ -295,37 +295,19 @@ def build_dag(events: Iterable[TraceEvent]) -> CausalDag:
     duplicate logical deliveries, Lamport regressions — are collected on
     the returned DAG rather than raised.
     """
-    dag = CausalDag(events=sorted(events, key=lambda e: e.seq))
-    by_id: dict[str, TraceEvent] = {}
-    for event in dag.events:
-        identity = event_id(event)
-        if not identity:
-            continue
-        if identity in by_id:
-            dag.duplicate_ids.append(identity)
-        else:
-            by_id[identity] = event
-
-    last_on_node: dict[str, TraceEvent] = {}
+    fold = fold_trace(events, links=True)
+    dag = CausalDag(
+        events=fold.events,
+        edges=[CausalEdge(p, c, kind) for _, p, c, kind in fold.links],
+        orphans=fold.orphans,
+        duplicate_ids=fold.duplicate_ids,
+        clock_regressions=[CausalEdge(p, c, kind) for _, p, c, kind in fold.regressions],
+    )
     seen_deliveries: set[tuple[str, str, str]] = set()
-    for event in dag.events:
-        previous = last_on_node.get(event.node)
-        if previous is not None:
-            edge = CausalEdge(previous.seq, event.seq, "program")
-            dag.edges.append(edge)
-            if 0 < event.lamport <= previous.lamport:
-                dag.clock_regressions.append(edge)
-        last_on_node[event.node] = event
-        if not event.cause:
+    for pos, _, _, kind in fold.links:
+        if kind != "message":
             continue
-        parent = by_id.get(event.cause)
-        if parent is None:
-            dag.orphans.append((event.seq, event.cause))
-            continue
-        edge = CausalEdge(parent.seq, event.seq, "message")
-        dag.edges.append(edge)
-        if event.lamport <= parent.lamport:
-            dag.clock_regressions.append(edge)
+        event = fold.events[pos]
         delivery = (event.cause, event.node, event.name)
         if delivery in seen_deliveries:
             dag.duplicate_edges.append(delivery)

@@ -35,7 +35,9 @@ code        invariant
 
 Checks never raise on malformed traces; they report findings.  A finding
 names the offending node and sequence/digest so a failing campaign run
-points at the culprit, not at a boolean.
+points at the culprit, not at a boolean.  The trace is walked once
+(:func:`repro.obs.fold.fold_trace`); each check reads the facts that walk
+kept, so judging a trace builds neither the DAG's edges nor a span report.
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from repro.obs.causal import build_dag
-from repro.obs.spans import pair_request_spans, pair_view_changes
+from repro.obs.fold import Logged, RequestSpan, TraceFold, ViewChangeStall, fold_trace
 from repro.obs.trace import TraceEvent
 
 #: Cross-node timestamp slack for the omission liveness guard (OBS002).
@@ -81,6 +82,9 @@ class OracleReport:
     checked_events: int = 0
     checked_nodes: int = 0
     faulty_nodes: tuple[str, ...] = ()
+    #: The request spans OBS005 judged (closed by ``req.logged``), for a
+    #: caller that also wants their phase statistics from the same walk.
+    spans: list[RequestSpan] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -96,29 +100,17 @@ class OracleReport:
         return [finding.to_dict() for finding in self.findings]
 
 
-def _logged_events(events: Sequence[TraceEvent]) -> list[TraceEvent]:
-    out = []
-    for event in events:
-        if event.name != "req.logged":
-            continue
-        if not isinstance(event.get("digest"), str):
-            continue
-        out.append(event)
-    return out
-
-
 def _check_divergence(
-    logged: Sequence[TraceEvent], correct: set[str]
+    logged: Sequence[Logged], correct: set[str]
 ) -> Iterable[OracleFinding]:
     # OBS001: per BFT seq, correct nodes must agree on the digest.
     by_seq: dict[int, dict[str, str]] = {}
-    for event in logged:
+    for event, digest, seq in logged:
         if event.node not in correct:
             continue
-        seq = event.get("seq")
         if not isinstance(seq, int):
             continue
-        by_seq.setdefault(seq, {})[event.node] = str(event.get("digest"))
+        by_seq.setdefault(seq, {})[event.node] = digest
     for seq in sorted(by_seq):
         digests = by_seq[seq]
         distinct: dict[str, list[str]] = {}
@@ -147,40 +139,30 @@ def _check_divergence(
 
 
 def _check_omission(
-    events: Sequence[TraceEvent],
-    logged: Sequence[TraceEvent],
-    correct: set[str],
-    tail_slack_s: float,
+    fold: TraceFold, correct: set[str], tail_slack_s: float
 ) -> Iterable[OracleFinding]:
     # OBS002: a digest logged by one correct node must be logged by every
-    # correct node that kept producing events past t_log + slack.  A
-    # StateSync backfill (req.synced) counts: the node durably holds the
-    # payload inside a checkpoint-verified block, it just never saw the
-    # DECIDE (message loss, partition, or rejoining after a crash).
-    last_event_t = {node: 0.0 for node in correct}
-    synced_by: dict[str, set[str]] = {}
-    for event in events:
-        if event.node in last_event_t and event.t > last_event_t[event.node]:
-            last_event_t[event.node] = event.t
-        if event.name == "req.synced" and isinstance(event.get("digest"), str):
-            synced_by.setdefault(str(event.get("digest")), set()).add(event.node)
+    # correct node that kept producing events past t_log + slack (a node's
+    # last-seen time starts at 0.0).  A StateSync backfill (req.synced)
+    # counts: the node durably holds the payload inside a checkpoint-verified
+    # block, it just never saw the DECIDE (message loss, partition, or
+    # rejoining after a crash).
     logged_by: dict[str, dict[str, float]] = {}
     seq_of: dict[str, int] = {}
-    for event in logged:
+    for event, digest, seq in fold.logged:
         if event.node not in correct:
             continue
-        digest = str(event.get("digest"))
         logged_by.setdefault(digest, {})[event.node] = event.t
-        seq = event.get("seq")
         if isinstance(seq, int):
             seq_of.setdefault(digest, seq)
     for digest in sorted(logged_by):
         nodes_logged = logged_by[digest]
         t_log = max(nodes_logged.values())
         for node in sorted(correct - set(nodes_logged)):
-            if last_event_t[node] <= t_log + tail_slack_s:
+            last_event_t = fold.last_t.get(node, 0.0)
+            if last_event_t <= t_log + tail_slack_s:
                 continue  # stopped/crashed near the logging point: a tail
-            if node in synced_by.get(digest, ()):
+            if node in fold.synced_by.get(digest, ()):
                 continue  # StateSync backfilled the block holding it
             yield OracleFinding(
                 code="OBS002",
@@ -188,7 +170,7 @@ def _check_omission(
                     f"omission: {node} never logged {digest[:16]}… although "
                     f"{len(nodes_logged)} correct node(s) logged it by "
                     f"t={t_log:.6f} and {node} was still running at "
-                    f"t={last_event_t[node]:.6f}"
+                    f"t={last_event_t:.6f}"
                 ),
                 node=node,
                 seq=seq_of.get(digest, -1),
@@ -197,22 +179,15 @@ def _check_omission(
 
 
 def _check_provenance(
-    events: Sequence[TraceEvent], logged: Sequence[TraceEvent]
+    logged: Sequence[Logged], received: set[str]
 ) -> Iterable[OracleFinding]:
     # OBS003: gated on the trace containing receptions at all, so partial
     # traces (consensus-only instrumentation) don't false-positive.
-    received = {
-        str(event.get("digest"))
-        for event in events
-        if event.name == "bus.rx" and isinstance(event.get("digest"), str)
-    }
     if not received:
         return
-    for event in logged:
-        digest = str(event.get("digest"))
+    for event, digest, seq in logged:
         if digest in received:
             continue
-        seq = event.get("seq")
         yield OracleFinding(
             code="OBS003",
             message=(
@@ -227,10 +202,10 @@ def _check_provenance(
 
 
 def _check_view_changes(
-    events: Sequence[TraceEvent], vc_bound_s: float | None
+    stalls: Sequence[ViewChangeStall], vc_bound_s: float | None
 ) -> Iterable[OracleFinding]:
     # OBS004: every stall must close; bounded when a bound is supplied.
-    for stall in pair_view_changes(events):
+    for stall in stalls:
         if stall.ended_at is None:
             yield OracleFinding(
                 code="OBS004",
@@ -251,10 +226,11 @@ def _check_view_changes(
             )
 
 
-def _check_telescoping(events: Sequence[TraceEvent]) -> Iterable[OracleFinding]:
+def _check_telescoping(spans: Sequence[RequestSpan]) -> Iterable[OracleFinding]:
     # OBS005: the phase decomposition must telescope exactly.
-    report = pair_request_spans(events)
-    for span in report.spans:
+    for span in spans:
+        if not span.complete:
+            continue
         drift = abs(sum(span.phases().values()) - span.end_to_end)
         if drift > 1e-9:
             yield OracleFinding(
@@ -269,10 +245,12 @@ def _check_telescoping(events: Sequence[TraceEvent]) -> Iterable[OracleFinding]:
             )
 
 
-def _check_dag(events: Sequence[TraceEvent]) -> Iterable[OracleFinding]:
-    dag = build_dag(events)
-    by_seq = {event.seq: event for event in dag.events}
-    for seq, cause in dag.orphans:
+def _check_dag(fold: TraceFold) -> Iterable[OracleFinding]:
+    if not (fold.orphans or fold.duplicate_ids or fold.regressions):
+        return
+    # Names an event by its seq: the last one wins where a corrupt trace repeats it.
+    by_seq = {event.seq: event for event in fold.events}
+    for seq, cause in fold.orphans:
         event = by_seq[seq]
         yield OracleFinding(
             code="OBS006",
@@ -283,23 +261,23 @@ def _check_dag(events: Sequence[TraceEvent]) -> Iterable[OracleFinding]:
             node=event.node,
             seq=seq,
         )
-    for identity in dag.duplicate_ids:
+    for identity in fold.duplicate_ids:
         yield OracleFinding(
             code="OBS007",
             message=f"event identity {identity} is claimed by multiple events",
             node=identity.split("#", 1)[0],
         )
-    for edge in dag.clock_regressions:
-        child = by_seq[edge.child]
+    for _, parent_seq, child_seq, kind in fold.regressions:
+        child = by_seq[child_seq]
         yield OracleFinding(
             code="OBS008",
             message=(
-                f"Lamport regression on {edge.kind} edge "
-                f"{edge.parent}->{edge.child}: {child.name} on {child.node} "
+                f"Lamport regression on {kind} edge "
+                f"{parent_seq}->{child_seq}: {child.name} on {child.node} "
                 "does not advance the clock past its parent"
             ),
             node=child.node,
-            seq=edge.child,
+            seq=child_seq,
         )
 
 
@@ -315,23 +293,21 @@ def check_trace(
     Byzantine or crashed: the agreement invariants quantify over the
     *correct* nodes only, as the protocol's guarantees do.
     """
-    ordered = sorted(events, key=lambda e: e.seq)
+    fold = fold_trace(events)
     faulty_set = frozenset(faulty)
-    nodes = {event.node for event in ordered}
+    nodes = fold.nodes
     correct = nodes - faulty_set
-    logged = _logged_events(ordered)
 
     report = OracleReport(
-        checked_events=len(ordered),
+        checked_events=len(fold.events),
         checked_nodes=len(nodes),
         faulty_nodes=tuple(sorted(faulty_set)),
+        spans=fold.closed_spans,
     )
-    report.findings.extend(_check_divergence(logged, correct))
-    report.findings.extend(
-        _check_omission(ordered, logged, correct, tail_slack_s)
-    )
-    report.findings.extend(_check_provenance(ordered, logged))
-    report.findings.extend(_check_view_changes(ordered, vc_bound_s))
-    report.findings.extend(_check_telescoping(ordered))
-    report.findings.extend(_check_dag(ordered))
+    report.findings.extend(_check_divergence(fold.logged, correct))
+    report.findings.extend(_check_omission(fold, correct, tail_slack_s))
+    report.findings.extend(_check_provenance(fold.logged, fold.received))
+    report.findings.extend(_check_view_changes(fold.stalls, vc_bound_s))
+    report.findings.extend(_check_telescoping(fold.closed_spans))
+    report.findings.extend(_check_dag(fold))
     return report

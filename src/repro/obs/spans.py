@@ -1,9 +1,10 @@
 """Span pairing: derive per-request phase latencies from a flat trace.
 
 The tracer records *points* (``bus.rx``, ``bft.preprepare``, ``bft.commit``,
-``req.logged``); this pass folds them into per-request spans keyed by
-``(node, digest)`` and decomposes the end-to-end latency the paper reports
-(bus reception → finalized commit, Fig. 6/7) into three phases:
+``req.logged``); :func:`repro.obs.fold.fold_trace` pairs them into
+per-request spans keyed by ``(node, digest)``, and this module decomposes the
+end-to-end latency the paper reports (bus reception → finalized commit,
+Fig. 6/7) into three phases:
 
 ========================  ====================================================
 phase                     interval
@@ -27,50 +28,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from repro.obs.fold import RequestSpan, ViewChangeStall, fold_trace
 from repro.obs.trace import TraceEvent
 
 #: Phase names in causal order.
 PHASES = ("rx->propose", "propose->commit", "commit->log")
-
-#: Event name → span mark attribute.
-_MARKS = {
-    "bus.rx": "rx_t",
-    "bft.preprepare": "preprepare_t",
-    "bft.commit": "commit_t",
-    "req.logged": "logged_t",
-}
-
-
-@dataclass
-class RequestSpan:
-    """All marks observed for one (node, digest)."""
-
-    node: str
-    digest: str
-    rx_t: float | None = None
-    preprepare_t: float | None = None
-    commit_t: float | None = None
-    logged_t: float | None = None
-    seq: int | None = None  # BFT sequence number, from req.logged
-
-    @property
-    def complete(self) -> bool:
-        return None not in (self.rx_t, self.preprepare_t, self.commit_t, self.logged_t)
-
-    @property
-    def end_to_end(self) -> float:
-        if not self.complete:
-            raise ValueError(f"span {self.digest} on {self.node} is incomplete")
-        return self.logged_t - self.rx_t
-
-    def phases(self) -> dict[str, float]:
-        if not self.complete:
-            raise ValueError(f"span {self.digest} on {self.node} is incomplete")
-        return {
-            "rx->propose": self.preprepare_t - self.rx_t,
-            "propose->commit": self.commit_t - self.preprepare_t,
-            "commit->log": self.logged_t - self.commit_t,
-        }
 
 
 @dataclass
@@ -121,46 +83,24 @@ class SpanReport:
         return len(self.incomplete)
 
 
-def pair_request_spans(
-    events: Iterable[TraceEvent],
+def span_report(
+    closed: Iterable[RequestSpan],
+    still_open: Iterable[RequestSpan] = (),
     node: str | None = None,
     since: float | None = None,
 ) -> SpanReport:
-    """Fold request-lifecycle events into spans and phase statistics.
+    """Phase statistics over a fold's spans (closed ones in completion order).
 
-    ``node`` restricts pairing to one node's view (phase sums then match
-    that node's latency recorder); ``since`` drops spans logged before a
-    warmup cutoff, mirroring ``LatencyRecorder.since``.
+    ``node`` keeps one node's view (phase sums then match that node's
+    latency recorder); ``since`` drops spans logged before a warmup cutoff,
+    mirroring ``LatencyRecorder.since``.
     """
-    open_spans: dict[tuple[str, str], RequestSpan] = {}
-    done: list[RequestSpan] = []
-    for event in events:
-        mark = _MARKS.get(event.name)
-        if mark is None:
-            continue
-        if node is not None and event.node != node:
-            continue
-        digest = event.get("digest")
-        if not isinstance(digest, str):
-            continue  # malformed record: pairing is best-effort, never raises
-        key = (event.node, digest)
-        span = open_spans.get(key)
-        if span is None:
-            span = open_spans[key] = RequestSpan(node=event.node, digest=digest)
-        # First mark wins: a re-proposed request (view change) keeps its
-        # original preprepare time so phases still telescope.
-        if getattr(span, mark) is None:
-            setattr(span, mark, event.t)
-        if event.name == "req.logged":
-            seq = event.get("seq")
-            if isinstance(seq, int):
-                span.seq = seq
-            done.append(open_spans.pop(key))
-
     report = SpanReport(
         phase_stats={name: PhaseStats(name) for name in PHASES},
     )
-    for span in done:
+    for span in closed:
+        if node is not None and span.node != node:
+            continue
         if not span.complete:
             report.incomplete.append(span)
             continue
@@ -171,24 +111,21 @@ def pair_request_spans(
             report.phase_stats[name].observe(value)
         report.end_to_end.observe(span.end_to_end)
     # Spans still open at run end (dropped requests, crash) are incomplete.
-    for key in sorted(open_spans):
-        report.incomplete.append(open_spans[key])
+    for span in sorted(still_open, key=lambda span: (span.node, span.digest)):
+        if node is None or span.node == node:
+            report.incomplete.append(span)
     return report
 
 
-@dataclass
-class ViewChangeStall:
-    """One node's view-change interval (suspicion → new view entered)."""
-
-    node: str
-    started_at: float
-    ended_at: float | None = None
-
-    @property
-    def duration(self) -> float | None:
-        if self.ended_at is None:
-            return None
-        return self.ended_at - self.started_at
+def pair_request_spans(
+    events: Iterable[TraceEvent],
+    node: str | None = None,
+    since: float | None = None,
+) -> SpanReport:
+    """Pair request-lifecycle events into spans and report their phase
+    statistics; ``node`` and ``since`` as in :func:`span_report`."""
+    fold = fold_trace(events)
+    return span_report(fold.closed_spans, fold.open_spans.values(), node, since)
 
 
 def pair_view_changes(events: Iterable[TraceEvent]) -> list[ViewChangeStall]:
@@ -198,16 +135,4 @@ def pair_view_changes(events: Iterable[TraceEvent]) -> list[ViewChangeStall]:
     extend the open interval rather than opening a second one — the stall
     the operator cares about is "ordering was halted from t0 to t1".
     """
-    open_stalls: dict[str, ViewChangeStall] = {}
-    stalls: list[ViewChangeStall] = []
-    for event in events:
-        if event.name == "bft.viewchange.start":
-            if event.node not in open_stalls:
-                stall = ViewChangeStall(node=event.node, started_at=event.t)
-                open_stalls[event.node] = stall
-                stalls.append(stall)
-        elif event.name == "bft.viewchange.end":
-            stall = open_stalls.pop(event.node, None)
-            if stall is not None:
-                stall.ended_at = event.t
-    return stalls
+    return fold_trace(events).stalls

@@ -37,14 +37,14 @@ name                        emitted when
 ``export.delete_done``      the delete phase completes (round finished)
 ``export.block_sent``       a replica serves blocks to a data center
 ``export.block_acked``      a data center receives a replica's delete ack
+``export.round.aborted``    a data center drops a round fed inconsistent blocks
 ``chain.pruned``            a chain drops blocks below a delete certificate
 ==========================  =====================================================
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from repro.util.errors import ProtocolError
 
@@ -73,6 +73,7 @@ EVENT_TAXONOMY = (
     "export.block_sent",
     "export.block_acked",
     "export.round.retried",
+    "export.round.aborted",
     "export.session.resumed",
     "chain.pruned",
     "chaos.fault.applied",
@@ -87,9 +88,8 @@ EVENT_TAXONOMY = (
 _SCALAR_TYPES = (str, int, float, bool)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One append-only trace record.
+class TraceEvent(NamedTuple):
+    """One append-only trace record: an immutable tuple of scalars.
 
     ``fields`` is a tuple of (key, value) pairs sorted by key — a stable
     order regardless of the keyword order at the emit site, so sinks write
@@ -182,18 +182,11 @@ class RecordingTracer(Tracer):
             idx, lamport, cause = -1, 0, ""
         else:
             idx, lamport, cause = clock.observe()
-        event = TraceEvent(
-            seq=self._seq,
-            t=t,
-            node=node,
-            name=name,
-            fields=tuple(sorted(fields.items())),
-            idx=idx,
-            lamport=lamport,
-            cause=cause,
-        )
+        self._events.append(TraceEvent(
+            self._seq, t, node, name, tuple(sorted(fields.items())),
+            idx, lamport, cause,
+        ))
         self._seq += 1
-        self._events.append(event)
 
     def adopt(self, events: Iterable[TraceEvent]) -> None:
         """Append events recorded elsewhere (worker shards, merged), in order.
@@ -202,7 +195,7 @@ class RecordingTracer(Tracer):
         the ``cause`` references built on it are left alone.
         """
         for event in events:
-            self._events.append(replace(event, seq=self._seq))
+            self._events.append(event._replace(seq=self._seq))
             self._seq += 1
 
     def __len__(self) -> int:

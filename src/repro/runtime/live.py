@@ -162,9 +162,10 @@ def run_live(cluster: LiveCluster, recipe: NodeRecipe, duration_s: float,
     phases: dict[str, dict[str, float]] = {}
     findings: list[dict] = []
     if tracer is not None and tracer.enabled and hasattr(tracer, "iter_events"):
-        phases = request_phases(tracer.iter_events(), primary, warmup_s)
         faulty = [i for i in recipe.ids if recipe.spec(i).is_faulty]
-        findings = check_trace(tracer.iter_events(), faulty=faulty).to_dicts()
+        report = check_trace(tracer.iter_events(), faulty=faulty)
+        phases = request_phases(report.spans, primary, warmup_s)
+        findings = report.to_dicts()
     metrics = MetricsRegistry("cluster")
     for final in finals.values():
         metrics.inc_from(final.counters)

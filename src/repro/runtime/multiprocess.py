@@ -218,7 +218,7 @@ def _worker_main(node_id: str, config: ScenarioConfig, traced: bool,
             elif tag == "report":
                 results.put(("report", node_id, node.requests_logged))
             elif tag == "stop":
-                # TraceEvents are frozen scalar dataclasses, picklable across
+                # TraceEvents are named tuples of scalars, picklable across
                 # the queue by construction, like the rest of the final.
                 results.put(("final", node_id, node_final(
                     node, env, tracer.events if tracer is not None else None)))

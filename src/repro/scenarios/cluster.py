@@ -287,8 +287,9 @@ class SimulatedCluster:
         phases: dict[str, dict[str, float]] = {}
         findings: list[dict] = []
         if self.tracer.enabled and hasattr(self.tracer, "iter_events"):
-            phases = request_phases(self.tracer.iter_events(), primary, since)
-            findings = self.check_invariants().to_dicts()
+            report = self.check_invariants()
+            phases = request_phases(report.spans, primary, since)
+            findings = report.to_dicts()
         return ScenarioResult.measured(
             self.config, duration_s, latency,
             requests_logged=len(latency),

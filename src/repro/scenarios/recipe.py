@@ -23,8 +23,8 @@ from repro.core.baseline import BaselineNode
 from repro.core.layer import ZugChainConfig
 from repro.crypto.keys import default_scheme, derive_keys
 from repro.faults.behaviors import ByzantineSpec, make_zugchain_node
-from repro.obs.spans import pair_request_spans
-from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
+from repro.obs.spans import RequestSpan, span_report
+from repro.obs.trace import NULL_TRACER, Tracer
 from repro.sim.monitor import LatencyRecorder
 from repro.util.errors import ConfigError
 from repro.util.rng import RngRegistry
@@ -172,10 +172,13 @@ def reference_latency(primary: str,
     return LatencyRecorder()
 
 
-def request_phases(events: Iterable[TraceEvent], node: str,
+def request_phases(spans: Iterable[RequestSpan], node: str,
                    since: float) -> dict[str, dict[str, float]]:
-    """Per-phase latency decomposition of ``node``'s requests logged after ``since``."""
-    report = pair_request_spans(events, node=node, since=since)
+    """Per-phase latency decomposition of ``node``'s requests logged after ``since``.
+
+    ``spans`` are the ones the oracle's walk closed (:attr:`OracleReport.spans`).
+    """
+    report = span_report(spans, node=node, since=since)
     phases = {name: stats.snapshot() for name, stats in report.phase_stats.items()}
     phases["end_to_end"] = report.end_to_end.snapshot()
     return phases

@@ -1,7 +1,11 @@
 """Tracer unit tests: scalar-only fields, sequencing, null fast path."""
 
+import ast
+import pathlib
+
 import pytest
 
+import repro
 from repro.obs import EVENT_TAXONOMY, NULL_TRACER, NullTracer, RecordingTracer, Tracer
 from repro.util.errors import ProtocolError
 
@@ -62,8 +66,15 @@ def test_events_named_and_clear():
     assert len(tracer) == 0
 
 
-def test_taxonomy_covers_request_lifecycle_and_export():
-    for name in ("bus.rx", "bft.preprepare", "bft.commit", "req.logged",
-                 "layer.dedup_drop", "bft.viewchange.start", "ckpt.stable",
-                 "export.round.start", "chain.pruned"):
-        assert name in EVENT_TAXONOMY
+def test_taxonomy_is_exactly_what_the_instrumentation_emits():
+    # Every string literal passed first to an ``.emit(`` call under src/repro.
+    emitted = set()
+    for path in (pathlib.Path(repro.__file__).parent).rglob("*.py"):
+        for call in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+                    and call.func.attr == "emit" and call.args
+                    and isinstance(call.args[0], ast.Constant)
+                    and isinstance(call.args[0].value, str)):
+                emitted.add(call.args[0].value)
+    assert len(set(EVENT_TAXONOMY)) == len(EVENT_TAXONOMY)
+    assert emitted == set(EVENT_TAXONOMY)
