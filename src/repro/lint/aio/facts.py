@@ -7,8 +7,8 @@ does not compute:
   event loop.  An ``await`` is *not* automatically a suspension point:
   awaiting a project coroutine that never reaches a true suspension
   primitive runs to completion synchronously, so no interleaving can
-  happen across it.  The fixpoint starts every project coroutine at
-  "does not suspend" and grows monotonically; anything the call graph
+  happen across it.  The shared fixpoint starts every project coroutine
+  at "does not suspend" and grows monotonically; anything the call graph
   cannot resolve (asyncio primitives, stream methods, dynamic dispatch)
   is conservatively treated as suspending at the use site.
 * **blocking** — the set of event-loop-blocking calls (``time.sleep``,
@@ -36,6 +36,7 @@ from typing import Iterator
 from repro.lint.astutil import call_name, terminal_name
 from repro.lint.engine import FileContext, Project
 from repro.lint.flow.callgraph import CallGraph, FunctionInfo, build_call_graph
+from repro.lint.flow.walk import body_nodes, fixpoint
 
 #: Event-loop-blocking calls, by statically resolvable dotted name.
 BLOCKING_CALLS = {
@@ -66,8 +67,6 @@ _LOCK_CONSTRUCTORS = {"Lock", "Semaphore", "BoundedSemaphore", "Condition"}
 #: assignment is visible (``async with job_lock:``).
 _LOCK_NAME_HINTS = ("lock", "mutex", "sem")
 
-_MAX_FIXPOINT_PASSES = 12
-
 
 @dataclass
 class AsyncFacts:
@@ -78,8 +77,10 @@ class AsyncFacts:
     #: (blocking-call description, first callee on the path or None).
     blocking: frozenset = frozenset()
 
-    def state(self) -> tuple:
-        return (self.is_async, self.may_suspend, self.blocking)
+    def joined(self, new: "AsyncFacts") -> "AsyncFacts":
+        return AsyncFacts(is_async=self.is_async,
+                          may_suspend=self.may_suspend or new.may_suspend,
+                          blocking=self.blocking | new.blocking)
 
 
 @dataclass
@@ -90,15 +91,11 @@ class AioAnalysis:
     facts: dict[str, AsyncFacts]
     lock_attrs: dict[str, frozenset]    # class key -> {attr names}
 
-    def facts_for(self, key: str) -> AsyncFacts | None:
-        return self.facts.get(key)
-
     # -- suspension classification ------------------------------------------
 
-    def call_may_suspend(self, fn: FunctionInfo, call: ast.Call,
-                         local_types: dict[str, str] | None = None) -> bool:
+    def call_may_suspend(self, fn: FunctionInfo, call: ast.Call) -> bool:
         """Does ``await call`` yield control?  Unresolvable ⇒ yes."""
-        callee = self.graph.resolve_call(fn, call, local_types)
+        callee = self.graph.calls(fn).get(call)
         if callee is None:
             return True
         facts = self.facts.get(callee.key)
@@ -132,21 +129,9 @@ class AioAnalysis:
         return any(hint in lowered for hint in _LOCK_NAME_HINTS)
 
 
-def _no_nested_defs(node: ast.AST) -> Iterator[ast.AST]:
-    """Walk ``node`` without descending into nested function definitions."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if not isinstance(child, (ast.Lambda, ast.FunctionDef,
-                                      ast.AsyncFunctionDef)):
-                stack.append(child)
-
-
 def _suspension_candidates(fn: FunctionInfo) -> Iterator[ast.AST]:
     """AST nodes in ``fn``'s own body that *may* be suspension points."""
-    for node in _no_nested_defs(fn.node):
+    for node in body_nodes(fn.node):
         if isinstance(node, (ast.Await, ast.AsyncFor, ast.AsyncWith)):
             yield node
         elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
@@ -155,19 +140,18 @@ def _suspension_candidates(fn: FunctionInfo) -> Iterator[ast.AST]:
                 yield node
 
 
-def node_suspends(analysis: AioAnalysis, fn: FunctionInfo, node: ast.AST,
-                  local_types: dict[str, str] | None = None) -> bool:
+def node_suspends(analysis: AioAnalysis, fn: FunctionInfo, node: ast.AST) -> bool:
     """Does one candidate node actually suspend, given current facts?"""
     if isinstance(node, ast.Await):
         if isinstance(node.value, ast.Call):
-            return analysis.call_may_suspend(fn, node.value, local_types)
+            return analysis.call_may_suspend(fn, node.value)
         return True  # awaiting a task/future always may suspend
     return True      # async for / async with / async comprehension
 
 
 def _direct_blocking(fn: FunctionInfo) -> frozenset:
     found = set()
-    for node in _no_nested_defs(fn.node):
+    for node in body_nodes(fn.node):
         if not isinstance(node, ast.Call):
             continue
         name = call_name(node)
@@ -179,17 +163,6 @@ def _direct_blocking(fn: FunctionInfo) -> frozenset:
     return frozenset(found)
 
 
-def _resolved_callees(graph: CallGraph, fn: FunctionInfo) -> list[tuple[ast.Call, FunctionInfo]]:
-    local_types = graph.local_types(fn)
-    out = []
-    for node in _no_nested_defs(fn.node):
-        if isinstance(node, ast.Call):
-            callee = graph.resolve_call(fn, node, local_types)
-            if callee is not None:
-                out.append((node, callee))
-    return out
-
-
 def _collect_lock_attrs(graph: CallGraph) -> dict[str, frozenset]:
     """Per class: self attrs assigned an asyncio lock-family constructor."""
     by_class: dict[str, set] = {}
@@ -199,7 +172,7 @@ def _collect_lock_attrs(graph: CallGraph) -> dict[str, frozenset]:
             fn = graph.functions.get(fn_key)
             if fn is None:
                 continue
-            for node in _no_nested_defs(fn.node):
+            for node in body_nodes(fn.node):
                 if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)):
                     continue
                 ctor = terminal_name(node.value.func)
@@ -216,51 +189,41 @@ def _collect_lock_attrs(graph: CallGraph) -> dict[str, frozenset]:
 
 
 def compute_async_facts(graph: CallGraph) -> dict[str, AsyncFacts]:
-    """Worklist fixpoint for may_suspend and the blocking-call closure."""
-    facts: dict[str, AsyncFacts] = {}
+    """may_suspend and the blocking-call closure, solved over the call graph."""
     analyzable = {
         key: fn for key, fn in graph.functions.items()
         if fn.module.startswith(("repro.", "tests."))
     }
-    for key, fn in analyzable.items():
-        facts[key] = AsyncFacts(is_async=isinstance(fn.node, ast.AsyncFunctionDef))
-    # Pre-resolve call sites once; resolution does not change across passes.
-    callees = {key: _resolved_callees(graph, fn) for key, fn in analyzable.items()}
-    shell = AioAnalysis(graph=graph, facts=facts, lock_attrs={})
-    for _ in range(_MAX_FIXPOINT_PASSES):
-        changed = False
-        for key in sorted(analyzable):
-            fn = analyzable[key]
-            old = facts[key]
-            local_types = graph.local_types(fn)
-            suspend = old.may_suspend
-            if old.is_async and not suspend:
-                suspend = any(
-                    node_suspends(shell, fn, node, local_types)
-                    for node in _suspension_candidates(fn)
-                )
-            blocking = set(old.blocking) | _direct_blocking(fn)
-            for _call, callee in callees[key]:
-                sub = facts.get(callee.key)
-                if sub is None:
-                    continue
-                for desc, via in sub.blocking:
-                    blocking.add((desc, via or callee.name))
-            new = AsyncFacts(is_async=old.is_async, may_suspend=suspend,
-                             blocking=frozenset(blocking))
-            if new.state() != old.state():
-                facts[key] = new
-                changed = True
-        if not changed:
-            break
-    return facts
+
+    def transfer(key: str, facts: dict[str, AsyncFacts]) -> AsyncFacts:
+        fn = analyzable[key]
+        old = facts[key]
+        current = AioAnalysis(graph=graph, facts=facts, lock_attrs={})
+        suspend = old.may_suspend or old.is_async and any(
+            node_suspends(current, fn, node) for node in _suspension_candidates(fn))
+        blocking = set(_direct_blocking(fn))
+        for callee in graph.calls(fn).values():
+            sub = facts.get(callee.key)
+            if sub is not None:
+                blocking.update((desc, via or callee.name) for desc, via in sub.blocking)
+        return AsyncFacts(is_async=old.is_async, may_suspend=suspend,
+                          blocking=frozenset(blocking))
+
+    return fixpoint(
+        analyzable,
+        {key: [callee.key for callee in graph.calls(fn).values()]
+         for key, fn in analyzable.items()},
+        start=lambda key: AsyncFacts(
+            is_async=isinstance(analyzable[key].node, ast.AsyncFunctionDef)),
+        transfer=transfer,
+        join=AsyncFacts.joined,
+    )
 
 
 def aio_analysis(project: Project) -> AioAnalysis:
     """Build (or fetch the cached) aio analysis for this lint run.
 
-    Reuses the one call graph cached on ``project.cache`` — the flow and
-    aio stages share it; whichever runs first pays the construction cost.
+    Reuses the one call graph cached on ``project.cache``.
     """
     analysis = project.cache.get("aio.analysis")
     if analysis is None:
@@ -280,49 +243,36 @@ class AsyncFunction:
 
     info: FunctionInfo          # synthetic for nested defs
     ctx: FileContext
-    registered: bool
 
 
 def iter_async_functions(project: Project, graph: CallGraph) -> Iterator[AsyncFunction]:
     """Every ``async def`` in analyzable modules, nested closures included.
 
     Nested defs get a synthetic :class:`FunctionInfo` carrying the
-    enclosing class so ``self.…`` resolution works inside closures that
-    capture ``self`` (the TCP connection handler does exactly this).
+    nearest enclosing graph function's class, so ``self.…`` resolution
+    works inside closures that capture ``self`` (the TCP connection
+    handler does exactly this).
     """
-    by_node = {id(fn.node): fn for fn in graph.functions.values()}
+    by_node = {fn.node: fn for fn in graph.functions.values()}
     for ctx in project.files:
         if not ctx.module.startswith("repro."):
             continue
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.AsyncFunctionDef):
                 continue
-            registered = by_node.get(id(node))
-            if registered is not None:
-                yield AsyncFunction(info=registered, ctx=ctx, registered=True)
-                continue
-            enclosing = _enclosing_registered(ctx, graph, node)
-            class_name = enclosing.class_name if enclosing is not None else None
-            base = enclosing.key if enclosing is not None else f"{ctx.module}:"
-            info = FunctionInfo(
-                key=f"{base}.<{node.name}>",
-                module=ctx.module,
-                path=ctx.path,
-                name=node.name,
-                class_name=class_name,
-                node=node,
-                params=[arg.arg for arg in node.args.posonlyargs + node.args.args],
-            )
-            yield AsyncFunction(info=info, ctx=ctx, registered=False)
-
-
-def _enclosing_registered(ctx: FileContext, graph: CallGraph,
-                          node: ast.AST) -> FunctionInfo | None:
-    current = ctx.parents.get(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for fn in graph.functions.values():
-                if fn.node is current:
-                    return fn
-        current = ctx.parents.get(current)
-    return None
+            info = by_node.get(node)
+            if info is None:
+                enclosing = ctx.parents.get(node)
+                while enclosing is not None and enclosing not in by_node:
+                    enclosing = ctx.parents.get(enclosing)
+                outer = by_node.get(enclosing)
+                info = FunctionInfo(
+                    key=f"{outer.key if outer is not None else ctx.module + ':'}.<{node.name}>",
+                    module=ctx.module,
+                    path=ctx.path,
+                    name=node.name,
+                    class_name=outer.class_name if outer is not None else None,
+                    node=node,
+                    params=[arg.arg for arg in node.args.posonlyargs + node.args.args],
+                )
+            yield AsyncFunction(info=info, ctx=ctx)

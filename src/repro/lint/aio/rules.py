@@ -30,6 +30,7 @@ from repro.lint.astutil import call_name, dotted_name, enclosing_function, termi
 from repro.lint.engine import FileContext, Finding, Project, Rule, register_rule
 from repro.lint.flow.callgraph import OBSERVABILITY_ATTRS, FunctionInfo
 from repro.lint.flow.summaries import MUTATING_METHODS, _attr_chain
+from repro.lint.flow.walk import StatementWalker, body_nodes
 
 from .facts import (
     BLOCKING_CALLS,
@@ -37,7 +38,6 @@ from .facts import (
     aio_analysis,
     iter_async_functions,
     node_suspends,
-    _no_nested_defs,
     _suspension_candidates,
 )
 
@@ -84,27 +84,33 @@ class _Region:
     def copy(self) -> "_Region":
         return _Region(self.pending, self.stale)
 
-    def merge(self, other: "_Region") -> None:
+    def merged(self, other: "_Region") -> "_Region":
         """Union of may-states; an unlocked sighting beats a locked one."""
-        for attr, entry in other.pending.items():
-            mine = self.pending.get(attr)
-            if mine is None or (mine[1] and not entry[1]):
-                self.pending[attr] = entry
-        for attr, entry in other.stale.items():
-            mine = self.stale.get(attr)
-            if mine is None or (mine[1] and not entry[1]):
-                self.stale[attr] = entry
+        result = self.copy()
+        for mine, theirs in ((result.pending, other.pending), (result.stale, other.stale)):
+            for attr, entry in theirs.items():
+                seen = mine.get(attr)
+                if seen is None or (seen[1] and not entry[1]):
+                    mine[attr] = entry
+        return result
 
 
-class _AtomicityWalker:
-    """Branch-sensitive walk of one async function body for ASYNC001."""
+class _AtomicityWalker(StatementWalker):
+    """Branch-sensitive may-walk of one async function body for ASYNC001.
 
-    def __init__(self, analysis: AioAnalysis, fn: FunctionInfo,
-                 local_types: dict[str, str]) -> None:
+    Two passes over a loop body expose loop-carried hazards (a read at the
+    bottom of iteration N is stale for the write at the top of iteration
+    N+1); the violation dict dedupes repeats.
+    """
+
+    MAY = True
+    LOOP_PASSES = 2
+
+    def __init__(self, analysis: AioAnalysis, fn: FunctionInfo) -> None:
         self.analysis = analysis
         self.fn = fn
-        self.local_types = local_types
         self.lock_depth = 0
+        self._locks: list[bool] = []
         self.state = _Region()
         self.violations: dict[tuple, tuple] = {}  # (attr, write line) -> info
         owned = frozenset()
@@ -114,8 +120,78 @@ class _AtomicityWalker:
         self.ignored_attrs = OBSERVABILITY_ATTRS | owned
 
     def run(self) -> list[tuple]:
-        self._block(self.fn.node.body)
+        self.block(self.fn.node.body, _Region())
         return [self.violations[key] for key in sorted(self.violations)]
+
+    # -- walker hooks ---------------------------------------------------------
+
+    def fork(self, state: _Region) -> _Region:
+        return state.copy()
+
+    def join(self, first: _Region, second: _Region) -> _Region:
+        return first.merged(second)
+
+    def enter(self, stmt: ast.stmt, state: _Region) -> _Region:
+        self.state = state
+        if isinstance(stmt, (ast.If, ast.While)):
+            self._expr(stmt.test)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._expr(stmt.iter)
+        elif isinstance(stmt, ast.With):
+            for item in stmt.items:
+                self._expr(item.context_expr)
+        elif isinstance(stmt, ast.AsyncWith):
+            lockish = False
+            for item in stmt.items:
+                self._expr(item.context_expr)
+                if self.analysis.is_lock_receiver(self.fn, item.context_expr):
+                    lockish = True
+            self._suspend(stmt)  # __aenter__ may suspend
+            self._locks.append(lockish)
+            self.lock_depth += lockish
+        return self.state
+
+    def leave(self, stmt: ast.stmt, state: _Region) -> _Region:
+        self.state = state
+        if isinstance(stmt, ast.AsyncWith):
+            self.lock_depth -= self._locks.pop()
+            self._suspend(stmt)  # __aexit__ may suspend
+        return self.state
+
+    def iterate(self, loop: ast.stmt, state: _Region) -> _Region:
+        self.state = state
+        if isinstance(loop, ast.AsyncFor):
+            self._suspend(loop)
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            self._write_target(loop.target)
+        return self.state
+
+    def simple(self, stmt: ast.stmt, state: _Region) -> _Region:
+        self.state = state
+        if isinstance(stmt, ast.Expr):
+            self._expr(stmt.value)
+        elif isinstance(stmt, ast.Assign):
+            self._expr(stmt.value)
+            for target in stmt.targets:
+                self._write_target(target)
+        elif isinstance(stmt, ast.AnnAssign):
+            self._expr(stmt.value)
+            self._write_target(stmt.target)
+        elif isinstance(stmt, ast.AugAssign):
+            chain = _attr_chain(stmt.target)
+            if chain and chain[0] == "self" and len(chain) >= 2:
+                # x += ... loads the old value before evaluating the rhs.
+                self._read(chain[1], stmt.target)
+            self._expr(stmt.value)
+            self._write_target(stmt.target)
+        elif isinstance(stmt, (ast.Return, ast.Raise)):
+            self._expr(getattr(stmt, "value", None) or getattr(stmt, "exc", None))
+        elif isinstance(stmt, ast.Delete):
+            for target in stmt.targets:
+                self._write_target(target)
+        else:
+            self._expr(stmt)
+        return self.state
 
     # -- events -------------------------------------------------------------
 
@@ -151,8 +227,7 @@ class _AtomicityWalker:
         if isinstance(node, ast.Await):
             if isinstance(node.value, ast.Call):
                 self._call(node.value)
-                if self.analysis.call_may_suspend(self.fn, node.value,
-                                                  self.local_types):
+                if self.analysis.call_may_suspend(self.fn, node.value):
                     self._suspend(node)
             else:
                 self._expr(node.value)
@@ -213,113 +288,6 @@ class _AtomicityWalker:
             if chain and chain[0] == "self" and len(chain) >= 2:
                 self._write(chain[1], target)
 
-    # -- statements ---------------------------------------------------------
-
-    def _block(self, stmts: list[ast.stmt]) -> None:
-        for stmt in stmts:
-            self._stmt(stmt)
-
-    def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Expr):
-            self._expr(stmt.value)
-        elif isinstance(stmt, ast.Assign):
-            self._expr(stmt.value)
-            for target in stmt.targets:
-                self._write_target(target)
-        elif isinstance(stmt, ast.AnnAssign):
-            self._expr(stmt.value)
-            self._write_target(stmt.target)
-        elif isinstance(stmt, ast.AugAssign):
-            chain = _attr_chain(stmt.target)
-            if chain and chain[0] == "self" and len(chain) >= 2:
-                # x += ... loads the old value before evaluating the rhs.
-                self._read(chain[1], stmt.target)
-            self._expr(stmt.value)
-            self._write_target(stmt.target)
-        elif isinstance(stmt, (ast.Return, ast.Raise)):
-            self._expr(getattr(stmt, "value", None) or getattr(stmt, "exc", None))
-        elif isinstance(stmt, ast.Delete):
-            for target in stmt.targets:
-                self._write_target(target)
-        elif isinstance(stmt, ast.If):
-            self._expr(stmt.test)
-            self._branches([stmt.body, stmt.orelse])
-        elif isinstance(stmt, (ast.While, ast.For, ast.AsyncFor)):
-            self._loop(stmt)
-        elif isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._expr(item.context_expr)
-            self._block(stmt.body)
-        elif isinstance(stmt, ast.AsyncWith):
-            self._async_with(stmt)
-        elif isinstance(stmt, ast.Try):
-            self._try(stmt)
-        elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                               ast.ClassDef)):
-            return
-        else:
-            self._expr(stmt)
-
-    def _branches(self, blocks: list[list[ast.stmt]]) -> None:
-        entry = self.state
-        exits: list[_Region] = []
-        for block in blocks:
-            self.state = entry.copy()
-            self._block(block)
-            exits.append(self.state)
-        merged = exits[0]
-        for other in exits[1:]:
-            merged.merge(other)
-        self.state = merged
-
-    def _loop(self, stmt: ast.While | ast.For | ast.AsyncFor) -> None:
-        if isinstance(stmt, ast.While):
-            self._expr(stmt.test)
-        else:
-            self._expr(stmt.iter)
-        # Two passes expose loop-carried hazards (a read at the bottom of
-        # iteration N is stale for the write at the top of iteration N+1);
-        # the violation dict dedupes repeats.
-        entry = self.state.copy()
-        for _pass in range(2):
-            if isinstance(stmt, ast.AsyncFor):
-                self._suspend(stmt)
-            if isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._write_target(stmt.target)
-            self._block(stmt.body)
-        self.state.merge(entry)  # the zero-iteration path
-        self._block(stmt.orelse)
-
-    def _async_with(self, stmt: ast.AsyncWith) -> None:
-        lockish = False
-        for item in stmt.items:
-            self._expr(item.context_expr)
-            if self.analysis.is_lock_receiver(self.fn, item.context_expr):
-                lockish = True
-        self._suspend(stmt)  # __aenter__ may suspend
-        if lockish:
-            self.lock_depth += 1
-        self._block(stmt.body)
-        if lockish:
-            self.lock_depth -= 1
-        self._suspend(stmt)  # __aexit__ may suspend
-
-    def _try(self, stmt: ast.Try) -> None:
-        entry = self.state.copy()
-        self._block(stmt.body)
-        after_body = self.state
-        merged = entry
-        merged.merge(after_body)
-        for handler in stmt.handlers:
-            self.state = merged.copy()
-            self._block(handler.body)
-            merged.merge(self.state)
-        self.state = after_body.copy()
-        self._block(stmt.orelse)
-        merged.merge(self.state)
-        self.state = merged
-        self._block(stmt.finalbody)
-
 
 @register_rule
 class AwaitAtomicity(Rule):
@@ -336,9 +304,7 @@ class AwaitAtomicity(Rule):
         analysis = aio_analysis(project)
         for afn in iter_async_functions(project, analysis.graph):
             fn = afn.info
-            local_types = (analysis.graph.local_types(fn)
-                           if afn.registered else dict(fn.param_types))
-            walker = _AtomicityWalker(analysis, fn, local_types)
+            walker = _AtomicityWalker(analysis, fn)
             for attr, node, read_line, suspend_line in walker.run():
                 where = (f"awaits at line {suspend_line}"
                          if suspend_line is not None else "awaits")
@@ -459,56 +425,34 @@ class BlockingInAsync(Rule):
             fn = afn.info
             if not _analyzed_module(fn.module):
                 continue
-            local_types = (analysis.graph.local_types(fn)
-                           if afn.registered else dict(fn.param_types))
+            calls = analysis.graph.calls(fn)
             seen: set[tuple] = set()
-            for node in _no_nested_defs(fn.node):
+            for node in body_nodes(fn.node):
                 if not isinstance(node, ast.Call):
                     continue
-                name = call_name(node)
-                if name in BLOCKING_CALLS:
-                    desc = BLOCKING_CALLS[name]
-                    key = (node.lineno, desc)
-                    if key not in seen:
-                        seen.add(key)
-                        yield self._finding(
-                            fn, node,
-                            f"{desc} blocks the event loop inside async "
-                            f"function '{fn.name}'",
-                            desc,
-                        )
-                    continue
-                if (isinstance(node.func, ast.Name)
-                        and node.func.id == "open"):
-                    desc = "sync file I/O (open())"
-                    key = (node.lineno, desc)
-                    if key not in seen:
-                        seen.add(key)
-                        yield self._finding(
-                            fn, node,
-                            f"open() is synchronous file I/O inside async "
-                            f"function '{fn.name}'",
-                            desc,
-                        )
-                    continue
-                callee = analysis.graph.resolve_call(fn, node, local_types)
-                if callee is None:
-                    continue
-                sub = analysis.facts_for(callee.key)
-                if sub is None or sub.is_async or not sub.blocking:
-                    continue  # async callees are flagged at their own site
-                for desc, via in sorted(sub.blocking):
-                    key = (node.lineno, desc)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    through = f" (via {via})" if via else ""
-                    yield self._finding(
-                        fn, node,
-                        f"call to {callee.name}() reaches {desc}{through} "
-                        f"from async function '{fn.name}'",
-                        desc,
-                    )
+                for desc, message in self._blocking(analysis, fn, calls.get(node), node):
+                    if (node.lineno, desc) not in seen:
+                        seen.add((node.lineno, desc))
+                        yield self._finding(fn, node, message, desc)
+
+    @staticmethod
+    def _blocking(analysis: AioAnalysis, fn: FunctionInfo, callee: FunctionInfo | None,
+                  node: ast.Call) -> list[tuple[str, str]]:
+        """(description, message) of each blocking call ``node`` is or reaches."""
+        where = f"async function '{fn.name}'"
+        name = call_name(node)
+        if name in BLOCKING_CALLS:
+            desc = BLOCKING_CALLS[name]
+            return [(desc, f"{desc} blocks the event loop inside {where}")]
+        if isinstance(node.func, ast.Name) and node.func.id == "open":
+            return [("sync file I/O (open())",
+                     f"open() is synchronous file I/O inside {where}")]
+        sub = analysis.facts.get(callee.key) if callee is not None else None
+        if sub is None or sub.is_async:
+            return []  # async callees are flagged at their own site
+        return [(desc, f"call to {callee.name}() reaches {desc}"
+                       f"{f' (via {via})' if via else ''} from {where}")
+                for desc, via in sorted(sub.blocking)]
 
     def _finding(self, fn: FunctionInfo, node: ast.Call, message: str,
                  desc: str) -> Finding:
@@ -530,7 +474,7 @@ _RELEASE_METHODS = {"close", "release", "wait_closed", "unlock", "aclose"}
 def _acquisitions(fn: FunctionInfo, analysis: AioAnalysis) -> list[tuple]:
     """(resource name, kind, acquisition stmt) triples in ``fn``'s body."""
     out = []
-    for stmt in _no_nested_defs(fn.node):
+    for stmt in body_nodes(fn.node):
         if not (isinstance(stmt, ast.Assign)
                 and isinstance(stmt.value, ast.Await)
                 and isinstance(stmt.value.value, ast.Call)):
@@ -557,7 +501,7 @@ def _acquisitions(fn: FunctionInfo, analysis: AioAnalysis) -> list[tuple]:
 def _escape_line(fn: FunctionInfo, resource: str) -> int | None:
     """Line where the resource is stored/returned (ownership transferred)."""
     earliest: int | None = None
-    for node in _no_nested_defs(fn.node):
+    for node in body_nodes(fn.node):
         moved = False
         if isinstance(node, ast.Assign):
             if (isinstance(node.value, ast.Name) and node.value.id == resource
@@ -620,8 +564,6 @@ class CancellationUnsafeResource(Rule):
             fn = afn.info
             if not _analyzed_module(fn.module):
                 continue
-            local_types = (analysis.graph.local_types(fn)
-                           if afn.registered else dict(fn.param_types))
             for resource, kind, acq in _acquisitions(fn, analysis):
                 escape = _escape_line(fn, resource)
                 acq_end = acq.end_lineno or acq.lineno
@@ -632,7 +574,7 @@ class CancellationUnsafeResource(Rule):
                         continue
                     if escape is not None and line >= escape:
                         continue
-                    if not node_suspends(analysis, fn, node, local_types):
+                    if not node_suspends(analysis, fn, node):
                         continue
                     if _protected(afn.ctx, fn, node, resource):
                         continue
@@ -680,18 +622,18 @@ class UnawaitedCoroutine(Rule):
             ctx = by_path.get(fn.path)
             if ctx is None:
                 continue
-            local_types = analysis.graph.local_types(fn)
-            for stmt in _no_nested_defs(fn.node):
+            calls = analysis.graph.calls(fn)
+            for stmt in body_nodes(fn.node):
                 if not (isinstance(stmt, ast.Expr)
                         and isinstance(stmt.value, ast.Call)):
                     continue
                 call = stmt.value
                 name = call_name(call)
-                callee = analysis.graph.resolve_call(fn, call, local_types)
+                callee = calls.get(call)
                 is_coro = False
                 label = name or terminal_name(call.func) or "<dynamic>"
                 if callee is not None:
-                    sub = analysis.facts_for(callee.key)
+                    sub = analysis.facts.get(callee.key)
                     if sub is not None and sub.is_async:
                         is_coro = True
                         label = callee.name

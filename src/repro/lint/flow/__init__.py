@@ -1,10 +1,11 @@
 """repro.lint.flow — the interprocedural analysis stage.
 
-Layered on the PR-1 ``Project``/``Rule`` engine: :mod:`callgraph` builds
-a name-resolved project call graph, :mod:`summaries` computes
-per-function summaries and runs the worklist taint/guard fixpoint, and
-:mod:`rules` turns the results into the FLOW001–FLOW003 rule families.
-Importing this package registers all three rules.
+Layered on the ``Project``/``Rule`` engine: :mod:`callgraph` builds a
+name-resolved project call graph, :mod:`walk` holds the statement walker
+and the fixpoint that the flow, aio and sm stages share, :mod:`summaries`
+computes per-function taint/guard summaries with them, and :mod:`rules`
+turns the results into the FLOW001–FLOW003 rule families.  Importing this
+package registers all three rules.
 """
 
 from repro.lint.flow.callgraph import CallGraph, build_call_graph

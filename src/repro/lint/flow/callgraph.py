@@ -18,9 +18,10 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from repro.lint.engine import FileContext, Project
+from repro.lint.flow.walk import body_nodes
 from repro.lint.rules.protocol import CODEC_BASES, is_dataclass_def
 
 #: Attribute roots on ``self`` that never hold protocol state (counters,
@@ -95,6 +96,7 @@ class CallGraph:
         self._func_by_name: dict[str, list[str]] = {}
         self._const_by_name: dict[str, list[str]] = {}
         self._local_types: dict[str, dict[str, str]] = {}
+        self._calls: dict[ast.AST, dict[ast.Call, FunctionInfo]] = {}
         for ctx in project.files:
             self._index_file(ctx)
         for fn in self.functions.values():
@@ -229,25 +231,25 @@ class CallGraph:
                     grew = True
         return codecs
 
-    def method_on(self, class_key: str, method: str) -> FunctionInfo | None:
-        """Look up ``method`` on a class, walking project-resolvable bases."""
+    def lineage(self, class_key: str) -> Iterator[ClassInfo]:
+        """A class, then its project-resolvable bases, breadth first."""
         seen: set[str] = set()
-        stack = [class_key]
-        while stack:
-            current = stack.pop(0)
-            if current in seen:
+        queue = [class_key]
+        while queue:
+            current = queue.pop(0)
+            cls = self.classes.get(current)
+            if current in seen or cls is None:
                 continue
             seen.add(current)
-            cls = self.classes.get(current)
-            if cls is None:
-                continue
-            fn_key = cls.methods.get(method)
-            if fn_key is not None:
-                return self.functions.get(fn_key)
-            for base in cls.base_names:
-                resolved = self.resolve_class(cls.module, base)
-                if resolved is not None:
-                    stack.append(resolved)
+            yield cls
+            queue.extend(resolved for base in cls.base_names
+                         if (resolved := self.resolve_class(cls.module, base)) is not None)
+
+    def method_on(self, class_key: str, method: str) -> FunctionInfo | None:
+        """Look up ``method`` on a class, walking project-resolvable bases."""
+        for cls in self.lineage(class_key):
+            if method in cls.methods:
+                return self.functions.get(cls.methods[method])
         return None
 
     # -- type inference ---------------------------------------------------------
@@ -341,10 +343,8 @@ class CallGraph:
     def local_types(self, fn: FunctionInfo) -> dict[str, str]:
         """Locals with inferable class types (constructor calls, annotations).
 
-        Memoized per function key: every analyzer construction (the flow
-        fixpoint alone builds two per function per pass) used to rewalk the
-        body; the function set is fixed for the lifetime of the graph, so
-        the map is computed once and shared by the flow and aio stages.
+        Memoized per function key: the function set is fixed for the
+        lifetime of the graph.
         """
         cached = self._local_types.get(fn.key)
         if cached is not None:
@@ -371,6 +371,25 @@ class CallGraph:
         return types
 
     # -- call resolution --------------------------------------------------------
+
+    def calls(self, fn: FunctionInfo) -> dict[ast.Call, FunctionInfo]:
+        """Every call in ``fn``'s own body that resolves, mapped to its callee.
+
+        Resolved once per function per lint run; the statement walkers and
+        the fixpoint's call edges all read this map.  A nested closure that
+        is not a graph function resolves through its parameter types only.
+        """
+        sites = self._calls.get(fn.node)
+        if sites is None:
+            types = self.local_types(fn) if self.functions.get(fn.key) is fn else fn.param_types
+            sites = {}
+            for node in body_nodes(fn.node):
+                if isinstance(node, ast.Call):
+                    callee = self.resolve_call(fn, node, types)
+                    if callee is not None:
+                        sites[node] = callee
+            self._calls[fn.node] = sites
+        return sites
 
     def resolve_call(
         self,
@@ -420,23 +439,8 @@ class CallGraph:
         return None
 
     def _attr_type_with_bases(self, cls: ClassInfo, attr: str) -> str | None:
-        seen: set[str] = set()
-        stack = [cls.key]
-        while stack:
-            current = stack.pop(0)
-            if current in seen:
-                continue
-            seen.add(current)
-            info = self.classes.get(current)
-            if info is None:
-                continue
-            if attr in info.attr_types:
-                return info.attr_types[attr]
-            for base in info.base_names:
-                resolved = self.resolve_class(info.module, base)
-                if resolved is not None:
-                    stack.append(resolved)
-        return None
+        return next((info.attr_types[attr] for info in self.lineage(cls.key)
+                     if attr in info.attr_types), None)
 
 
 def _type_call_subject(value: ast.AST) -> str | None:

@@ -27,12 +27,12 @@ from typing import Iterator
 from repro.lint.engine import Finding, Project, Rule, register_rule
 from repro.lint.flow.callgraph import CallGraph, build_call_graph, type_tests
 from repro.lint.flow.summaries import (
-    _walk_no_lambda,
     flow_analysis,
     gate_violations,
     taint_exempt_module,
     taint_findings,
 )
+from repro.lint.flow.walk import body_nodes
 from repro.lint.rules.protocol import _HANDLER_NAME_RE, _registrations
 
 _MESSAGE_TYPES_RE = re.compile(r"MESSAGE_TYPES")
@@ -136,7 +136,7 @@ def _consumed_classes(project: Project, graph: CallGraph) -> dict[str, tuple[str
             elif (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                     and _HANDLER_NAME_RE.search(node.name)):
                 # Only type tests inside handler-named functions count.
-                for _name, types in type_tests(_walk_no_lambda(node)):
+                for _name, types in type_tests(body_nodes(node)):
                     for element in types:
                         if isinstance(element, ast.Name):
                             note(graph.resolve_class(ctx.module, element.id),

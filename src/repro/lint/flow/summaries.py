@@ -1,4 +1,4 @@
-"""Per-function summaries and the worklist fixpoint for the flow rules.
+"""Per-function summaries and the fixpoint for the flow rules.
 
 Each project function gets a :class:`FunctionSummary` describing how data
 and authority move through it:
@@ -10,14 +10,15 @@ and authority move through it:
 * ``param_sinks`` — parameter indices that reach a protocol-visible sink
   (hash, codec, emission, or replica-state write) inside the function;
 * ``performs_verify`` — the body evaluates a signature/membership guard
-  (``verify(...)``, ``is_member(...)``, or a callee that does);
+  (:func:`is_verify_guard`);
 * ``mutates`` — the body writes replica/protocol state (directly or via a
   resolved callee);
 * ``verify_gate`` — every mutation path is preceded by a guard, i.e. the
   function is safe to hand unverified input.
 
-Summaries depend on callees, so they are iterated to a fixpoint (the
-lattice is finite and all facts grow monotonically).
+Summaries depend on callees, so they are solved by
+:func:`~repro.lint.flow.walk.fixpoint` (see :meth:`FunctionSummary.joined`
+for why it terminates).
 
 Two deliberate weakenings keep the must-analysis practical:
 
@@ -46,6 +47,7 @@ from repro.lint.flow.callgraph import (
     build_call_graph,
     type_tests,
 )
+from repro.lint.flow.walk import StatementWalker, body_nodes, fixpoint
 from repro.lint.rules.determinism import (
     _AMBIENT_RANDOM_FUNCS,
     _ORDER_SINKS,
@@ -86,26 +88,59 @@ MUTATING_METHODS = frozenset({
     "discard_below",
 })
 
-_GUARD_NAMES = {"verify", "is_member"}
+_GUARD_NAMES = frozenset({"verify", "is_member"})
 
 #: Modules whose functions are exempt from taint sourcing and findings.
 _TAINT_EXEMPT_PREFIXES = (_WALL_CLOCK_EXEMPT_PREFIX,)
 _TAINT_EXEMPT_MODULES = (_RNG_EXEMPT_MODULE,)
-
-_MAX_FIXPOINT_PASSES = 12
 
 
 def taint_exempt_module(module: str) -> bool:
     return module.startswith(_TAINT_EXEMPT_PREFIXES) or module in _TAINT_EXEMPT_MODULES
 
 
+def is_verify_guard(
+    call: ast.Call, callee: FunctionInfo | None, summaries: dict[str, "FunctionSummary"]
+) -> bool:
+    """The signature/membership guard of FLOW002 and the sm stage.
+
+    ``verify(...)``, ``is_member(...)``, ``verify_*(...)``, or a resolved
+    call into a function that performs one.
+    """
+    name = terminal_name(call.func) or ""
+    if name in _GUARD_NAMES or name.startswith("verify_"):
+        return True
+    summary = summaries.get(callee.key) if callee is not None else None
+    return summary is not None and summary.performs_verify
+
+
+#: A taint provenance or sink plus the callees it came through:
+#: ``("wall clock time.time()", "m:f", "m:C.g")`` reads
+#: ``"wall clock time.time() via f() via g()"``.
+Trail = tuple
+
+
+def _via(trail: Trail, callee: FunctionInfo) -> Trail:
+    """``trail`` one call further out.
+
+    A callee already on the trail is not added again, so a recursive cycle
+    cannot grow a trail without bound.
+    """
+    return trail if callee.key in trail[1:] else trail + (callee.key,)
+
+
+def _render(trail: Trail) -> str:
+    hops = (key.rpartition(":")[2].rpartition(".")[2] for key in trail[1:])
+    return trail[0] + "".join(f" via {name}()" for name in hops)
+
+
 @dataclass
 class Tv:
     """Taint value of one expression: provenance plus parameter deps."""
 
-    value: frozenset[str] = frozenset()   # nondeterministic-value provenances
-    order: frozenset[str] = frozenset()   # iteration-order provenances
-    params: frozenset[int] = frozenset()  # parameter indices feeding the value
+    value: frozenset[Trail] = frozenset()   # nondeterministic-value provenances
+    order: frozenset[Trail] = frozenset()   # iteration-order provenances
+    params: frozenset[int] = frozenset()    # parameter indices feeding the value
 
     def merged(self, *others: "Tv") -> "Tv":
         value, order, params = self.value, self.order, self.params
@@ -121,25 +156,36 @@ class Tv:
 
 
 _CLEAN = Tv()
+_SET_ORDER = frozenset({("set iteration order",)})
 
 
 @dataclass
 class FunctionSummary:
     """Interprocedural facts about one function, grown monotonically."""
 
-    returns_value_taint: frozenset[str] = frozenset()
-    returns_order_taint: frozenset[str] = frozenset()
+    returns_value_taint: frozenset[Trail] = frozenset()
+    returns_order_taint: frozenset[Trail] = frozenset()
     param_to_return: frozenset[int] = frozenset()
-    param_sinks: dict[int, str] = field(default_factory=dict)
+    param_sinks: dict[int, Trail] = field(default_factory=dict)
     performs_verify: bool = False
     mutates: bool = False
     verify_gate: bool = True
 
-    def state(self) -> tuple:
-        return (
-            self.returns_value_taint, self.returns_order_taint,
-            self.param_to_return, tuple(sorted(self.param_sinks.items())),
-            self.performs_verify, self.mutates, self.verify_gate,
+    def joined(self, new: "FunctionSummary") -> "FunctionSummary":
+        """The join of the fixpoint: facts only grow.
+
+        Taint and parameter sinks accumulate (a parameter keeps the first
+        sink found for it), and a gate once broken stays broken.  Trails
+        are finite (:func:`_via`), so the lattice is finite.
+        """
+        return FunctionSummary(
+            returns_value_taint=self.returns_value_taint | new.returns_value_taint,
+            returns_order_taint=self.returns_order_taint | new.returns_order_taint,
+            param_to_return=self.param_to_return | new.param_to_return,
+            param_sinks={**new.param_sinks, **self.param_sinks},
+            performs_verify=self.performs_verify or new.performs_verify,
+            mutates=self.mutates or new.mutates,
+            verify_gate=self.verify_gate and new.verify_gate,
         )
 
 
@@ -157,25 +203,10 @@ class GateViolation:
     message: str
 
 
-def _is_lambda_or_def(node: ast.AST) -> bool:
-    return isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef))
-
-
-def _walk_no_lambda(node: ast.AST):
-    """ast.walk that does not descend into lambdas or nested defs."""
-    stack = [node]
-    while stack:
-        current = stack.pop()
-        yield current
-        for child in ast.iter_child_nodes(current):
-            if not _is_lambda_or_def(child):
-                stack.append(child)
-
-
 def _mentions_self(node: ast.AST) -> bool:
     return any(
         isinstance(sub, ast.Name) and sub.id == "self"
-        for sub in _walk_no_lambda(node)
+        for sub in body_nodes(node)
     )
 
 
@@ -197,8 +228,10 @@ def _attr_chain(node: ast.AST) -> list[str] | None:
     return None
 
 
-class _FunctionAnalyzer:
-    """Single forward pass over one function body (taint + sinks)."""
+class _TaintWalker(StatementWalker):
+    """Taint and sinks of one function body (flow-insensitive locals)."""
+
+    LOOP_PASSES = 2
 
     def __init__(
         self,
@@ -209,23 +242,56 @@ class _FunctionAnalyzer:
     ) -> None:
         self.fn = fn
         self.graph = graph
+        self.calls = graph.calls(fn)
         self.summaries = summaries
         self.emit = emit
-        self.local_types = graph.local_types(fn)
         self.locals: dict[str, Tv] = {}
         self.summary = FunctionSummary()
         self.findings: list[TaintFinding] = []
         self._reported: set[tuple[int, str]] = set()
 
     def run(self) -> None:
-        # Two passes over the body so loop-carried locals converge.
-        for _ in range(2):
-            self._walk_block(self.fn.node.body)
+        self.block(self.fn.node.body, None)
+
+    # -- walker hooks -------------------------------------------------------------
+
+    def join(self, first, second):
+        return None
+
+    def enter(self, stmt: ast.stmt, state):
+        if isinstance(stmt, (ast.If, ast.While)):
+            self._check_sinks(stmt.test)
+        elif isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._check_sinks(stmt.iter)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                self._check_sinks(item.context_expr)
+        return state
+
+    def iterate(self, loop: ast.stmt, state):
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            self._bind_target(loop.target, self.eval(loop.iter))
+        return state
+
+    def simple(self, stmt: ast.stmt, state):
+        if isinstance(stmt, ast.Return):
+            if stmt.value is not None:
+                self._check_sinks(stmt.value)  # ``return Message(field=tainted)``
+                result = self.eval(stmt.value)
+                self.summary.returns_value_taint |= result.value
+                self.summary.returns_order_taint |= result.order
+                self.summary.param_to_return |= result.params
+            return state
+        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            self._handle_assign(stmt)
+        self._check_sinks(stmt)
+        return state
 
     # -- expression taint --------------------------------------------------------
 
     def eval(self, node: ast.AST) -> Tv:
-        if node is None or isinstance(node, ast.Constant) or _is_lambda_or_def(node):
+        if node is None or isinstance(node, (ast.Constant, ast.Lambda, ast.FunctionDef,
+                                             ast.AsyncFunctionDef)):
             return _CLEAN
         if isinstance(node, ast.Name):
             known = self.locals.get(node.id)
@@ -238,8 +304,7 @@ class _FunctionAnalyzer:
         if isinstance(node, ast.Call):
             return self._eval_call(node)
         if isinstance(node, (ast.Set, ast.SetComp)):
-            inner = self._merge_children(node)
-            return inner.merged(Tv(order=frozenset({"set iteration order"})))
+            return self._merge_children(node).merged(Tv(order=_SET_ORDER))
         if isinstance(node, ast.Compare):
             # Comparison results are order-insensitive but value-dependent.
             merged = self._merge_children(node)
@@ -265,27 +330,21 @@ class _FunctionAnalyzer:
         args = [call.args] + [[kw.value for kw in call.keywords if kw.value is not None]]
         arg_taints = [self.eval(arg) for group in args for arg in group]
         if source is not None:
-            return Tv(value=frozenset({source}))
+            return Tv(value=frozenset({(source,)}))
         name = terminal_name(call.func)
         if name in _ORDER_SANITIZERS and isinstance(call.func, ast.Name):
             merged = _CLEAN.merged(*arg_taints) if arg_taints else _CLEAN
             return Tv(value=merged.value, params=merged.params)
         if name in {"set", "frozenset"} and isinstance(call.func, ast.Name):
             merged = _CLEAN.merged(*arg_taints) if arg_taints else _CLEAN
-            return merged.merged(Tv(order=frozenset({"set iteration order"})))
-        callee = self.graph.resolve_call(self.fn, call, self.local_types)
+            return merged.merged(Tv(order=_SET_ORDER))
+        callee = self.calls.get(call)
         if callee is not None:
             summary = self.summaries.get(callee.key)
             if summary is not None:
                 result = Tv(
-                    value=frozenset(
-                        f"{desc} via {callee.name}()"
-                        for desc in summary.returns_value_taint
-                    ),
-                    order=frozenset(
-                        f"{desc} via {callee.name}()"
-                        for desc in summary.returns_order_taint
-                    ),
+                    value=frozenset(_via(t, callee) for t in summary.returns_value_taint),
+                    order=frozenset(_via(t, callee) for t in summary.returns_order_taint),
                 )
                 positional = self._positional_args(call, callee)
                 for index, arg in positional.items():
@@ -339,54 +398,6 @@ class _FunctionAnalyzer:
 
     # -- statements --------------------------------------------------------------
 
-    def _walk_block(self, stmts: list[ast.stmt]) -> None:
-        for stmt in stmts:
-            self._walk_stmt(stmt)
-
-    def _walk_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._check_sinks(stmt.value)  # ``return Message(field=tainted)``
-                result = self.eval(stmt.value)
-                self.summary.returns_value_taint |= result.value
-                self.summary.returns_order_taint |= result.order
-                self.summary.param_to_return |= result.params
-            return
-        if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-            self._handle_assign(stmt)
-        if isinstance(stmt, ast.For):
-            iterated = self.eval(stmt.iter)
-            self._bind_target(stmt.target, iterated)
-            self._check_sinks(stmt.iter)
-            self._walk_block(stmt.body)
-            self._walk_block(stmt.orelse)
-            return
-        if isinstance(stmt, ast.While):
-            self._check_sinks(stmt.test)
-            self._walk_block(stmt.body)
-            self._walk_block(stmt.orelse)
-            return
-        if isinstance(stmt, ast.If):
-            self._check_sinks(stmt.test)
-            self._walk_block(stmt.body)
-            self._walk_block(stmt.orelse)
-            return
-        if isinstance(stmt, ast.Try):
-            self._walk_block(stmt.body)
-            for handler in stmt.handlers:
-                self._walk_block(handler.body)
-            self._walk_block(stmt.orelse)
-            self._walk_block(stmt.finalbody)
-            return
-        if isinstance(stmt, ast.With):
-            for item in stmt.items:
-                self._check_sinks(item.context_expr)
-            self._walk_block(stmt.body)
-            return
-        self._check_sinks(stmt)
-
     def _handle_assign(self, stmt: ast.stmt) -> None:
         value = stmt.value
         if value is None:
@@ -418,49 +429,46 @@ class _FunctionAnalyzer:
         if chain and chain[0] == "self" and len(chain) > 1:
             if chain[1] in OBSERVABILITY_ATTRS:
                 return
-            attr = ".".join(chain)
+            sink = (f"state write {'.'.join(chain)}",)
             for index in result.params:
-                self.summary.param_sinks.setdefault(index, f"state write {attr}")
+                self.summary.param_sinks.setdefault(index, sink)
             # Storing a set is fine; only *iterating* one into an ordered
             # sink diverges.  State writes therefore flag value-taint only.
             self._report_taint(
                 target, Tv(value=result.value, params=result.params),
-                f"replica state ({attr})",
+                (f"replica state ({'.'.join(chain)})",),
             )
 
     def _check_sinks(self, node: ast.AST) -> None:
-        for call in _walk_no_lambda(node):
+        for call in body_nodes(node):
             if not isinstance(call, ast.Call):
                 continue
-            sink = terminal_name(call.func)
-            callee = self.graph.resolve_call(self.fn, call, self.local_types)
-            if callee is None and (sink in TAINT_SINKS or self._constructs_wire_struct(call)):
-                for arg in list(call.args) + [kw.value for kw in call.keywords]:
-                    if isinstance(arg, ast.Starred):
-                        arg = arg.value
-                    result = self.eval(arg)
-                    for index in result.params:
-                        self.summary.param_sinks.setdefault(index, f"{sink}()")
-                    self._report_taint(arg, result, f"{sink}()")
-            elif callee is not None:
-                summary = self.summaries.get(callee.key)
-                if summary is None or not summary.param_sinks:
+            callee = self.calls.get(call)
+            if callee is None:
+                sink = terminal_name(call.func)
+                if sink in TAINT_SINKS or self._constructs_wire_struct(call):
+                    for arg in list(call.args) + [kw.value for kw in call.keywords]:
+                        if isinstance(arg, ast.Starred):
+                            arg = arg.value
+                        result = self.eval(arg)
+                        for index in result.params:
+                            self.summary.param_sinks.setdefault(index, (f"{sink}()",))
+                        self._report_taint(arg, result, (f"{sink}()",))
+                continue
+            summary = self.summaries.get(callee.key)
+            if summary is None or not summary.param_sinks:
+                continue
+            for index, arg in self._positional_args(call, callee).items():
+                deep_sink = summary.param_sinks.get(index)
+                if deep_sink is None:
                     continue
-                positional = self._positional_args(call, callee)
-                for index, arg in positional.items():
-                    deep_sink = summary.param_sinks.get(index)
-                    if deep_sink is None:
-                        continue
-                    result = self.eval(arg)
-                    if deep_sink.startswith("state write"):
-                        result = Tv(value=result.value, params=result.params)
-                    for param in result.params:
-                        self.summary.param_sinks.setdefault(
-                            param, f"{deep_sink} via {callee.name}()"
-                        )
-                    self._report_taint(
-                        arg, result, f"{deep_sink} via {callee.name}()"
-                    )
+                result = self.eval(arg)
+                if deep_sink[0].startswith("state write"):
+                    result = Tv(value=result.value, params=result.params)
+                outer = _via(deep_sink, callee)
+                for param in result.params:
+                    self.summary.param_sinks.setdefault(param, outer)
+                self._report_taint(arg, result, outer)
 
     def _constructs_wire_struct(self, call: ast.Call) -> bool:
         """``Message(...)``: a wire struct's fields are its bytes, so a sink."""
@@ -468,42 +476,39 @@ class _FunctionAnalyzer:
                 and self.graph.resolve_class(self.fn.module, call.func.id)
                 in self.graph.codec_classes)
 
-    def _report_taint(self, node: ast.AST, result: Tv, sink: str) -> None:
+    def _report_taint(self, node: ast.AST, result: Tv, sink: Trail) -> None:
         if not self.emit or not result.tainted:
             return
         lineno = getattr(node, "lineno", self.fn.node.lineno)
-        provenance = sorted(result.value) + sorted(result.order)
-        key = (lineno, sink)
+        provenance = sorted(map(_render, result.value)) + sorted(map(_render, result.order))
+        key = (lineno, _render(sink))
         if key in self._reported:
             return
         self._reported.add(key)
         kind = "nondeterministic value" if result.value else "iteration-order-dependent value"
         self.findings.append(TaintFinding(
             node=node,
-            sink=sink,
-            message=f"{kind} ({provenance[0]}) reaches {sink}",
+            sink=key[1],
+            message=f"{kind} ({provenance[0]}) reaches {key[1]}",
         ))
 
 
-class _GateWalker:
-    """Branch-sensitive verify-before-mutate walk over one function."""
+class _GateWalker(StatementWalker):
+    """Verify-before-mutate walk over one function; the state is "verified"."""
 
     def __init__(
         self,
         fn: FunctionInfo,
         graph: CallGraph,
         summaries: dict[str, FunctionSummary],
-        emit: bool,
         skip_keys: frozenset[str] = frozenset(),
     ) -> None:
         self.fn = fn
-        self.graph = graph
+        self.calls = graph.calls(fn)
         self.summaries = summaries
-        self.emit = emit
         #: Callee keys whose own bodies are reported independently (entry
         #: points): suppress the caller-side duplicate of their findings.
         self.skip_keys = skip_keys
-        self.local_types = graph.local_types(fn)
         self.state_derived: set[str] = set()
         self.mutates = False
         self.performs_verify = False
@@ -512,89 +517,53 @@ class _GateWalker:
 
     def run(self) -> bool:
         """Walk the body; returns True when every mutation is guarded."""
-        clean_start = not self.violations
-        self._walk_block(self.fn.node.body, verified=False)
-        return clean_start and not self.violations
+        self.block(self.fn.node.body, False)
+        return not self.violations
 
-    def _walk_block(self, stmts: list[ast.stmt], verified: bool) -> tuple[bool, bool]:
-        """Returns (verified_after, terminated)."""
-        for stmt in stmts:
-            verified, terminated = self._walk_stmt(stmt, verified)
-            if terminated:
-                return verified, True
-        return verified, False
+    # -- walker hooks -------------------------------------------------------------
 
-    def _walk_stmt(self, stmt: ast.stmt, verified: bool) -> tuple[bool, bool]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return verified, False
-        if isinstance(stmt, (ast.Return, ast.Raise)):
-            if isinstance(stmt, ast.Return) and stmt.value is not None:
+    def join(self, first: bool, second: bool) -> bool:
+        return first and second
+
+    def enter(self, stmt: ast.stmt, verified: bool) -> bool:
+        if isinstance(stmt, (ast.If, ast.While)):
+            guard_in_test = self._contains_guard(stmt.test)
+            self._check_expr(stmt.test, verified)
+            return verified or guard_in_test
+        if isinstance(stmt, (ast.For, ast.AsyncFor)):
+            self._check_expr(stmt.iter, verified)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                self._check_expr(item.context_expr, verified)
+        return verified
+
+    def iterate(self, loop: ast.stmt, verified: bool) -> bool:
+        if isinstance(loop, (ast.For, ast.AsyncFor)):
+            self._note_state_derived_target(loop.target, loop.iter)
+        return verified
+
+    def simple(self, stmt: ast.stmt, verified: bool) -> bool:
+        if isinstance(stmt, ast.Return):
+            if stmt.value is not None:
                 # ``return message.verify(...)`` still performs the guard —
                 # record it so callers crediting this callee see it.
                 self._contains_guard(stmt.value)
                 self._check_expr(stmt.value, verified)
-            return verified, True
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return verified, True
-        if isinstance(stmt, ast.If):
-            guard_in_test = self._contains_guard(stmt.test)
-            self._check_expr(stmt.test, verified)
-            branch_verified = verified or guard_in_test
-            body_verified, body_term = self._walk_block(stmt.body, branch_verified)
-            else_verified, else_term = self._walk_block(stmt.orelse, branch_verified)
-            if body_term and else_term:
-                return branch_verified, True
-            if body_term:
-                return else_verified, False
-            if else_term:
-                return body_verified, False
-            return body_verified and else_verified, False
-        if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._check_expr(stmt.iter, verified)
-            self._note_state_derived_target(stmt.target, stmt.iter)
-            after, _ = self._walk_block(stmt.body, verified)
-            after2, _ = self._walk_block(stmt.orelse, after)
-            return after2, False
-        if isinstance(stmt, ast.While):
-            guard_in_test = self._contains_guard(stmt.test)
-            self._check_expr(stmt.test, verified)
-            after, _ = self._walk_block(stmt.body, verified or guard_in_test)
-            after2, _ = self._walk_block(stmt.orelse, after)
-            return after2, False
-        if isinstance(stmt, ast.Try):
-            body_verified, body_term = self._walk_block(stmt.body, verified)
-            handler_states = []
-            for handler in stmt.handlers:
-                handler_states.append(self._walk_block(handler.body, verified))
-            else_verified, _ = self._walk_block(stmt.orelse, body_verified)
-            merged = else_verified and all(v for v, _ in handler_states or [(True, False)])
-            final_verified, final_term = self._walk_block(stmt.finalbody, merged)
-            return final_verified, final_term and bool(stmt.finalbody)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._check_expr(item.context_expr, verified)
-            return self._walk_block(stmt.body, verified)
-        # Simple statement: assignments, expression calls, delete, assert.
+            return verified
+        if isinstance(stmt, (ast.Raise, ast.Break, ast.Continue)):
+            return verified
+        # Assignments, expression calls, delete, assert.
         guarded = self._contains_guard(stmt)
         self._check_simple(stmt, verified)
-        return verified or guarded, False
+        return verified or guarded
 
     # -- guards -------------------------------------------------------------------
 
     def _contains_guard(self, node: ast.AST) -> bool:
-        found = False
-        for call in _walk_no_lambda(node):
-            if not isinstance(call, ast.Call):
-                continue
-            name = terminal_name(call.func)
-            if name in _GUARD_NAMES or (name or "").startswith("verify_"):
-                found = True
-                continue
-            callee = self.graph.resolve_call(self.fn, call, self.local_types)
-            if callee is not None:
-                summary = self.summaries.get(callee.key)
-                if summary is not None and summary.performs_verify:
-                    found = True
+        found = any(
+            is_verify_guard(call, self.calls.get(call), self.summaries)
+            for call in body_nodes(node) if isinstance(call, ast.Call)
+        )
         if found:
             self.performs_verify = True
         return found
@@ -607,8 +576,7 @@ class _GateWalker:
                 stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             )
             for target in targets:
-                self._check_mutation_target(target, stmt, verified,
-                                            augmented=isinstance(stmt, ast.AugAssign))
+                self._check_mutation_target(target, stmt, verified)
             if isinstance(stmt, ast.Assign) and stmt.value is not None:
                 for target in stmt.targets:
                     self._note_state_derived_target(target, stmt.value)
@@ -616,7 +584,7 @@ class _GateWalker:
             return
         if isinstance(stmt, ast.Delete):
             for target in stmt.targets:
-                self._check_mutation_target(target, stmt, verified, augmented=False)
+                self._check_mutation_target(target, stmt, verified)
             return
         self._check_expr(stmt, verified)
 
@@ -625,7 +593,7 @@ class _GateWalker:
             return
         if _mentions_self(value) or any(
             isinstance(sub, ast.Name) and sub.id in self.state_derived
-            for sub in _walk_no_lambda(value)
+            for sub in body_nodes(value)
         ):
             self.state_derived.add(target.id)
         else:
@@ -644,12 +612,10 @@ class _GateWalker:
             return ".".join(chain)
         return None
 
-    def _check_mutation_target(
-        self, target: ast.AST, stmt: ast.stmt, verified: bool, augmented: bool
-    ) -> None:
+    def _check_mutation_target(self, target: ast.AST, stmt: ast.stmt, verified: bool) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._check_mutation_target(element, stmt, verified, augmented)
+                self._check_mutation_target(element, stmt, verified)
             return
         if isinstance(target, ast.Name):
             return  # rebinding a local is not a state mutation
@@ -663,7 +629,7 @@ class _GateWalker:
     def _check_expr(self, node: ast.AST | None, verified: bool) -> None:
         if node is None:
             return
-        for call in _walk_no_lambda(node):
+        for call in body_nodes(node):
             if not isinstance(call, ast.Call):
                 continue
             if not isinstance(call.func, ast.Attribute):
@@ -675,7 +641,7 @@ class _GateWalker:
             ):
                 continue
             method = call.func.attr
-            callee = self.graph.resolve_call(self.fn, call, self.local_types)
+            callee = self.calls.get(call)
             if callee is not None:
                 summary = self.summaries.get(callee.key)
                 if summary is None or not summary.mutates:
@@ -715,9 +681,6 @@ class FlowAnalysis:
     dispatchers: dict[str, str]         # function key -> dispatched param name
     entry_points: set[str]              # function keys fed unverified messages
 
-    def summary_for(self, key: str) -> FunctionSummary | None:
-        return self.summaries.get(key)
-
 
 def _analyzable(fn: FunctionInfo) -> bool:
     return fn.module.startswith("repro.")
@@ -726,7 +689,7 @@ def _analyzable(fn: FunctionInfo) -> bool:
 def _dispatch_param(fn: FunctionInfo) -> str | None:
     """Parameter whose type is tested (``type_tests``) two or more times, if any."""
     counts: dict[str, int] = {}
-    for name, _types in type_tests(_walk_no_lambda(fn.node)):
+    for name, _types in type_tests(body_nodes(fn.node)):
         if name in fn.params and name != "self":
             counts[name] = counts.get(name, 0) + 1
     for name, count in counts.items():
@@ -746,10 +709,7 @@ def _find_dispatch(graph: CallGraph) -> tuple[dict[str, str], set[str]]:
             continue
         dispatchers[key] = param
         entries.add(key)
-        local_types = graph.local_types(fn)
-        for node in _walk_no_lambda(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
+        for node, callee in graph.calls(fn).items():
             passes_param = any(
                 isinstance(arg, ast.Name) and arg.id == param
                 for arg in node.args
@@ -757,43 +717,41 @@ def _find_dispatch(graph: CallGraph) -> tuple[dict[str, str], set[str]]:
                 isinstance(kw.value, ast.Name) and kw.value.id == param
                 for kw in node.keywords
             )
-            if not passes_param:
-                continue
-            callee = graph.resolve_call(fn, node, local_types)
-            if callee is not None and _analyzable(callee):
+            if passes_param and _analyzable(callee):
                 entries.add(callee.key)
     return dispatchers, entries
 
 
+def summarize(
+    fn: FunctionInfo, graph: CallGraph, summaries: dict[str, FunctionSummary]
+) -> FunctionSummary:
+    """One function's summary, given its callees' current summaries."""
+    taint = _TaintWalker(fn, graph, summaries, emit=False)
+    taint.run()
+    summary = taint.summary
+    if taint_exempt_module(fn.module):
+        # Sanctioned wall-clock/RNG use never leaks taint outward.
+        summary.returns_value_taint = frozenset()
+        summary.returns_order_taint = frozenset()
+        summary.param_sinks = {}
+    gate = _GateWalker(fn, graph, summaries)
+    summary.verify_gate = gate.run()
+    summary.performs_verify = gate.performs_verify
+    summary.mutates = gate.mutates
+    return summary
+
+
 def compute_summaries(graph: CallGraph) -> dict[str, FunctionSummary]:
-    """Worklist fixpoint over all analyzable functions."""
-    summaries: dict[str, FunctionSummary] = {
-        key: FunctionSummary() for key, fn in graph.functions.items()
-        if _analyzable(fn)
-    }
-    for _ in range(_MAX_FIXPOINT_PASSES):
-        changed = False
-        for key in sorted(summaries):
-            fn = graph.functions[key]
-            analyzer = _FunctionAnalyzer(fn, graph, summaries, emit=False)
-            analyzer.run()
-            new = analyzer.summary
-            if taint_exempt_module(fn.module):
-                # Sanctioned wall-clock/RNG use never leaks taint outward.
-                new.returns_value_taint = frozenset()
-                new.returns_order_taint = frozenset()
-                new.param_sinks = {}
-            walker = _GateWalker(fn, graph, summaries, emit=False)
-            gate = walker.run()
-            new.performs_verify = walker.performs_verify
-            new.mutates = walker.mutates
-            new.verify_gate = gate
-            if new.state() != summaries[key].state():
-                summaries[key] = new
-                changed = True
-        if not changed:
-            break
-    return summaries
+    """Summaries of every analyzable function, solved over the call graph."""
+    functions = {key: fn for key, fn in graph.functions.items() if _analyzable(fn)}
+    return fixpoint(
+        functions,
+        {key: [callee.key for callee in graph.calls(fn).values()]
+         for key, fn in functions.items()},
+        start=lambda key: FunctionSummary(),
+        transfer=lambda key, summaries: summarize(functions[key], graph, summaries),
+        join=FunctionSummary.joined,
+    )
 
 
 def flow_analysis(project: Project) -> FlowAnalysis:
@@ -813,9 +771,9 @@ def flow_analysis(project: Project) -> FlowAnalysis:
 
 def taint_findings(analysis: FlowAnalysis, fn: FunctionInfo) -> list[TaintFinding]:
     """FLOW001 findings for one function (emit pass with stable summaries)."""
-    analyzer = _FunctionAnalyzer(fn, analysis.graph, analysis.summaries, emit=True)
-    analyzer.run()
-    return analyzer.findings
+    walker = _TaintWalker(fn, analysis.graph, analysis.summaries, emit=True)
+    walker.run()
+    return walker.findings
 
 
 def gate_violations(analysis: FlowAnalysis, fn: FunctionInfo) -> list[GateViolation]:
@@ -826,7 +784,7 @@ def gate_violations(analysis: FlowAnalysis, fn: FunctionInfo) -> list[GateViolat
     exactly one finding — at the handler, where the fix belongs.
     """
     walker = _GateWalker(
-        fn, analysis.graph, analysis.summaries, emit=True,
+        fn, analysis.graph, analysis.summaries,
         skip_keys=frozenset(analysis.entry_points),
     )
     walker.run()

@@ -5,9 +5,10 @@ and checkpoint decisions need ``2f+1`` *distinct* signers, reply matching
 needs ``f+1``, phase flags (`prepared`, `committed`, `certified`) may only
 flip behind the matching quorum check, and view/sequence counters must
 never move backwards outside a sanctioned view-change/state-sync path.
-This module extracts those facts once per lint run — reusing the shared
-flow call graph and summaries — and the SM rules in :mod:`.rules` report
-on them.
+This module extracts those facts once per lint run with the shared
+statement walker and fixpoint (:mod:`repro.lint.flow.walk`) over the flow
+stage's call graph and summaries, and the SM rules in :mod:`.rules`
+report on them.
 
 The analysis follows the flow stage's soundness policy: everything
 unresolvable stays unresolved and is treated as opaque, so the stage
@@ -27,9 +28,10 @@ from repro.lint.flow.callgraph import CallGraph, ClassInfo, FunctionInfo
 from repro.lint.flow.summaries import (
     FlowAnalysis,
     _attr_chain,
-    _walk_no_lambda,
     flow_analysis,
+    is_verify_guard,
 )
+from repro.lint.flow.walk import StatementWalker, body_nodes, fixpoint
 
 #: Modules the sm stage analyzes: the consensus core plus everything that
 #: handles protocol messages or feeds the evidence chain.
@@ -66,8 +68,6 @@ _KIND_PATTERNS: tuple[tuple[str, re.Pattern[str]], ...] = (
     ("id", re.compile(r"_id$")),
     ("height", re.compile(r"^height$|_height$")),
 )
-
-_MAX_RAISE_PASSES = 12
 
 _CATCH_ALL = frozenset({"*", "Exception", "BaseException"})
 
@@ -312,24 +312,8 @@ def _value_collection(value: ast.AST | None) -> str | None:
 
 def _field_collection_kind(graph: CallGraph, class_key: str, attr: str) -> str | None:
     """Collection kind of ``Class.attr``: annotation first, then assignments."""
-    seen: set[str] = set()
-    stack = [class_key]
-    while stack:
-        current = stack.pop(0)
-        if current in seen:
-            continue
-        seen.add(current)
-        cls = graph.classes.get(current)
-        if cls is None:
-            continue
-        kind = _field_kind_on_class(cls)
-        if attr in kind:
-            return kind[attr]
-        for base in cls.base_names:
-            resolved = graph.resolve_class(cls.module, base)
-            if resolved is not None:
-                stack.append(resolved)
-    return None
+    return next((kinds[attr] for cls in graph.lineage(class_key)
+                 if attr in (kinds := _field_kind_on_class(cls))), None)
 
 
 # Keyed by the AST node itself (weakly): id()-keyed caches are unsound
@@ -479,7 +463,7 @@ _OP_TEXT = {ast.Gt: ">", ast.GtE: ">=", ast.Lt: "<", ast.LtE: "<="}
 def _simple_locals(fn_node: ast.AST) -> dict[str, ast.AST]:
     """First simple assignment per local name (``x = expr``)."""
     locals_map: dict[str, ast.AST] = {}
-    for node in _walk_no_lambda(fn_node):
+    for node in body_nodes(fn_node):
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
             target = node.targets[0]
             if isinstance(target, ast.Name):
@@ -487,13 +471,13 @@ def _simple_locals(fn_node: ast.AST) -> dict[str, ast.AST]:
     return locals_map
 
 
-class _SmWalker:
+class _SmWalker(StatementWalker):
     """One branch-sensitive pass collecting every SM event in a function.
 
-    Mirrors the flow stage's ``_GateWalker`` semantics — an ``if`` whose
-    test contains a guard protects both branches; a guard-return pattern
-    (``if not ok(): return``) leaves the continuation protected — but
-    tracks *two* independent guard states:
+    Shares the flow stage's must-walk — an ``if`` whose test contains a
+    guard protects both branches; a guard-return pattern (``if not ok():
+    return``) leaves the continuation protected — but its state is *two*
+    independent guard flags ``(verified, quorum)``:
 
     * ``verified`` — a verify/is_member-style signature check ran
       (FLOW002's notion; SM006 uses it to discharge raises).
@@ -501,6 +485,10 @@ class _SmWalker:
       a resolvable callee (``CommitCert.verify`` counting its signers).
       Only this state sanctions a phase-flag flip: a signature check
       alone is *not* evidence of 2f+1 agreement.
+
+    The attrs compared by enclosing tests (SM004), the guard depth (SM006)
+    and the exceptions caught around a ``try`` body are lexical: pushed in
+    :meth:`enter` and popped in :meth:`leave`.
     """
 
     def __init__(
@@ -510,9 +498,8 @@ class _SmWalker:
         flow: FlowAnalysis,
     ) -> None:
         self.fn = fn
-        self.graph = graph
         self.flow = flow
-        self.local_types = graph.local_types(fn)
+        self.calls = graph.calls(fn)
         self.locals_map = _simple_locals(fn.node)
         self.resolver = _CollectionResolver(graph, fn, self.locals_map)
         self.facts = SmFunction(fn=fn)
@@ -522,35 +509,28 @@ class _SmWalker:
         self.quorum_performers: frozenset[str] = frozenset()
         self._caught: list[frozenset[str]] = []
         self._seen_compares: set[int] = set()
+        #: Terminal attr names compared by the enclosing if/while tests.
+        self._cmp_attrs: frozenset[str] = frozenset()
         #: >0 while walking a branch whose test contains a verify-style or
         #: quorum guard: raises there only fire when the guard fails, so a
         #: caller that already verified the message discharges them.
         self._guard_depth = 0
+        self._scopes: list[tuple[frozenset[str], int]] = []
 
     # -- public ------------------------------------------------------------------
 
     def run(self) -> SmFunction:
-        self._walk_block(self.fn.node.body, False, False, frozenset())
+        self.block(self.fn.node.body, (False, False))
         self._scan_kinds()
         return self.facts
 
     def has_direct_quorum_gate(self) -> bool:
         """A sanctioned quorum comparison appears anywhere in the body."""
-        for sub in _walk_no_lambda(self.fn.node):
+        for sub in body_nodes(self.fn.node):
             if isinstance(sub, ast.Compare):
                 if self._sanctioned_gate(self._classify_compare(sub)):
                     return True
         return False
-
-    def callee_keys(self) -> set[str]:
-        """Every resolvable callee (for the quorum-performer fixpoint)."""
-        out: set[str] = set()
-        for sub in _walk_no_lambda(self.fn.node):
-            if isinstance(sub, ast.Call):
-                callee = self.graph.resolve_call(self.fn, sub, self.local_types)
-                if callee is not None:
-                    out.add(callee.key)
-        return out
 
     # -- gates -------------------------------------------------------------------
 
@@ -613,7 +593,7 @@ class _SmWalker:
     def _record_compares(self, node: ast.AST) -> bool:
         """Classify every comparison under ``node``; True if any sanctions."""
         sanctioned = False
-        for sub in _walk_no_lambda(node):
+        for sub in body_nodes(node):
             if not isinstance(sub, ast.Compare) or id(sub) in self._seen_compares:
                 continue
             self._seen_compares.add(id(sub))
@@ -623,35 +603,34 @@ class _SmWalker:
                 sanctioned = sanctioned or self._sanctioned_gate(gate)
         return sanctioned
 
-    def _analyze_test(self, node: ast.AST) -> tuple[bool, bool]:
-        """(verify-style guard present, quorum check present) under ``node``.
+    def _scan(self, node: ast.AST, verified: bool, quorum: bool) -> tuple[bool, bool]:
+        """Record the gates and call sites under ``node``, which run in state
+        ``(verified, quorum)``; returns the (verify, quorum) guards it holds.
 
         Quorum credit for calls requires *resolving* the callee to a known
         quorum performer; an opaque ``message.verify(...)`` earns only the
         verify flag, never the quorum one.
         """
-        quorum = self._record_compares(node)
-        verify = False
-        for call in _walk_no_lambda(node):
+        verify_g, quorum_g = False, self._record_compares(node)
+        for call in body_nodes(node):
             if not isinstance(call, ast.Call):
                 continue
-            name = terminal_name(call.func)
-            if name in ("verify", "is_member") or (name or "").startswith("verify_"):
-                verify = True
-            callee = self.graph.resolve_call(self.fn, call, self.local_types)
+            callee = self.calls.get(call)
+            verify_g = verify_g or is_verify_guard(call, callee, self.flow.summaries)
             if callee is not None:
-                summary = self.flow.summaries.get(callee.key)
-                if summary is not None and summary.performs_verify:
-                    verify = True
-                if callee.key in self.quorum_performers:
-                    quorum = True
-        return verify, quorum
+                quorum_g = quorum_g or callee.key in self.quorum_performers
+                self.facts.call_sites.append(CallSite(
+                    callee=callee.key, lineno=call.lineno, guarded=verified,
+                    quorum_guarded=quorum, compare_attrs=self._cmp_attrs,
+                    caught=self._caught_now(),
+                ))
+        return verify_g, quorum_g
 
     @staticmethod
     def _compare_attrs_in(node: ast.AST) -> frozenset[str]:
         """Terminal attr names compared under ``node`` (for SM004 guards)."""
         attrs: set[str] = set()
-        for sub in _walk_no_lambda(node):
+        for sub in body_nodes(node):
             if not isinstance(sub, ast.Compare):
                 continue
             for side in [sub.left, *sub.comparators]:
@@ -659,134 +638,62 @@ class _SmWalker:
                     attrs.add(side.attr)
         return frozenset(attrs)
 
-    # -- statement walk ----------------------------------------------------------
+    # -- walker hooks ------------------------------------------------------------
 
-    def _walk_block(
-        self,
-        stmts: list[ast.stmt],
-        verified: bool,
-        quorum: bool,
-        cmp_attrs: frozenset[str],
-    ) -> tuple[bool, bool, bool]:
-        for stmt in stmts:
-            verified, quorum, terminated = self._walk_stmt(
-                stmt, verified, quorum, cmp_attrs)
-            if terminated:
-                return verified, quorum, True
-        return verified, quorum, False
+    def join(self, first: tuple[bool, bool], second: tuple[bool, bool]) -> tuple[bool, bool]:
+        return first[0] and second[0], first[1] and second[1]
 
-    def _walk_stmt(
-        self,
-        stmt: ast.stmt,
-        verified: bool,
-        quorum: bool,
-        cmp_attrs: frozenset[str],
-    ) -> tuple[bool, bool, bool]:
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            return verified, quorum, False
-        if isinstance(stmt, ast.Raise):
-            self._record_raise(stmt)
-            return verified, quorum, True
-        if isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._analyze_test(stmt.value)
-                self._scan_expr(stmt.value, verified, quorum, cmp_attrs)
-            return verified, quorum, True
-        if isinstance(stmt, (ast.Break, ast.Continue)):
-            return verified, quorum, True
-        if isinstance(stmt, ast.If):
-            verify_g, quorum_g = self._analyze_test(stmt.test)
-            self._scan_expr(stmt.test, verified, quorum, cmp_attrs)
-            branch_verified = verified or verify_g
-            branch_quorum = quorum or quorum_g
-            branch_attrs = cmp_attrs | self._compare_attrs_in(stmt.test)
-            bump = 1 if (verify_g or quorum_g) else 0
+    def enter(self, stmt: ast.stmt, state: tuple[bool, bool]) -> tuple[bool, bool]:
+        verified, quorum = state
+        if isinstance(stmt, (ast.If, ast.While)):
+            verify_g, quorum_g = self._scan(stmt.test, verified, quorum)
+            # Both branches of an ``if`` run under its guard; a ``while``
+            # test's compared attrs cover its body only.
+            bump = 1 if isinstance(stmt, ast.If) and (verify_g or quorum_g) else 0
+            self._scopes.append((self._cmp_attrs, bump))
+            self._cmp_attrs = self._cmp_attrs | self._compare_attrs_in(stmt.test)
             self._guard_depth += bump
-            bv, bq, body_term = self._walk_block(
-                stmt.body, branch_verified, branch_quorum, branch_attrs)
-            ev, eq, else_term = self._walk_block(
-                stmt.orelse, branch_verified, branch_quorum, branch_attrs)
-            self._guard_depth -= bump
-            if body_term and else_term:
-                return branch_verified, branch_quorum, True
-            if body_term:
-                return ev, eq, False
-            if else_term:
-                return bv, bq, False
-            return bv and ev, bq and eq, False
+            return verified or verify_g, quorum or quorum_g
         if isinstance(stmt, (ast.For, ast.AsyncFor)):
-            self._scan_expr(stmt.iter, verified, quorum, cmp_attrs)
-            av, aq, _ = self._walk_block(stmt.body, verified, quorum, cmp_attrs)
-            av2, aq2, _ = self._walk_block(stmt.orelse, av, aq, cmp_attrs)
-            return av2, aq2, False
-        if isinstance(stmt, ast.While):
-            verify_g, quorum_g = self._analyze_test(stmt.test)
-            self._scan_expr(stmt.test, verified, quorum, cmp_attrs)
-            branch_attrs = cmp_attrs | self._compare_attrs_in(stmt.test)
-            av, aq, _ = self._walk_block(
-                stmt.body, verified or verify_g, quorum or quorum_g, branch_attrs)
-            av2, aq2, _ = self._walk_block(stmt.orelse, av, aq, cmp_attrs)
-            return av2, aq2, False
-        if isinstance(stmt, ast.Try):
+            self._scan(stmt.iter, verified, quorum)
+        elif isinstance(stmt, (ast.With, ast.AsyncWith)):
+            for item in stmt.items:
+                self._scan(item.context_expr, verified, quorum)
+        elif isinstance(stmt, ast.Try):
             caught: set[str] = set()
             for handler in stmt.handlers:
                 caught.update(_handler_names(handler))
             self._caught.append(frozenset(caught))
-            bv, bq, _ = self._walk_block(stmt.body, verified, quorum, cmp_attrs)
+        return state
+
+    def leave(self, stmt: ast.stmt, state: tuple[bool, bool]) -> tuple[bool, bool]:
+        if isinstance(stmt, (ast.If, ast.While)):
+            self._cmp_attrs, bump = self._scopes.pop()
+            self._guard_depth -= bump
+        elif isinstance(stmt, ast.Try):
             self._caught.pop()
-            handler_states = [
-                self._walk_block(handler.body, verified, quorum, cmp_attrs)
-                for handler in stmt.handlers
-            ] or [(True, True, False)]
-            ev, eq, _ = self._walk_block(stmt.orelse, bv, bq, cmp_attrs)
-            merged_v = ev and all(v for v, _, _ in handler_states)
-            merged_q = eq and all(q for _, q, _ in handler_states)
-            fv, fq, final_term = self._walk_block(
-                stmt.finalbody, merged_v, merged_q, cmp_attrs)
-            return fv, fq, final_term and bool(stmt.finalbody)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            for item in stmt.items:
-                self._scan_expr(item.context_expr, verified, quorum, cmp_attrs)
-            return self._walk_block(stmt.body, verified, quorum, cmp_attrs)
-        verify_g, quorum_g = self._analyze_test(stmt)
-        self._scan_simple(stmt, verified, quorum, cmp_attrs)
-        return verified or verify_g, quorum or quorum_g, False
+        return state
+
+    def simple(self, stmt: ast.stmt, state: tuple[bool, bool]) -> tuple[bool, bool]:
+        verified, quorum = state
+        if isinstance(stmt, ast.Raise):
+            self._record_raise(stmt)
+            return state
+        if isinstance(stmt, ast.Return):
+            if stmt.value is not None:
+                self._scan(stmt.value, verified, quorum)
+            return state
+        if isinstance(stmt, (ast.Break, ast.Continue)):
+            return state
+        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+            for target in targets:
+                self._note_phase_set(target, stmt.value, quorum)
+                self._note_mono(stmt, target, stmt.value)
+        verify_g, quorum_g = self._scan(stmt, verified, quorum)
+        return verified or verify_g, quorum or quorum_g
 
     # -- event collection --------------------------------------------------------
-
-    def _scan_simple(
-        self,
-        stmt: ast.stmt,
-        verified: bool,
-        quorum: bool,
-        cmp_attrs: frozenset[str],
-    ) -> None:
-        if isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-            targets = (
-                stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
-            value = stmt.value
-            for target in targets:
-                self._note_phase_set(target, value, quorum)
-                self._note_mono(stmt, target, value, cmp_attrs)
-        self._scan_expr(stmt, verified, quorum, cmp_attrs)
-
-    def _scan_expr(
-        self,
-        node: ast.AST,
-        verified: bool,
-        quorum: bool,
-        cmp_attrs: frozenset[str],
-    ) -> None:
-        self._record_compares(node)
-        for sub in _walk_no_lambda(node):
-            if isinstance(sub, ast.Call):
-                callee = self.graph.resolve_call(self.fn, sub, self.local_types)
-                if callee is not None:
-                    self.facts.call_sites.append(CallSite(
-                        callee=callee.key, lineno=sub.lineno, guarded=verified,
-                        quorum_guarded=quorum, compare_attrs=cmp_attrs,
-                        caught=self._caught_now(),
-                    ))
 
     def _caught_now(self) -> frozenset[str]:
         merged: set[str] = set()
@@ -806,13 +713,7 @@ class _SmWalker:
             guarded=quorum,
         ))
 
-    def _note_mono(
-        self,
-        stmt: ast.stmt,
-        target: ast.AST,
-        value: ast.AST | None,
-        cmp_attrs: frozenset[str],
-    ) -> None:
+    def _note_mono(self, stmt: ast.stmt, target: ast.AST, value: ast.AST | None) -> None:
         if not (isinstance(target, ast.Attribute)
                 and isinstance(target.value, ast.Name)
                 and target.value.id == "self"):
@@ -825,7 +726,7 @@ class _SmWalker:
                       and isinstance(value.value, int) and value.value >= 0)
         else:
             proved = (
-                target.attr in cmp_attrs
+                target.attr in self._cmp_attrs
                 or self._nondecreasing(value, ("self", target.attr))
             )
         self.facts.mono_events.append(MonoEvent(
@@ -891,7 +792,7 @@ class _SmWalker:
             kind = own or self._kind_of(value, {})
             if kind is not None:
                 local_kinds[name] = kind
-        for node in _walk_no_lambda(self.fn.node):
+        for node in body_nodes(self.fn.node):
             if isinstance(node, ast.Compare):
                 if len(node.ops) != 1 or len(node.comparators) != 1:
                     continue
@@ -985,7 +886,6 @@ class SmAnalysis:
     flow: FlowAnalysis
     functions: dict[str, SmFunction]
     reverse_calls: dict[str, list[CallSite]]     # callee key -> caller sites
-    callers_of: dict[str, list[str]]             # callee key -> caller keys
     escapes: dict[str, list[RaiseFact]]          # dispatch root -> escaping
 
 
@@ -1004,28 +904,25 @@ def sm_analysis(project: Project) -> SmAnalysis:
             fn = graph.functions[key]
             if _analyzable(fn):
                 walkers[key] = _SmWalker(fn, graph, flow)
-        performers = _quorum_performers(walkers)
+        performers = _quorum_performers(graph, walkers)
         functions: dict[str, SmFunction] = {}
         for key, walker in walkers.items():
             walker.quorum_performers = performers
             functions[key] = walker.run()
         reverse: dict[str, list[CallSite]] = {}
-        callers: dict[str, list[str]] = {}
-        for key, facts in functions.items():
+        for facts in functions.values():
             for site in facts.call_sites:
                 reverse.setdefault(site.callee, []).append(site)
-                callers.setdefault(site.callee, []).append(key)
         escapes = _propagate_raises(flow, functions)
         analysis = SmAnalysis(
             graph=graph, flow=flow, functions=functions,
-            reverse_calls=reverse, callers_of=callers,
-            escapes=escapes,
+            reverse_calls=reverse, escapes=escapes,
         )
         project.cache["sm.analysis"] = analysis
     return analysis
 
 
-def _quorum_performers(walkers: dict[str, _SmWalker]) -> frozenset[str]:
+def _quorum_performers(graph: CallGraph, walkers: dict[str, _SmWalker]) -> frozenset[str]:
     """Functions that run a sanctioned quorum check, transitively.
 
     Direct: the body contains a comparison against config.quorum-flavoured
@@ -1033,54 +930,46 @@ def _quorum_performers(walkers: dict[str, _SmWalker]) -> frozenset[str]:
     (``CommitCert.verify`` counting its signers credits every caller) —
     mirroring how the flow stage's ``performs_verify`` telescopes.
     """
-    performers = {
-        key for key, walker in walkers.items()
-        if walker.has_direct_quorum_gate()
-    }
-    edges = {key: walker.callee_keys() for key, walker in walkers.items()}
-    changed = True
-    while changed:
-        changed = False
-        for key, callees in edges.items():
-            if key not in performers and callees & performers:
-                performers.add(key)
-                changed = True
-    return frozenset(performers)
+    callees = {key: [c.key for c in graph.calls(walker.fn).values()]
+               for key, walker in walkers.items()}
+    performs = fixpoint(
+        walkers, callees,
+        start=lambda key: False,
+        transfer=lambda key, facts: walkers[key].has_direct_quorum_gate()
+        or any(facts.get(callee) for callee in callees[key]),
+        join=lambda old, new: old or new,
+    )
+    return frozenset(key for key, performer in performs.items() if performer)
 
 
 def _propagate_raises(
     flow: FlowAnalysis, functions: dict[str, SmFunction]
 ) -> dict[str, list[RaiseFact]]:
-    """Fixpoint: which raise facts can escape each function.
+    """Which raise facts can escape each function, solved over call sites.
 
     A callee's fact is discharged at a call site when the surrounding
     ``try`` catches the exception, or when the fact is guard-conditional
     (only reachable on verification failure) and the site runs in
     verified state.  Dispatch roots keep whatever survives.
     """
-    facts: dict[str, frozenset[RaiseFact]] = {
-        key: frozenset(fn.raises) for key, fn in functions.items()
-    }
-    for _ in range(_MAX_RAISE_PASSES):
-        changed = False
-        for key in sorted(functions):
-            merged = set(facts[key]) | set(functions[key].raises)
-            for site in functions[key].call_sites:
-                incoming = facts.get(site.callee)
-                if not incoming:
+    def escaping(key: str, facts: dict[str, frozenset[RaiseFact]]) -> frozenset[RaiseFact]:
+        merged = set(functions[key].raises)
+        for site in functions[key].call_sites:
+            for fact in facts.get(site.callee, ()):
+                if fact.exc in site.caught or site.caught & _CATCH_ALL:
                     continue
-                for fact in incoming:
-                    if fact.exc in site.caught or site.caught & _CATCH_ALL:
-                        continue
-                    if fact.guard_conditional and site.guarded:
-                        continue
-                    merged.add(fact)
-            new = frozenset(merged)
-            if new != facts[key]:
-                facts[key] = new
-                changed = True
-        if not changed:
-            break
+                if fact.guard_conditional and site.guarded:
+                    continue
+                merged.add(fact)
+        return frozenset(merged)
+
+    facts = fixpoint(
+        functions,
+        {key: [site.callee for site in fn.call_sites] for key, fn in functions.items()},
+        start=lambda key: frozenset(),
+        transfer=escaping,
+        join=frozenset.union,
+    )
     escapes: dict[str, list[RaiseFact]] = {}
     for root in sorted(flow.dispatchers):
         fn = functions.get(root)
@@ -1091,10 +980,11 @@ def _propagate_raises(
             if _origin_module(fact, functions).startswith(RAISE_ORIGIN_PREFIXES)
         ]
         if relevant:
-            unique = {(f.exc, f.origin): f for f in relevant}
-            escapes[root] = [
-                unique[k] for k in sorted(unique)
-            ]
+            # One fact per (exception, origin): the first raise line.
+            unique: dict[tuple[str, str], RaiseFact] = {}
+            for fact in sorted(relevant, key=lambda f: (f.lineno, f.guard_conditional)):
+                unique.setdefault((fact.exc, fact.origin), fact)
+            escapes[root] = [unique[k] for k in sorted(unique)]
     return escapes
 
 

@@ -33,7 +33,6 @@ from typing import Annotated, Iterable, Mapping, NamedTuple
 
 from repro.obs.fold import fold_trace
 from repro.obs.trace import TraceEvent
-from repro.util.errors import CodecError
 from repro.wire.codec import Biased, WireStruct
 
 #: The request-lifecycle event names, in protocol order.
@@ -366,13 +365,3 @@ def lifecycle_shape(events: Iterable[TraceEvent]) -> dict[str, object]:
         "partial": len(chains) - len(complete),
         "chain_shapes": sorted({",".join(chain) for chain in complete}),
     }
-
-
-def events_from_jsonl(path: str) -> list[TraceEvent]:
-    """Read a trace for DAG construction (thin alias, import-cycle free)."""
-    from repro.obs.sinks import read_trace
-
-    trace = read_trace(path)
-    if not trace:
-        raise CodecError(f"trace {path!r} is empty")
-    return trace

@@ -3,7 +3,9 @@
 import io
 import json
 import textwrap
+from pathlib import Path
 
+from repro.lint.baseline import load_baseline
 from repro.lint.cli import main
 
 RACY = textwrap.dedent("""
@@ -82,3 +84,14 @@ def test_no_warning_when_baseline_is_fully_live(tmp_path, capsys):
     code = main(["--baseline", str(baseline), str(target)], stream=io.StringIO())
     assert code == 0
     assert "stale" not in capsys.readouterr().err
+
+
+def test_checked_in_baseline_absorbs_no_async_or_sm_finding():
+    """ASYNC and SM findings are fixed, never baselined.
+
+    The CI gate lints with ``lint-baseline.json``, so this is where the
+    policy holds: the checked-in file carries no fingerprint of either.
+    """
+    root = Path(__file__).resolve().parents[2]
+    codes = {entry.split("::")[1] for entry in load_baseline(str(root / "lint-baseline.json"))}
+    assert not {code for code in codes if code.startswith(("ASYNC", "SM"))}

@@ -8,6 +8,7 @@ of them fails here, by name and line, instead of drifting for ten PRs.
 
 import ast
 import dataclasses
+import functools
 import pathlib
 
 import repro
@@ -19,9 +20,11 @@ NODE_CONSTRUCTORS = {"ZugChainNode", "make_zugchain_node", "BaselineNode", "Fabr
 EXEMPT = {"faults/behaviors.py"}
 
 
-def _modules():
-    for path in sorted(SRC.rglob("*.py")):
-        yield path.relative_to(SRC).as_posix(), ast.parse(path.read_text())
+@functools.lru_cache(maxsize=None)
+def _modules() -> tuple[tuple[str, ast.Module], ...]:
+    """Every module of ``src/repro``, parsed once for all the guards."""
+    return tuple((path.relative_to(SRC).as_posix(), ast.parse(path.read_text()))
+                 for path in sorted(SRC.rglob("*.py")))
 
 
 def _callee(call: ast.Call) -> str:
@@ -29,18 +32,39 @@ def _callee(call: ast.Call) -> str:
     return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
 
 
-def call_sites(names: set[str], trees=None) -> set[str]:
-    """``module:function`` of every function in ``src/repro`` that calls one of ``names``."""
-    sites = set()
-    for module, tree in (trees if trees is not None else _modules()):
-        if module in EXEMPT:
-            continue
-        for scope in ast.walk(tree):
-            if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if any(isinstance(node, ast.Call) and _callee(node) in names
-                       for node in ast.walk(scope)):
-                    sites.add(f"{module}:{scope.name}")
-    return sites
+def _scope_calls(module: str, tree: ast.AST) -> list[tuple[str, str, frozenset[str]]]:
+    """(module, function, names it calls) for every function, nested ones too.
+
+    One walk of the tree: a function's calls include those of the
+    functions nested in it.
+    """
+    scopes = []
+
+    def visit(node: ast.AST) -> set[str]:
+        called = {_callee(node)} if isinstance(node, ast.Call) else set()
+        for child in ast.iter_child_nodes(node):
+            inner = visit(child)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((module, child.name, frozenset(inner)))
+            called |= inner
+        return called
+
+    visit(tree)
+    return scopes
+
+
+@functools.lru_cache(maxsize=None)
+def _src_scopes() -> tuple[tuple[str, str, frozenset[str]], ...]:
+    return tuple(scope for module, tree in _modules() for scope in _scope_calls(module, tree))
+
+
+def call_sites(names: set[str], extra=()) -> set[str]:
+    """``module:function`` of every function in ``src/repro`` (plus ``extra``
+    ``(module, tree)`` pairs) that calls one of ``names``."""
+    scopes = [*_src_scopes(), *(scope for module, tree in extra
+                                for scope in _scope_calls(module, tree))]
+    return {f"{module}:{function}" for module, function, called in scopes
+            if module not in EXEMPT and called & names}
 
 
 def test_nodes_are_constructed_in_one_place():
@@ -53,8 +77,7 @@ def test_the_guard_sees_a_second_construction_site():
         "    return ZugChainNode(env=env, bft_config=BFT, zug_config=ZUG,\n"
         "                        keypair=KEYS[env.node_id], keystore=STORE, nsdb=NSDB)\n"
     )
-    trees = list(_modules()) + [("runtime/tcp_scenario.py", rogue)]
-    assert call_sites(NODE_CONSTRUCTORS, trees) == {
+    assert call_sites(NODE_CONSTRUCTORS, [("runtime/tcp_scenario.py", rogue)]) == {
         "scenarios/recipe.py:build_node", "runtime/tcp_scenario.py:make_node"}
 
 
