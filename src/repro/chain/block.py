@@ -18,6 +18,7 @@ from repro.wire.codec import Hash32, WireStruct
 from repro.wire.messages import SignedRequest
 
 GENESIS_PREV_HASH = b"\x00" * 32
+_ROOT_MEMO = "requests_root"  # where ``Block.requests_root`` (a ``memoized``) keeps its value
 
 
 @dataclass(frozen=True)
@@ -70,11 +71,21 @@ class Block(WireStruct):
     def merkle_tree(self) -> MerkleTree:
         return _payload_tree(self.requests)
 
+    @memoized
+    def requests_root(self) -> bytes:
+        """Merkle root of this block's own ``requests``, whatever its header says.
+
+        The input of :meth:`verify_payload`, kept once per object; the
+        verdict is not.  Not a field, so ``==``/``hash``/``repr``/``encode``
+        ignore it, and a decoded, replaced or hand-built block starts cold.
+        """
+        return self.merkle_tree().root
+
     def verify_payload(self) -> bool:
         """Check the Merkle commitment and request count against the header."""
         if len(self.requests) != self.header.request_count:
             return False
-        return self.merkle_tree().root == self.header.payload_root
+        return self.requests_root == self.header.payload_root
 
 
 def genesis_block(chain_id: str = "zugchain") -> Block:
@@ -108,12 +119,17 @@ def build_block(
         raise ChainError(
             f"block sequence must advance: last_sn {last_sn} <= previous {prev.last_sn}"
         )
+    root = _payload_tree(requests).root
     header = BlockHeader(
         height=prev.height + 1,
         prev_hash=prev.block_hash,
-        payload_root=_payload_tree(requests).root,
+        payload_root=root,
         timestamp_us=timestamp_us,
         request_count=len(requests),
         last_sn=last_sn,
     )
-    return Block(header=header, requests=tuple(requests))
+    block = Block(header=header, requests=tuple(requests))
+    # The header's root was derived from exactly these requests: hand it
+    # over so the first ``verify_payload`` does not build the tree again.
+    block.__dict__[_ROOT_MEMO] = root
+    return block

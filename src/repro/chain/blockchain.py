@@ -123,12 +123,14 @@ class Blockchain:
         base = self.block_at(height)
         if certificate.base_height != height or certificate.base_block_hash != base.block_hash:
             raise ChainError("prune certificate does not match the requested base block")
-        removed = [block for block in self._blocks if block.height < height]
-        self._blocks = [block for block in self._blocks if block.height >= height]
+        # Heights run contiguously from the base, as ``block_at`` relies on.
+        first = self.base_height
+        removed = self._blocks[:height - first]
+        self._blocks = self._blocks[height - first:]
         self._body_bytes -= sum(
             block.encoded_size()
-            for block in removed
-            if block.height not in self._headers_only_heights
+            for h, block in enumerate(removed, first)
+            if h not in self._headers_only_heights
         )
         self._headers_only_heights = {
             h for h in self._headers_only_heights if h >= height
@@ -142,11 +144,12 @@ class Blockchain:
         Returns the number of blocks affected.  The genesis/base block is
         kept intact so the chain can still be re-linked.
         """
+        first = self.base_height
         affected = 0
-        for block in self._blocks:
-            if self.base_height < block.height < height and block.height not in self._headers_only_heights:
-                self._headers_only_heights.add(block.height)
-                self._body_bytes -= block.encoded_size()
+        for h in range(first + 1, min(height, self.height + 1)):
+            if h not in self._headers_only_heights:
+                self._headers_only_heights.add(h)
+                self._body_bytes -= self._blocks[h - first].encoded_size()
                 affected += 1
         return affected
 

@@ -189,10 +189,14 @@ def _collect_lock_attrs(graph: CallGraph) -> dict[str, frozenset]:
 
 
 def compute_async_facts(graph: CallGraph) -> dict[str, AsyncFacts]:
-    """may_suspend and the blocking-call closure, solved over the call graph."""
+    """may_suspend and the blocking-call closure, solved over the call graph.
+
+    Solved for ``repro.*`` only: no ASYNC rule reports elsewhere and no
+    ``repro.*`` function calls into ``tests.*``.
+    """
     analyzable = {
         key: fn for key, fn in graph.functions.items()
-        if fn.module.startswith(("repro.", "tests."))
+        if fn.module.startswith("repro.")
     }
 
     def transfer(key: str, facts: dict[str, AsyncFacts]) -> AsyncFacts:

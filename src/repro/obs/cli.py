@@ -26,8 +26,9 @@ from collections import Counter as TallyCounter
 from repro.analysis import format_table
 from repro.obs.causal import build_dag, lifecycle_shape
 from repro.obs.check import DEFAULT_TAIL_SLACK_S, check_trace
+from repro.obs.fold import fold_trace
 from repro.obs.sinks import read_trace
-from repro.obs.spans import PHASES, pair_request_spans, pair_view_changes
+from repro.obs.spans import PHASES, span_report
 from repro.util.errors import CodecError
 
 
@@ -70,8 +71,7 @@ def _drop_table(events) -> str | None:
                         title="Dedup/filter drops")
 
 
-def _viewchange_table(events) -> str | None:
-    stalls = pair_view_changes(events)
+def _viewchange_table(stalls) -> str | None:
     if not stalls:
         return None
     rows = []
@@ -88,12 +88,14 @@ def _viewchange_table(events) -> str | None:
 
 def _cmd_summary(args, out) -> int:
     events = read_trace(args.trace)
-    report = pair_request_spans(events, node=args.node, since=args.since)
+    fold = fold_trace(events)
+    report = span_report(fold.closed_spans, fold.open_spans.values(),
+                         node=args.node, since=args.since)
     print(_phase_table(report), file=out)
     if report.incomplete_count:
         print(f"incomplete spans: {report.incomplete_count} "
               "(request observed but never logged on that node)", file=out)
-    for table in (_drop_table(events), _viewchange_table(events)):
+    for table in (_drop_table(events), _viewchange_table(fold.stalls)):
         if table is not None:
             print(file=out)
             print(table, file=out)

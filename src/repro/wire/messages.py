@@ -79,8 +79,10 @@ class SignedRequest(SignedStruct):
     def merkle_leaf(self) -> bytes:
         """This request's leaf hash in its block's payload Merkle tree.
 
-        Computed on block build and again by every ``verify_payload`` on
-        append; 32 bytes kept per request instead of re-encoding each time.
+        Read on block build and by the first ``verify_payload`` of a block
+        that did not come from ``build_block`` (decoded, replaced or
+        hand-built), which then keeps the root itself; also by audit
+        proofs.  32 bytes kept per request instead of re-encoding each time.
         """
         return leaf_hash(self.encode())
 

@@ -59,3 +59,21 @@ def test_corrupt_file_exits_2(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("this is not json\n")
     assert main(["summary", str(path)], out=io.StringIO()) == 2
+
+
+def test_summary_folds_the_trace_once(tmp_path, monkeypatch):
+    import repro.obs.cli as cli
+    import repro.obs.spans as spans
+
+    path, _ = _trace_file(tmp_path)
+    folds = []
+    real = cli.fold_trace
+
+    def counting(*args, **kwargs):
+        folds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fold_trace", counting)
+    monkeypatch.setattr(spans, "fold_trace", counting)
+    assert main(["summary", path], out=io.StringIO()) == 0
+    assert len(folds) == 1
