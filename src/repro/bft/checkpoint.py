@@ -20,7 +20,7 @@ from repro.wire.codec import Hash32, WireStruct
 
 
 @dataclass(frozen=True)
-class CheckpointCertificate(WireStruct):
+class CheckpointCertificate(WireStruct, tag=16):
     """2f+1 matching, signed checkpoint messages for one (seq, digest)."""
 
     seq: int

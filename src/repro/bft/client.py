@@ -27,7 +27,7 @@ _DOMAIN_REPLY = b"pbft/reply"
 
 
 @dataclass(frozen=True)
-class ClientRequestWrapper(WireStruct):
+class ClientRequestWrapper(WireStruct, tag=20):
     """Client traffic envelope, distinguishable from ZugChain broadcasts."""
 
     request: Annotated[SignedRequest, Inline]
@@ -38,7 +38,7 @@ class ClientRequestWrapper(WireStruct):
 
 
 @dataclass(frozen=True)
-class Reply(SignedStruct):
+class Reply(SignedStruct, tag=21):
     """Replica's execution acknowledgement to the submitting client."""
 
     seq: int

@@ -42,7 +42,7 @@ _DOMAIN_VOTE = b"linear/vote"
 
 
 @dataclass(frozen=True)
-class Vote(SignedStruct):
+class Vote(SignedStruct, tag=18):
     """Replica's signed endorsement of (view, seq, digest), sent to the primary."""
 
     view: int
@@ -61,7 +61,7 @@ class Vote(SignedStruct):
 
 
 @dataclass(frozen=True)
-class CommitCert(WireStruct):
+class CommitCert(WireStruct, tag=19):
     """2f+1 votes certifying one ordered request; broadcast by the primary."""
 
     view: int

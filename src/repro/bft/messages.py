@@ -33,7 +33,7 @@ _DOMAIN_DECIDE_PROOF = b"pbft/decide-proof"
 
 
 @dataclass(frozen=True)
-class PrePrepare(SignedStruct):
+class PrePrepare(SignedStruct, tag=10):
     """Primary's ordering proposal carrying the full signed request."""
 
     view: int
@@ -87,17 +87,17 @@ class _PhaseVote(SignedStruct):
 
 
 @dataclass(frozen=True)
-class Prepare(_PhaseVote):
+class Prepare(_PhaseVote, tag=11):
     _DOMAIN = _DOMAIN_PREPARE
 
 
 @dataclass(frozen=True)
-class Commit(_PhaseVote):
+class Commit(_PhaseVote, tag=12):
     _DOMAIN = _DOMAIN_COMMIT
 
 
 @dataclass(frozen=True)
-class Checkpoint(SignedStruct):
+class Checkpoint(SignedStruct, tag=13):
     """Signed application snapshot reference: one per block (§III-C).
 
     ``state_digest`` commits to the block hash and the chain state so a
@@ -138,7 +138,7 @@ def checkpoint_state_digest(block_hash: bytes, chain_height: int, open_request_d
 
 
 @dataclass(frozen=True)
-class PreparedProof(WireStruct):
+class PreparedProof(WireStruct, tag=17):
     """Evidence in a ViewChange that (seq, digest) was prepared in ``view``."""
 
     view: int
@@ -148,7 +148,7 @@ class PreparedProof(WireStruct):
 
 
 @dataclass(frozen=True)
-class ViewChange(SignedStruct):
+class ViewChange(SignedStruct, tag=14):
     """A replica's vote to move to ``new_view``."""
 
     new_view: int
@@ -177,7 +177,7 @@ class ViewChange(SignedStruct):
 
 
 @dataclass(frozen=True)
-class NewView(SignedStruct):
+class NewView(SignedStruct, tag=15):
     """New primary's announcement: proof of 2f+1 view changes plus reproposals."""
 
     view: int
@@ -205,7 +205,7 @@ class NewView(SignedStruct):
 
 
 @dataclass(frozen=True)
-class DecideFetch(SignedStruct):
+class DecideFetch(SignedStruct, tag=58):
     """A stalled replica asks a peer to replay decided sequence numbers.
 
     Message loss (or a view change discarding in-flight instances) can
@@ -234,7 +234,7 @@ class DecideFetch(SignedStruct):
 
 
 @dataclass(frozen=True)
-class DecideProof(SignedStruct):
+class DecideProof(SignedStruct, tag=59):
     """One decided instance replayed: the preprepare plus its commit certificate.
 
     The proof is view-independent: 2f+1 signed commits on one

@@ -20,7 +20,7 @@ from operator import attrgetter
 from repro.bus.frames import MAX_FRAME_DATA_BYTES, BusCycleData, ProcessDataFrame
 from repro.bus.nsdb import Nsdb
 from repro.util.varint import encode_uvarint
-from repro.wire.codec import Reader
+from repro.wire.codec import WireStruct
 from repro.wire.messages import Request
 
 #: Where a :class:`BusCycleData` instance keeps the reception results
@@ -88,8 +88,19 @@ _PORT_VARINTS = _SmallVarints(0x1000)
 _LENGTH_VARINTS = _SmallVarints(MAX_FRAME_DATA_BYTES + 1)
 
 
+@dataclass(frozen=True)
+class CyclePayload(WireStruct):
+    """A request's payload: one ``(port, data, valid)`` per retained telegram, by port."""
+
+    entries: tuple[tuple[int, bytes, bool], ...]
+
+
 def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
-    """Deterministic payload: (port, data, valid) triples sorted by port."""
+    """``CyclePayload`` of ``frames`` sorted by port, joined from cached varints.
+
+    The same bytes as ``CyclePayload(...).encode()``, without building the
+    entries: this runs once per retained telegram on every bus cycle.
+    """
     ports, lengths = _PORT_VARINTS, _LENGTH_VARINTS
     parts = [encode_uvarint(len(frames))]
     for frame in sorted(frames, key=attrgetter("port")):
@@ -101,12 +112,7 @@ def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
 
 def decode_cycle_payload(payload: bytes) -> list[tuple[int, bytes, bool]]:
     """Inverse of :func:`encode_cycle_payload`, for analysis tooling."""
-    reader = Reader(payload)
-    entries = reader.get_list(
-        lambda r: (r.get_uint(), r.get_bytes(), r.get_bool())
-    )
-    reader.expect_end()
-    return entries
+    return list(CyclePayload.decode(payload).entries)
 
 
 class BusReceiver:

@@ -22,7 +22,7 @@ _ROOT_MEMO = "requests_root"  # where ``Block.requests_root`` (a ``memoized``) k
 
 
 @dataclass(frozen=True)
-class BlockHeader(WireStruct):
+class BlockHeader(WireStruct, tag=40):
     """Integrity-critical block metadata."""
 
     height: int
@@ -50,7 +50,7 @@ def _payload_tree(requests) -> MerkleTree:
 
 
 @dataclass(frozen=True)
-class Block(WireStruct):
+class Block(WireStruct, tag=41):
     """A header plus the ordered signed requests it commits to."""
 
     header: BlockHeader

@@ -16,7 +16,7 @@ from repro.wire.messages import SignedRequest, request_payload_bytes
 
 
 @dataclass(frozen=True)
-class ZugBroadcast(WireStruct):
+class ZugBroadcast(WireStruct, tag=30):
     """Backup's broadcast of an unlogged request to the whole group."""
 
     request: Annotated[SignedRequest, Inline]
@@ -27,7 +27,7 @@ class ZugBroadcast(WireStruct):
 
 
 @dataclass(frozen=True)
-class ZugForward(WireStruct):
+class ZugForward(WireStruct, tag=31):
     """Relay of a broadcast to the primary (preserves the origin's id/signature)."""
 
     request: SignedRequest

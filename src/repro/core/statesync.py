@@ -37,7 +37,7 @@ _DOMAIN_STATE_REP = b"statesync/reply"
 
 
 @dataclass(frozen=True)
-class StateRequest(SignedStruct):
+class StateRequest(SignedStruct, tag=32):
     """A lagging replica asks a peer for everything above ``have_height``."""
 
     requester_id: str
@@ -54,7 +54,7 @@ class StateRequest(SignedStruct):
 
 
 @dataclass(frozen=True)
-class StateReply(SignedStruct):
+class StateReply(SignedStruct, tag=33):
     """Checkpointed state: certificate, chain segment, prune justification.
 
     ``view`` carries the responder's current view so a recovering replica

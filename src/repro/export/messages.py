@@ -24,7 +24,7 @@ _DOMAIN_SESSION_RESUME = b"export/session-resume"
 
 
 @dataclass(frozen=True)
-class ReadRequest(SignedStruct):
+class ReadRequest(SignedStruct, tag=50):
     """Step ①: a data center asks replicas for blocks since ``last_sn``.
 
     ``full_from`` names the randomly chosen replica that also ships the
@@ -44,7 +44,7 @@ class ReadRequest(SignedStruct):
 
 
 @dataclass(frozen=True)
-class ReadReply(SignedStruct):
+class ReadReply(SignedStruct, tag=51):
     """Step ②: a replica's latest stable checkpoint, plus blocks if designated."""
 
     replica_id: str
@@ -62,7 +62,7 @@ class ReadReply(SignedStruct):
 
 
 @dataclass(frozen=True)
-class DcSync(SignedStruct):
+class DcSync(SignedStruct, tag=52):
     """Step ③: inter-data-center synchronization of the export payload."""
 
     dc_id: str
@@ -79,7 +79,7 @@ class DcSync(SignedStruct):
 
 
 @dataclass(frozen=True)
-class DeleteRequest(SignedStruct):
+class DeleteRequest(SignedStruct, tag=53):
     """Step ⑤: a data center authorizes pruning up to a specific block."""
 
     dc_id: str
@@ -97,7 +97,7 @@ class DeleteRequest(SignedStruct):
 
 
 @dataclass(frozen=True)
-class DeleteAck(SignedStruct):
+class DeleteAck(SignedStruct, tag=54):
     """Step ⑦: a replica confirms it pruned up to ``block_height``."""
 
     replica_id: str
@@ -113,7 +113,7 @@ class DeleteAck(SignedStruct):
 
 
 @dataclass(frozen=True)
-class SessionResume(SignedStruct):
+class SessionResume(SignedStruct, tag=57):
     """A recovered replica announces it can serve export traffic again.
 
     Sent to every known data center after crash recovery: carries the
@@ -138,7 +138,7 @@ class SessionResume(SignedStruct):
 
 
 @dataclass(frozen=True)
-class BlockFetch(SignedStruct):
+class BlockFetch(SignedStruct, tag=55):
     """Step ④ second round: request specific missing blocks from a replica."""
 
     dc_id: str
@@ -154,7 +154,7 @@ class BlockFetch(SignedStruct):
 
 
 @dataclass(frozen=True)
-class BlockFetchReply(SignedStruct):
+class BlockFetchReply(SignedStruct, tag=56):
     """Blocks served for a :class:`BlockFetch`."""
 
     replica_id: str

@@ -7,9 +7,9 @@ The reproduction rests on two contracts nothing else enforces:
   ``time.time()`` or module-level ``random.random()`` makes runs
   irreproducible; an unsorted ``set`` feeding a hash makes replicas
   diverge silently.
-* **Protocol safety** — every message that crosses a process boundary has
-  a unique wire tag, a registered decoder, and a round-trippable codec
-  (:mod:`repro.wire.registry`).
+* **Protocol safety** — every message that crosses a process boundary
+  declares a wire tag on its class statement (unique by construction: a
+  taken tag fails at import) and has a round-trippable codec.
 
 zuglint walks Python ASTs and flags violations of both families.  Rules
 are small plugins registered by code (``DET00x`` determinism, ``PROTO00x``

@@ -30,7 +30,7 @@ with the enclosing class context so ``self.…`` calls still resolve.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 from repro.lint.astutil import call_name, terminal_name
@@ -90,6 +90,7 @@ class AioAnalysis:
     graph: CallGraph
     facts: dict[str, AsyncFacts]
     lock_attrs: dict[str, frozenset]    # class key -> {attr names}
+    async_functions: list[AsyncFunction] = field(default_factory=list)
 
     # -- suspension classification ------------------------------------------
 
@@ -236,6 +237,7 @@ def aio_analysis(project: Project) -> AioAnalysis:
             graph=graph,
             facts=compute_async_facts(graph),
             lock_attrs=_collect_lock_attrs(graph),
+            async_functions=list(iter_async_functions(project, graph)),
         )
         project.cache["aio.analysis"] = analysis
     return analysis

@@ -36,7 +36,6 @@ from .facts import (
     BLOCKING_CALLS,
     AioAnalysis,
     aio_analysis,
-    iter_async_functions,
     node_suspends,
     _suspension_candidates,
 )
@@ -302,7 +301,7 @@ class AwaitAtomicity(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         analysis = aio_analysis(project)
-        for afn in iter_async_functions(project, analysis.graph):
+        for afn in analysis.async_functions:
             fn = afn.info
             walker = _AtomicityWalker(analysis, fn)
             for attr, node, read_line, suspend_line in walker.run():
@@ -341,13 +340,10 @@ def _is_task_spawn(node: ast.Call) -> bool:
     return True
 
 
-def _name_used_later(ctx: FileContext, name: str, after: ast.stmt) -> bool:
-    scope = enclosing_function(after, ctx.parents) or ctx.tree
-    for node in ast.walk(scope):
-        if (isinstance(node, ast.Name) and node.id == name
-                and isinstance(node.ctx, ast.Load)):
-            return True
-    return False
+def _loaded_names(scope: ast.AST) -> set[str]:
+    """Every name read anywhere in ``scope``."""
+    return {node.id for node in ast.walk(scope)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
 
 
 @register_rule
@@ -365,6 +361,7 @@ class FireAndForgetTask(Rule):
         for ctx in project.files:
             if not _analyzed_module(ctx.module):
                 continue
+            loaded: dict[ast.AST, set[str]] = {}  # enclosing scope -> names it reads
             for stmt in ast.walk(ctx.tree):
                 call: ast.Call | None = None
                 dropped = None
@@ -378,8 +375,12 @@ class FireAndForgetTask(Rule):
                     target = stmt.targets[0].id
                     if target == "_":
                         call, dropped = stmt.value, "assigned to '_'"
-                    elif not _name_used_later(ctx, target, stmt):
-                        call, dropped = stmt.value, f"bound to unused '{target}'"
+                    elif _is_task_spawn(stmt.value):
+                        scope = enclosing_function(stmt, ctx.parents) or ctx.tree
+                        if scope not in loaded:
+                            loaded[scope] = _loaded_names(scope)
+                        if target not in loaded[scope]:
+                            call, dropped = stmt.value, f"bound to unused '{target}'"
                 if call is None or not _is_task_spawn(call):
                     continue
                 spawner = call_name(call) or terminal_name(call.func)
@@ -421,7 +422,7 @@ class BlockingInAsync(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         analysis = aio_analysis(project)
-        for afn in iter_async_functions(project, analysis.graph):
+        for afn in analysis.async_functions:
             fn = afn.info
             if not _analyzed_module(fn.module):
                 continue
@@ -560,7 +561,7 @@ class CancellationUnsafeResource(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         analysis = aio_analysis(project)
-        for afn in iter_async_functions(project, analysis.graph):
+        for afn in analysis.async_functions:
             fn = afn.info
             if not _analyzed_module(fn.module):
                 continue

@@ -58,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--select",
         metavar="CODES",
-        help="comma-separated rule codes to run exclusively (e.g. DET001,PROTO002)",
+        help="comma-separated rule codes to run exclusively (e.g. DET001,PROTO001)",
     )
     parser.add_argument(
         "--ignore",

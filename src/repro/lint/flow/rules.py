@@ -33,7 +33,7 @@ from repro.lint.flow.summaries import (
     taint_findings,
 )
 from repro.lint.flow.walk import body_nodes
-from repro.lint.rules.protocol import _HANDLER_NAME_RE, _registrations
+from repro.lint.rules.protocol import _HANDLER_NAME_RE, wire_tag
 
 _MESSAGE_TYPES_RE = re.compile(r"MESSAGE_TYPES")
 
@@ -189,27 +189,18 @@ class HandlerCoverageRule(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         graph = build_call_graph(project)
-        registered: dict[str, tuple[int | None, str, int, str]] = {}
-        for ctx in project.files:
-            if not ctx.module.startswith("repro."):
-                continue
-            for tag, name, lineno in _registrations(ctx):
-                registered.setdefault(name, (tag, ctx.path, lineno, ctx.module))
+        registered = {key: cls for key, cls in graph.classes.items()
+                      if cls.module.startswith("repro.") and wire_tag(cls.node) is not None}
         consumed = _consumed_classes(project, graph)
         if not registered or not consumed:
             # Partial invocations (single files, synthetic crates without a
-            # registry) can't make coverage claims; stay silent.
+            # tagged class) can't make coverage claims; stay silent.
             return
-        registered_keys = {
-            graph.resolve_class(module, name): name
-            for name, (_tag, _path, _line, module) in registered.items()
-        }
-        registered_keys.pop(None, None)
 
         for class_key in sorted(consumed):
             if class_key not in graph.codec_classes:
                 continue
-            if class_key in registered_keys:
+            if class_key in registered:
                 continue
             cls = graph.classes[class_key]
             path, line = consumed[class_key]
@@ -226,20 +217,21 @@ class HandlerCoverageRule(Rule):
             )
 
         reachable = _field_closure(graph, set(consumed))
-        for class_key in sorted(registered_keys):
-            name = registered_keys[class_key]
+        for class_key in sorted(registered):
             if class_key in reachable:
                 continue
-            tag, path, line, _module = registered[name]
-            tag_text = f"tag {tag}" if tag is not None else "a wire tag"
+            cls = registered[class_key]
+            tag = wire_tag(cls.node)
+            tag_text = (f"tag {tag.value}" if isinstance(tag, ast.Constant)
+                        and isinstance(tag.value, int) else "a wire tag")
             yield Finding(
                 code=self.code,
                 message=(
-                    f"{tag_text} registers {name} but no dispatcher tests for it "
+                    f"{tag_text} registers {cls.name} but no dispatcher tests for it "
                     "and no dispatched struct has it as a field — dead tag or "
                     "missing handler branch"
                 ),
-                path=path,
-                line=line,
-                anchor=f"registered-unreachable:{name}",
+                path=cls.path,
+                line=cls.node.lineno,
+                anchor=f"registered-unreachable:{cls.name}",
             )

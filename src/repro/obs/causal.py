@@ -40,7 +40,7 @@ LIFECYCLE = ("bus.rx", "bft.preprepare", "bft.commit", "req.logged")
 
 
 @dataclass(frozen=True)
-class CausalContext(WireStruct):
+class CausalContext(WireStruct, tag=60):
     """What one emission knows about its own causal position.
 
     ``parent`` is the origin node's per-node index of the newest trace

@@ -4,8 +4,8 @@ The protocol stack (ZugChain layer, PBFT replica, block builder) is the
 identical code that runs in the deterministic simulator — only the
 :class:`~repro.bft.env.Env` implementation changes.  This runtime exists
 to demonstrate that the sans-IO design is deployable: nodes listen on TCP
-sockets, messages travel length-prefixed with their registry tags
-(:mod:`repro.wire.tags`), and timers come from the event loop.
+sockets, messages travel length-prefixed behind the wire tag their class
+declares (:func:`repro.wire.encode_message`), and timers come from the event loop.
 
 Emission semantics (sorted recipients, broadcast self-exclusion, drop and
 timer counters) come from :class:`~repro.runtime.base.BaseEnv`, so a TCP
@@ -23,14 +23,13 @@ import asyncio
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable
 
-import repro.wire.tags  # noqa: F401  (registers all message types)
 from repro.bus.frames import BusCycleData
 from repro.obs.causal import CausalContext
 from repro.obs.metrics import ClusterMetrics, MetricsRegistry, fold_node
 from repro.runtime.base import BaseEnv, EnvTimer
 from repro.runtime.live import NodeFinal, node_final
 from repro.util.errors import CodecError
-from repro.wire.registry import decode_message, encode_message
+from repro.wire import decode_message, encode_message
 
 _HELLO_PREFIX = b"zc1 "
 _MAX_FRAME = 64 * 1024 * 1024

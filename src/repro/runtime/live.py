@@ -21,6 +21,9 @@ import asyncio
 from dataclasses import dataclass, field
 from typing import Any, Protocol
 
+# A peer may send any tagged message, and a class's tag registers when its
+# module loads; the export family is the one no node module imports.
+import repro.export.messages  # noqa: F401
 from repro.bus.frames import BusCycleData
 from repro.obs.check import check_trace
 from repro.obs.metrics import MetricsRegistry, fold_env_counters, fold_node

@@ -5,7 +5,7 @@ The fourth :class:`~repro.runtime.base.BaseEnv` adapter.  Where
 onto one event loop (concurrent I/O, still one core),
 :class:`MultiprocessEnv` gives each node its own Python process: true
 parallel execution across cores, with messages crossing process
-boundaries as :mod:`repro.wire` frames (the identical registry encoding
+boundaries as :mod:`repro.wire` frames (the identical tagged encoding
 the TCP runtime puts on sockets) over :mod:`multiprocessing` queues.
 
 As everywhere else, the emission semantics — canonical sorted recipient
@@ -39,7 +39,6 @@ import time
 from multiprocessing import get_context
 from typing import Any, Callable, Iterable
 
-import repro.wire.tags  # noqa: F401  (registers all message types)
 from repro.bus.frames import BusCycleData
 from repro.obs.causal import CausalContext, merge_shards
 from repro.obs.trace import RecordingTracer, Tracer
@@ -52,7 +51,7 @@ from repro.runtime.live import (
 )
 from repro.scenarios.recipe import NodeRecipe, ScenarioConfig
 from repro.util.errors import CodecError
-from repro.wire.registry import decode_message, encode_message
+from repro.wire import decode_message, encode_message
 
 
 class QueueChannel:
@@ -108,7 +107,7 @@ class MultiprocessEnv(BaseEnv):
             return
         frame = encode_message(message)
         # The context crosses the process boundary as the queue tuple's
-        # third slot — registry-encoded like the TCP frame header, empty
+        # third slot — tag-encoded like the TCP frame header, empty
         # when this env does not carry causality (untraced runs pay zero
         # extra bytes).
         ctx_bytes = encode_message(ctx) if self.causal.carry else b""
@@ -144,7 +143,7 @@ class MultiprocessEnv(BaseEnv):
 # ---------------------------------------------------------------------------
 
 #: Worker inbox items are tagged tuples:
-#:   ("msg", src, frame, ctx)     peer message (registry-encoded) + causal
+#:   ("msg", src, frame, ctx)     peer message (tag-encoded) + causal
 #:                                context bytes ("" when untraced)
 #:   ("cycle", frame)             bus feeder: one wire-encoded BusCycleData
 #:   ("report",)                  progress probe → ("report", id, logged)

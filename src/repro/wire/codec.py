@@ -26,6 +26,11 @@ class creation, a straight-line ``_write_fields(self, writer)`` and
 drift and nothing is serialized just to learn its length.  Nested structs
 and lists are read in place from the one :class:`Reader`, which narrows its
 bound to each length prefix and checks it was consumed exactly.
+
+A message that crosses a process boundary declares its wire tag on the class
+statement, ``class PrePrepare(SignedStruct, tag=10)``; creating the class
+registers it, and :func:`encode_message`/:func:`decode_message` frame it as
+``uvarint(tag) ‖ fields``.  Tags are stable API: never renumber, only append.
 """
 
 from __future__ import annotations
@@ -88,9 +93,11 @@ class WireStruct:
     verifies_to_ingest = 0
     payload_bytes = 0
 
-    def __init_subclass__(cls, **kwargs) -> None:
+    def __init_subclass__(cls, tag: int | None = None, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
         _derive_codec(cls)
+        if tag is not None:
+            _register(cls, tag)
 
     def write_to(self, writer: "FieldWriter") -> None:
         """Write this struct's fields, in wire order, without a length prefix."""
@@ -317,9 +324,6 @@ class Reader:
         get_struct = self.get_struct
         return tuple([get_struct(read) for _ in range(self.get_count())])
 
-    def get_list(self, get_item) -> list:
-        return [get_item(self) for _ in range(self.get_count())]
-
     def expect_end(self) -> None:
         if self.remaining:
             raise CodecError(f"{self.remaining} trailing bytes after message")
@@ -408,6 +412,54 @@ def _derive_codec(cls: type) -> None:
     cls._read_fields = staticmethod(names["_read_fields"])
     if "signature" in hints:
         cls._with_signature = names["_with_signature"]
+
+
+#: Every tagged class by its tag, and back; filled as the classes are created.
+_CLASSES: dict[int, type] = {}
+_TAGS: dict[type, int] = {}
+
+
+def _register(cls: type, tag: int) -> None:
+    """Give ``tag`` to ``cls``; a tag is never shared and never rebound."""
+    owner = _CLASSES.get(tag)
+    if owner is not None:
+        raise CodecError(
+            f"wire tag {tag} already belongs to {owner.__module__}.{owner.__qualname__}; "
+            f"refusing to give it to {cls.__module__}.{cls.__qualname__}"
+        )
+    _CLASSES[tag] = cls
+    _TAGS[cls] = tag
+
+
+def registered_types() -> dict[int, type]:
+    """Every ``tag → class`` binding of the loaded modules, in tag order."""
+    return dict(sorted(_CLASSES.items()))
+
+
+def encode_message(message: WireStruct) -> bytes:
+    """``message`` behind its class's wire tag.
+
+    Only the exact class is looked up: a subclass declares its own tag or
+    has none.
+    """
+    tag = _TAGS.get(type(message))
+    if tag is None:
+        raise CodecError(f"message type {type(message).__name__} has no wire tag")
+    writer = Writer()
+    writer.put_uint(tag)
+    writer.put_struct(message)
+    return writer.getvalue()
+
+
+def decode_message(data: bytes) -> tuple[WireStruct, int]:
+    """Decode one tagged message; returns ``(message, bytes_consumed)``."""
+    reader = Reader(data)
+    tag = reader.get_uint()
+    cls = _CLASSES.get(tag)
+    if cls is None:
+        raise CodecError(f"unknown wire tag {tag}")
+    message = reader.get_struct(cls._read_fields)
+    return message, len(data) - reader.remaining
 
 
 class SignedStruct(WireStruct):

@@ -23,7 +23,7 @@ from repro.wire.codec import Sig, SignedStruct, WireStruct
 
 
 @dataclass(frozen=True)
-class Request(WireStruct):
+class Request(WireStruct, tag=1):
     """One bus cycle's consolidated, parsed signal data."""
 
     payload: bytes
@@ -50,7 +50,7 @@ class Request(WireStruct):
 
 
 @dataclass(frozen=True)
-class SignedRequest(SignedStruct):
+class SignedRequest(SignedStruct, tag=2):
     """A request authenticated by the node that submits it to consensus."""
 
     request: Request

@@ -1,75 +1,18 @@
-"""Canonical wire-tag assignments for every encodable message type.
+"""Loads every module that declares a tagged message.
 
-Importing this module registers all message types with the envelope
-registry (:mod:`repro.wire.registry`), enabling self-describing framing
-for disk persistence and transport round-trip tests.  Tags are stable API:
-never renumber, only append.
+A message's wire tag is on its class statement and registers when the class
+is created, so :func:`~repro.wire.codec.registered_types` lists the tagged
+classes of the loaded modules.  Importing this module loads all of them, as
+``perfbench/layers.py`` does before it wraps each registered class.
 """
 
-from repro.bft.checkpoint import CheckpointCertificate
-from repro.bft.client import ClientRequestWrapper, Reply
-from repro.bft.linear import CommitCert, Vote
-from repro.bft.messages import (
-    Checkpoint,
-    Commit,
-    DecideFetch,
-    DecideProof,
-    NewView,
-    PrePrepare,
-    Prepare,
-    PreparedProof,
-    ViewChange,
-)
-from repro.chain.block import Block, BlockHeader
-from repro.core.messages import ZugBroadcast, ZugForward
-from repro.core.statesync import StateReply, StateRequest
-from repro.export.messages import (
-    BlockFetch,
-    BlockFetchReply,
-    DcSync,
-    DeleteAck,
-    DeleteRequest,
-    ReadReply,
-    ReadRequest,
-    SessionResume,
-)
-from repro.obs.causal import CausalContext
-from repro.wire.messages import Request, SignedRequest
-from repro.wire.registry import register_message_type
-
-WIRE_TAGS = {
-    1: Request,
-    2: SignedRequest,
-    10: PrePrepare,
-    11: Prepare,
-    12: Commit,
-    13: Checkpoint,
-    14: ViewChange,
-    15: NewView,
-    16: CheckpointCertificate,
-    17: PreparedProof,
-    18: Vote,
-    19: CommitCert,
-    20: ClientRequestWrapper,
-    21: Reply,
-    30: ZugBroadcast,
-    31: ZugForward,
-    32: StateRequest,
-    33: StateReply,
-    40: BlockHeader,
-    41: Block,
-    50: ReadRequest,
-    51: ReadReply,
-    52: DcSync,
-    53: DeleteRequest,
-    54: DeleteAck,
-    55: BlockFetch,
-    56: BlockFetchReply,
-    57: SessionResume,
-    58: DecideFetch,
-    59: DecideProof,
-    60: CausalContext,
-}
-
-for _tag, _cls in WIRE_TAGS.items():
-    register_message_type(_tag, _cls)
+import repro.bft.checkpoint  # noqa: F401
+import repro.bft.client  # noqa: F401
+import repro.bft.linear  # noqa: F401
+import repro.bft.messages  # noqa: F401
+import repro.chain.block  # noqa: F401
+import repro.core.messages  # noqa: F401
+import repro.core.statesync  # noqa: F401
+import repro.export.messages  # noqa: F401
+import repro.obs.causal  # noqa: F401
+import repro.wire.messages  # noqa: F401

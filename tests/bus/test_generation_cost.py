@@ -28,6 +28,7 @@ from repro.bus.generator import (
 from repro.bus.nsdb import standard_jru_catalog
 from repro.bus.reception import (
     BusReceiver,
+    CyclePayload,
     RelevanceFilter,
     decode_cycle_payload,
     encode_cycle_payload,
@@ -208,6 +209,26 @@ def test_a_journey_through_the_front_end_is_byte_identical_to_the_parent(target)
     # What the digest is meant to cover did happen on the way.
     assert all(seen.values()), seen
     assert generator.phase == "stopped" and suppressed > 1000
+
+
+@pytest.mark.parametrize("target", sorted(JOURNEY))
+def test_the_declared_payload_struct_writes_the_journey_byte_for_byte(target):
+    # encode_cycle_payload joins cached varints for speed; CyclePayload is the
+    # layout it must keep, and what decode_cycle_payload reads.
+    nsdb = standard_jru_catalog()
+    generator = TrainDynamicsGenerator(
+        nsdb, GeneratorConfig(target_payload_bytes=target), RngRegistry(42))
+    relevance = RelevanceFilter(nsdb=nsdb)
+    payloads = hashlib.sha256()
+    for cycle_no in range(1, 601):
+        retained = relevance.apply(tuple(generator.frames_for_cycle(cycle_no, 0.064)))
+        entries = tuple(sorted(((frame.port, frame.data, frame.valid) for frame in retained),
+                               key=lambda entry: entry[0]))
+        declared = CyclePayload(entries=entries).encode()
+        assert declared == encode_cycle_payload(retained), cycle_no
+        assert decode_cycle_payload(declared) == list(entries)
+        payloads.update(declared)
+    assert payloads.hexdigest() == JOURNEY[target][0]
 
 
 # -- work counted, not timed -----------------------------------------------------

@@ -125,7 +125,7 @@ def test_unverified_commit_cert_allocates_no_log_state():
 
 
 def test_linear_bft_messages_have_wire_tags():
-    from repro.wire.tags import WIRE_TAGS
+    from repro.wire import registered_types
 
-    assert WIRE_TAGS[18] is Vote
-    assert WIRE_TAGS[19] is CommitCert
+    assert registered_types()[18] is Vote
+    assert registered_types()[19] is CommitCert

@@ -1,4 +1,4 @@
-"""FLOW003: wire-registry vs dispatch-set coverage (PROTO001's dual)."""
+"""FLOW003: wire tags vs dispatch-set coverage (PROTO001's dual)."""
 
 import textwrap
 from pathlib import Path
@@ -20,29 +20,16 @@ from dataclasses import dataclass
 from repro.wire.codec import WireStruct
 
 @dataclass(frozen=True)
-class Ping(WireStruct):
+class Ping(WireStruct, tag=1):
     seq: int
 
 @dataclass(frozen=True)
-class Pong(WireStruct):
+class Pong(WireStruct, tag=2):
     seq: int
 
 @dataclass(frozen=True)
 class Loose(WireStruct):
     seq: int
-"""
-
-REGISTRY = """
-from repro.wire.registry import register_message_type
-from repro.core.cratemsgs import Ping, Pong
-
-WIRE_TAGS = {
-    1: Ping,
-    2: Pong,
-}
-
-for _tag, _cls in WIRE_TAGS.items():
-    register_message_type(_tag, _cls)
 """
 
 HANDLER = """
@@ -57,10 +44,9 @@ class Backend:
 """
 
 
-def crate(handler=HANDLER, registry=REGISTRY, messages=MESSAGES):
+def crate(handler=HANDLER, messages=MESSAGES):
     return {
         "src/repro/core/cratemsgs.py": messages,
-        "src/repro/wire/cratetags.py": registry,
         "src/repro/core/cratebackend.py": handler,
     }
 
@@ -74,14 +60,16 @@ def test_dispatched_but_unregistered_and_dead_tag_are_both_found():
     dead = by_anchor["registered-unreachable:Pong"]
     assert "tag 2" in dead.message
     assert "dead tag" in dead.message
+    # The dead tag is reported where it is declared: Pong's class statement.
+    assert (dead.path, dead.line) == ("src/repro/core/cratemsgs.py", 10)
 
 
 def test_decode_closure_justifies_registered_tag():
     # Pong is a field of Ping, so the derived reader builds it: its tag is
     # reachable even though no dispatcher tests isinstance(message, Pong).
     messages = MESSAGES.replace(
-        "class Ping(WireStruct):\n    seq: int",
-        "class Ping(WireStruct):\n    seq: int\n    inner: Pong",
+        "class Ping(WireStruct, tag=1):\n    seq: int",
+        "class Ping(WireStruct, tag=1):\n    seq: int\n    inner: Pong",
     )
     findings = run(crate(messages=messages))
     assert [finding.anchor for finding in findings] == [
@@ -94,9 +82,9 @@ def test_decode_closure_reads_through_lists_options_and_inherited_fields():
     # ``X | None``, and the field may be declared on a private base.
     for annotation in ("tuple[Pong, ...]", "Pong | None", "Annotated[Pong, Inline]"):
         messages = MESSAGES.replace(
-            "class Ping(WireStruct):\n    seq: int",
+            "class Ping(WireStruct, tag=1):\n    seq: int",
             f"class _Carrier(WireStruct):\n    inner: {annotation}\n\n"
-            "@dataclass(frozen=True)\nclass Ping(_Carrier):\n    seq: int",
+            "@dataclass(frozen=True)\nclass Ping(_Carrier, tag=1):\n    seq: int",
         )
         findings = run(crate(messages=messages))
         assert [finding.anchor for finding in findings] == [
@@ -120,22 +108,14 @@ def test_message_types_tuple_counts_as_dispatch_evidence():
 
 
 def test_dynamic_range_registration_covers_dispatched_classes():
-    # Computed tag ranges: the registry enumerates a class sequence and
-    # derives each tag at runtime.  Ping/Pong count as registered (with
-    # unknown tags), so only the truly unregistered Loose is flagged, and
-    # the dead-tag finding renders "a wire tag" instead of a number.
-    registry = """
-    from repro.wire.registry import register_message_type
-    from repro.core.cratemsgs import Ping, Pong
-
-    BASE_TAG = 0x10
-
-    _WIRE_CLASSES = [Ping, Pong]
-
-    for _offset, _cls in enumerate(_WIRE_CLASSES):
-        register_message_type(BASE_TAG + _offset, _cls)
-    """
-    findings = run(crate(registry=registry))
+    # Computed tags: each class derives its tag from a range base at import.
+    # Ping/Pong count as tagged (with tags unknown statically), so only the
+    # truly untagged Loose is flagged, and the dead-tag finding renders
+    # "a wire tag" instead of a number.
+    messages = (MESSAGES.replace("tag=1", "tag=BASE_TAG").replace("tag=2", "tag=BASE_TAG + 1")
+                .replace("from repro.wire.codec import WireStruct\n",
+                         "from repro.wire.codec import WireStruct\n\nBASE_TAG = 0x10\n"))
+    findings = run(crate(messages=messages))
     by_anchor = {finding.anchor: finding for finding in findings}
     assert sorted(by_anchor) == [
         "dispatched-unregistered:repro.core.cratemsgs.Loose",
@@ -145,29 +125,24 @@ def test_dynamic_range_registration_covers_dispatched_classes():
 
 
 def test_silent_without_registrations_in_view():
-    sources = crate()
-    del sources["src/repro/wire/cratetags.py"]
-    assert run(sources) == []
+    untagged = MESSAGES.replace(", tag=1", "").replace(", tag=2", "")
+    assert run(crate(messages=untagged)) == []
 
 
 def test_real_codec_classes_are_recognised():
     # The rule finds codec classes by the construction's shape (a dataclass
-    # under WireStruct).  Run it over the real message and dispatcher modules
-    # with a tag table that forgot ZugForward: if the shape moves and the
-    # predicate does not, this fails instead of the rule going silently vacuous.
+    # under WireStruct, tagged on its class statement).  Run it over the real
+    # message and dispatcher modules with ZugForward's tag taken off: if the
+    # shape moves and the predicate does not, this fails instead of the rule
+    # going silently vacuous.
+    source = Path(repro.core.messages.__file__).read_text()
+    untagged = source.replace("class ZugForward(WireStruct, tag=31):",
+                              "class ZugForward(WireStruct):")
+    assert untagged != source
     findings = lint_sources(
         {
-            "src/repro/core/messages.py": Path(repro.core.messages.__file__).read_text(),
+            "src/repro/core/messages.py": untagged,
             "src/repro/core/node.py": Path(repro.core.node.__file__).read_text(),
-            "src/repro/wire/tags.py": textwrap.dedent("""
-            from repro.core.messages import ZugBroadcast
-            from repro.wire.registry import register_message_type
-
-            WIRE_TAGS = {30: ZugBroadcast}
-
-            for _tag, _cls in WIRE_TAGS.items():
-                register_message_type(_tag, _cls)
-            """),
         },
         select=["FLOW003"],
     )

@@ -80,21 +80,14 @@ CORPUS: dict[str, dict[str, str]] = {
                 env.causal.lamport += 10
         """},
     # -- ast stage: protocol ------------------------------------------------
-    "PROTO001": {
-        "src/repro/export/messages.py": """
+    "PROTO001": {"src/repro/export/messages.py": """
         @dataclass(frozen=True)
         class Ping(WireStruct):
             seq: int
-        """,
-        "src/repro/wire/tags.py": """
-        WIRE_TAGS = {1: Pong}
 
-        for _tag, _cls in WIRE_TAGS.items():
-            register_message_type(_tag, _cls)
-        """,
-    },
-    "PROTO002": {"src/repro/wire/tags.py": """
-        WIRE_TAGS = {1: Ping, 1: Pong}
+        @dataclass(frozen=True)
+        class Pong(WireStruct, tag=1):
+            seq: int
         """},
     "PROTO003": {"src/repro/core/proto003.py": """
         def on_request(node, raw):
@@ -235,28 +228,16 @@ CORPUS: dict[str, dict[str, str]] = {
         from repro.wire.codec import WireStruct
 
         @dataclass(frozen=True)
-        class Ping(WireStruct):
+        class Ping(WireStruct, tag=1):
             seq: int
 
         @dataclass(frozen=True)
-        class Pong(WireStruct):
+        class Pong(WireStruct, tag=2):
             seq: int
 
         @dataclass(frozen=True)
         class Loose(WireStruct):
             seq: int
-        """,
-        "src/repro/wire/cratetags.py": """
-        from repro.wire.registry import register_message_type
-        from repro.core.cratemsgs import Ping, Pong
-
-        WIRE_TAGS = {
-            1: Ping,
-            2: Pong,
-        }
-
-        for _tag, _cls in WIRE_TAGS.items():
-            register_message_type(_tag, _cls)
         """,
         "src/repro/core/cratebackend.py": """
         from repro.core.cratemsgs import Ping, Pong, Loose

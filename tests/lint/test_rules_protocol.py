@@ -19,10 +19,9 @@ def codes(findings):
 
 
 MESSAGE_MODULE = "src/repro/export/messages.py"
-TAG_TABLE = "src/repro/wire/tags.py"
 
 
-# --- PROTO001: codec class never registered ------------------------------
+# --- PROTO001: codec class without a wire tag -----------------------------
 
 def test_proto001_flags_unregistered_codec_class():
     findings = run(
@@ -33,11 +32,19 @@ def test_proto001_flags_unregistered_codec_class():
                 seq: int
 
             @dataclass(frozen=True)
+            class Pong(WireStruct, tag=1):
+                seq: int
+
+            @dataclass(frozen=True)
             class _Scaffold(WireStruct):
                 seq: int
 
             @dataclass(frozen=True)
             class Vote(_Scaffold):
+                pass
+
+            @dataclass(frozen=True)
+            class Ballot(_Scaffold, tag=2):
                 pass
 
             class Framer:
@@ -48,263 +55,71 @@ def test_proto001_flags_unregistered_codec_class():
                 def decode(cls, data):
                     return cls()
             """,
-            TAG_TABLE: """
-            WIRE_TAGS = {1: Pong}
-
-            for _tag, _cls in WIRE_TAGS.items():
-                register_message_type(_tag, _cls)
-            """,
         },
         select=["PROTO001"],
     )
-    # Ping is flagged, and Vote through its private base; the private
-    # _Scaffold itself is not, nor is a class that merely has codec-named
-    # methods without being a WireStruct dataclass.
+    # Ping is flagged, and Vote through its private base; the tagged Pong and
+    # Ballot are not, nor the private _Scaffold itself, nor a class that
+    # merely has codec-named methods without being a WireStruct dataclass.
     assert codes(findings) == ["PROTO001", "PROTO001"]
     assert [finding.message.split()[2] for finding in findings] == ["Ping", "Vote"]
 
 
 def test_proto001_recognises_the_real_message_modules():
     # The predicate follows the codec's construction (a dataclass under
-    # WireStruct).  If the construction moves again and the rule is not moved
-    # with it, this goes red where the synthetic fixtures would stay green
-    # and vacuous.
-    findings = lint_sources(
-        {
-            "src/repro/core/messages.py": Path(repro.core.messages.__file__).read_text(),
-            TAG_TABLE: textwrap.dedent("""
-            WIRE_TAGS = {30: ZugBroadcast}
-
-            for _tag, _cls in WIRE_TAGS.items():
-                register_message_type(_tag, _cls)
-            """),
-        },
-        select=["PROTO001"],
-    )
+    # WireStruct, tagged on its class statement).  If the construction moves
+    # again and the rule is not moved with it, this goes red where the
+    # synthetic fixtures would stay green and vacuous.
+    source = Path(repro.core.messages.__file__).read_text()
+    assert not lint_sources({"src/repro/core/messages.py": source}, select=["PROTO001"])
+    untagged = source.replace("class ZugForward(WireStruct, tag=31):",
+                              "class ZugForward(WireStruct):")
+    assert untagged != source
+    findings = lint_sources({"src/repro/core/messages.py": untagged}, select=["PROTO001"])
     assert codes(findings) == ["PROTO001"]
     assert "ZugForward" in findings[0].message
 
 
 def test_proto001_clean_when_registered_and_without_registry_in_view():
-    registered = run(
+    # The tag is on the class statement, so one file is the whole evidence:
+    # no tag table has to be in view for a clean verdict.
+    assert not run(
         {
             MESSAGE_MODULE: """
             @dataclass(frozen=True)
-            class Ping(WireStruct):
-                seq: int
-            """,
-            TAG_TABLE: """
-            WIRE_TAGS = {1: Ping}
-            register_message_type(1, Ping)
-            """,
-        },
-        select=["PROTO001"],
-    )
-    assert not registered
-    # Single-file run without the tag table in scope: rule stays silent
-    # instead of flagging every message class.
-    partial = run(
-        {
-            MESSAGE_MODULE: """
-            @dataclass(frozen=True)
-            class Ping(WireStruct):
+            class Ping(WireStruct, tag=BASE_TAG + 1):
                 seq: int
             """
         },
         select=["PROTO001"],
     )
-    assert not partial
-
-
-def test_proto001_understands_loop_driven_registration_tables():
-    # The driven idiom with a non-canonical table name: the loop feeding
-    # register_message_type makes every table entry a registration fact.
-    findings = run(
-        {
-            MESSAGE_MODULE: """
-            @dataclass(frozen=True)
-            class Ping(WireStruct):
-                seq: int
-
-            @dataclass(frozen=True)
-            class Orphan(WireStruct):
-                seq: int
-            """,
-            TAG_TABLE: """
-            _TABLE = {1: Ping}
-
-            for _tag, _cls in _TABLE.items():
-                register_message_type(_tag, _cls)
-            """,
-        },
-        select=["PROTO001"],
-    )
-    assert codes(findings) == ["PROTO001"]
-    assert "Orphan" in findings[0].message
-
-
-def test_proto001_understands_comprehension_driven_registration():
-    findings = run(
-        {
-            MESSAGE_MODULE: """
-            @dataclass(frozen=True)
-            class Ping(WireStruct):
-                seq: int
-            """,
-            TAG_TABLE: """
-            _TABLE = {1: Ping}
-
-            [register_message_type(tag, cls) for tag, cls in _TABLE.items()]
-            """,
-        },
-        select=["PROTO001"],
-    )
-    assert not findings
 
 
 def test_proto001_ignores_tables_never_fed_to_the_registrar():
-    # A dict of classes that is NOT consumed by a registration loop must
-    # not count as registrations (it would silence real findings).
+    # A dict of classes elsewhere is not a tag, even one that looks like the
+    # old registration table: it must not silence a real finding.
     findings = run(
         {
             MESSAGE_MODULE: """
             @dataclass(frozen=True)
-            class Ping(WireStruct):
+            class Ping(WireStruct, tag=1):
                 seq: int
 
             @dataclass(frozen=True)
             class Pong(WireStruct):
                 seq: int
             """,
-            TAG_TABLE: """
-            _DISPLAY_NAMES = {1: Pong}
+            "src/repro/wire/tags.py": """
+            WIRE_TAGS = {2: Pong}
 
-            register_message_type(1, Ping)
+            for _tag, _cls in WIRE_TAGS.items():
+                register_message_type(_tag, _cls)
             """,
         },
         select=["PROTO001"],
     )
     assert codes(findings) == ["PROTO001"]
     assert "Pong" in findings[0].message
-
-
-def test_proto001_understands_enumerate_driven_computed_tags():
-    # Dynamic wire-type registration: tags computed from a range base over
-    # a plain class sequence.  The tags are unknowable statically, but the
-    # classes are registered and must not be flagged.
-    findings = run(
-        {
-            MESSAGE_MODULE: """
-            @dataclass(frozen=True)
-            class Ping(WireStruct):
-                seq: int
-
-            @dataclass(frozen=True)
-            class Pong(WireStruct):
-                seq: int
-
-            @dataclass(frozen=True)
-            class Orphan(WireStruct):
-                seq: int
-            """,
-            TAG_TABLE: """
-            BASE_TAG = 0x40
-
-            MESSAGE_TYPES = [Ping, Pong]
-
-            for _offset, _cls in enumerate(MESSAGE_TYPES):
-                register_message_type(BASE_TAG + _offset, _cls)
-            """,
-        },
-        select=["PROTO001"],
-    )
-    assert codes(findings) == ["PROTO001"]
-    assert "Orphan" in findings[0].message
-
-
-def test_proto001_understands_zip_driven_registration():
-    findings = run(
-        {
-            MESSAGE_MODULE: """
-            @dataclass(frozen=True)
-            class Ping(WireStruct):
-                seq: int
-            """,
-            TAG_TABLE: """
-            _TAGS = [0x41]
-            _CLASSES = (Ping,)
-
-            [register_message_type(tag, cls)
-             for tag, cls in zip(_TAGS, _CLASSES)]
-            """,
-        },
-        select=["PROTO001"],
-    )
-    assert not findings
-
-
-def test_registrations_yield_none_tags_for_computed_ranges():
-    import textwrap as _textwrap
-
-    from repro.lint.engine import FileContext
-    from repro.lint.rules.protocol import _registrations
-
-    ctx = FileContext.parse(TAG_TABLE, _textwrap.dedent("""
-        MESSAGE_TYPES = (Ping, Pong)
-
-        for offset, cls in enumerate(MESSAGE_TYPES, start=0x20):
-            register_message_type(offset, cls)
-    """))
-    facts = list(_registrations(ctx))
-    assert sorted(name for _tag, name, _line in facts) == ["Ping", "Pong"]
-    assert all(tag is None for tag, _name, _line in facts)
-
-
-def test_registrations_yield_table_facts_not_loop_variables():
-    import textwrap as _textwrap
-
-    from repro.lint.engine import FileContext
-    from repro.lint.rules.protocol import _registrations
-
-    ctx = FileContext.parse(TAG_TABLE, _textwrap.dedent("""
-        _TABLE = {1: Ping, 2: Pong}
-
-        for _tag, _cls in _TABLE.items():
-            register_message_type(_tag, _cls)
-    """))
-    facts = list(_registrations(ctx))
-    assert sorted(name for _tag, name, _line in facts) == ["Ping", "Pong"]
-    assert sorted(tag for tag, _name, _line in facts) == [1, 2]
-
-
-# --- PROTO002: duplicate wire tags ---------------------------------------
-
-def test_proto002_flags_same_tag_for_two_classes():
-    within_table = run(
-        {TAG_TABLE: "WIRE_TAGS = {1: Ping, 1: Pong}\n"},
-        select=["PROTO002"],
-    )
-    assert codes(within_table) == ["PROTO002"]
-    assert "tag 1" in within_table[0].message
-
-    across_files = run(
-        {
-            "src/repro/wire/tags.py": "register_message_type(5, Ping)\n",
-            "src/repro/export/extra_tags.py": "register_message_type(5, Pong)\n",
-        },
-        select=["PROTO002"],
-    )
-    assert codes(across_files) == ["PROTO002"]
-
-
-def test_proto002_clean_for_unique_and_idempotent_tags():
-    assert not run(
-        {
-            "src/repro/wire/tags.py": "WIRE_TAGS = {1: Ping, 2: Pong}\n",
-            "src/repro/export/extra_tags.py": "register_message_type(1, Ping)\n",
-        },
-        select=["PROTO002"],
-    )
 
 
 # --- PROTO003: swallowed exceptions --------------------------------------

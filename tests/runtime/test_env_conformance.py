@@ -31,7 +31,7 @@ from repro.runtime.env import SimEnv
 from repro.runtime.multiprocess import MultiprocessEnv
 from repro.sim import CostModel, CpuAccount, Kernel, LinkSpec, Network
 from repro.util.errors import ProtocolError
-from repro.wire.registry import decode_message
+from repro.wire import decode_message
 
 SCHEME = HmacScheme()
 PAIR = SCHEME.derive_keypair(b"node-1")

@@ -1,10 +1,23 @@
 """Writer/Reader codec tests."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.util import CodecError
 from repro.wire import Reader, Writer
+from repro.wire.codec import WireStruct
+
+
+@dataclass(frozen=True)
+class Uints(WireStruct):
+    items: tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class Blobs(WireStruct):
+    items: tuple[bytes, ...]
 
 
 def written(*fields) -> bytes:
@@ -16,7 +29,7 @@ def written(*fields) -> bytes:
 
 
 def written_list(items, put) -> bytes:
-    """A count followed by each item, the list shape ``Reader.get_list`` reads."""
+    """A count followed by each item: a ``tuple[K, ...]`` field on the wire."""
     return written(("put_uint", len(items)), *[(put, item) for item in items])
 
 
@@ -83,19 +96,20 @@ def test_fixed_field_wrong_size_rejected():
 
 def test_list_roundtrip():
     data = written_list([1, 2, 3], "put_uint")
-    assert Reader(data).get_list(lambda r: r.get_uint()) == [1, 2, 3]
+    assert Uints.decode(data).items == (1, 2, 3)
+    assert Uints((1, 2, 3)).encode() == data
 
 
 def test_empty_list():
     data = written_list([], "put_uint")
-    assert Reader(data).get_list(lambda r: r.get_uint()) == []
+    assert Uints.decode(data).items == ()
 
 
 def test_forged_list_count_rejected():
     # A count far beyond the remaining bytes must not cause huge allocations.
     data = written(("put_uint", 10**9))
-    with pytest.raises(CodecError):
-        Reader(data).get_list(lambda r: r.get_uint())
+    with pytest.raises(CodecError, match="list count"):
+        Uints.decode(data)
 
 
 def test_expect_end_detects_trailing_bytes():
@@ -115,4 +129,5 @@ def test_writer_len_matches_output():
 @given(st.lists(st.binary(max_size=64), max_size=20))
 def test_list_of_bytes_roundtrip(items):
     data = written_list(items, "put_bytes")
-    assert Reader(data).get_list(lambda r: r.get_bytes()) == items
+    assert Blobs.decode(data).items == tuple(items)
+    assert Blobs(tuple(items)).encode() == data

@@ -19,7 +19,7 @@ That sizes agree with these bytes is ``test_size_algebra.py``'s job.
 import pytest
 
 from repro.wire import encode_message
-from repro.wire.registry import registered_types
+from repro.wire import registered_types
 
 from tests.wire.golden_bytes import (
     FIXTURES,

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.bus.frames import BusCycleData, ProcessDataFrame
 from repro.util import CodecError
 from repro.wire.codec import Biased, Fixed, Reader, WireStruct
-from repro.wire.registry import registered_types
+from repro.wire import registered_types
 
 from tests.wire import hostile_bytes
 

@@ -1,11 +1,14 @@
 """Request and SignedRequest tests: identity, signing, wire roundtrips."""
 
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.crypto import HmacScheme, KeyStore
-from repro.wire import Request, SignedRequest
-from repro.wire.registry import decode_message, encode_message, register_message_type
+from repro.util import CodecError
+from repro.wire import Request, SignedRequest, decode_message, encode_message, registered_types
+from repro.wire.codec import WireStruct
 
 
 def make_request(payload=b"signals", cycle=7, ts=1_000_000, link="mvb0"):
@@ -94,8 +97,6 @@ def test_encoded_size_matches_wire_bytes():
 
 
 def test_registry_roundtrip():
-    import repro.wire.tags  # noqa: F401  (loads the canonical tag table)
-
     request = make_request()
     encoded = encode_message(request)
     decoded, consumed = decode_message(encoded)
@@ -103,24 +104,31 @@ def test_registry_roundtrip():
     assert consumed == len(encoded)
 
 
-def test_registry_rejects_second_tag_for_same_class():
-    import repro.wire.tags  # noqa: F401
-    from repro.util import CodecError
+def test_a_taken_tag_raises_naming_both_classes_and_leaves_the_registry_unchanged():
+    before = registered_types()
+    with pytest.raises(CodecError, match="Request.*Impostor"):
+        class Impostor(WireStruct, tag=1):
+            seq: int
+    assert registered_types() == before
 
-    with pytest.raises(CodecError):
-        register_message_type(900, Request)
+
+def test_an_untagged_subclass_of_a_tagged_class_has_no_tag():
+    @dataclass(frozen=True)
+    class Stamped(Request):
+        note: str = ""
+
+    assert Stamped not in registered_types().values()
+    with pytest.raises(CodecError, match="Stamped has no wire tag"):
+        encode_message(Stamped(payload=b"x", bus_cycle=1, recv_timestamp_us=2))
+    assert decode_message(encode_message(make_request()))[0] == make_request()
 
 
 def test_registry_unknown_tag():
-    from repro.util import CodecError
-
     with pytest.raises(CodecError):
         decode_message(b"\xff\xff\x7f\x00")
 
 
 def test_registry_unregistered_type():
-    from repro.util import CodecError
-
     class Foreign:
         def encode(self):
             return b""

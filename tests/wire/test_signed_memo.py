@@ -22,7 +22,7 @@ from repro.crypto.keys import KeyPair
 from repro.wire.codec import _SIGNED_MEMO as SIGNED_MEMO
 from repro.wire.codec import UNSIGNED, SignedStruct
 from repro.wire.messages import SignedRequest
-from repro.wire.registry import registered_types
+from repro.wire import registered_types
 
 from tests.wire.golden_bytes import DC_PAIR, FIXTURES, PAIR, SCHEME
 

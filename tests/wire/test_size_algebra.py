@@ -29,7 +29,7 @@ from repro.util.varint import encode_uvarint, uvarint_size
 from repro.wire import Request, SignedRequest, decode_message, encode_message
 from repro.wire.codec import _SIZE_MEMO as SIZE_MEMO
 from repro.wire.codec import UNSIGNED, SignedStruct, SizeWriter, WireStruct, Writer
-from repro.wire.registry import registered_types
+from repro.wire import registered_types
 
 from tests.wire.golden_bytes import DC_PAIR, FIXTURES, PAIR, SCHEME, load_golden
 

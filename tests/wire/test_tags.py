@@ -1,8 +1,18 @@
-"""Registry round-trips for every registered message type."""
+"""Where a wire tag lives: on the class statement, registered at import.
+
+Round-trips through the envelope for the core message types, the tag table's
+spot checks, and which imports fill the registry in a fresh interpreter.
+"""
+
+import ast
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-import repro.wire.tags as tags
+import repro
 from repro.bft.client import ClientRequestWrapper, Reply
 from repro.bft.checkpoint import CheckpointCertificate
 from repro.bft.messages import (
@@ -25,7 +35,7 @@ from repro.export.messages import (
     ReadReply,
     ReadRequest,
 )
-from repro.wire import Request, SignedRequest, decode_message, encode_message
+from repro.wire import Request, SignedRequest, decode_message, encode_message, registered_types
 
 SCHEME = HmacScheme()
 PAIR = SCHEME.derive_keypair(b"node-0")
@@ -92,11 +102,12 @@ def test_registry_roundtrip(message):
 
 
 def test_all_tags_unique_and_stable():
-    assert len(set(tags.WIRE_TAGS)) == len(tags.WIRE_TAGS)
+    registered = registered_types()
+    assert len(set(registered.values())) == len(registered)
     # Spot-check stability of a few assignments (frozen API).
-    assert tags.WIRE_TAGS[1] is Request
-    assert tags.WIRE_TAGS[10] is PrePrepare
-    assert tags.WIRE_TAGS[41] is Block
+    assert registered[1] is Request
+    assert registered[10] is PrePrepare
+    assert registered[41] is Block
 
 
 def test_stream_of_messages_decodes_sequentially():
@@ -108,3 +119,41 @@ def test_stream_of_messages_decodes_sequentially():
         decoded.append(message)
         offset += consumed
     assert len(decoded) == 5
+
+
+SRC = str(pathlib.Path(repro.__file__).parent.parent)
+
+EVERY_MODULE = """
+import importlib, pkgutil, repro
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not module.name.endswith(".__main__"):
+        importlib.import_module(module.name)
+"""
+
+
+def tags_after(imports: str) -> list[int]:
+    """The registered tags after running only ``imports``, in a fresh interpreter."""
+    code = imports + "\nfrom repro.wire import registered_types\nprint(sorted(registered_types()))\n"
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return ast.literal_eval(done.stdout)
+
+
+@pytest.fixture(scope="module")
+def every_tag() -> list[int]:
+    tags = tags_after(EVERY_MODULE)
+    assert len(tags) == 31
+    return tags
+
+
+@pytest.mark.parametrize("module", [
+    "repro.runtime.multiprocess",    # decodes every frame a peer process sends
+    "repro.runtime.asyncio_runtime",  # decodes every frame off a socket
+    "repro.wire.tags",               # what perfbench imports to list every type
+])
+def test_importing_one_of_these_alone_loads_every_tag(module, every_tag):
+    assert tags_after(f"import {module}") == every_tag
