@@ -80,12 +80,25 @@ def test_golden_bytes_decode_to_messages_of_the_same_size(name, golden_hex):
     assert encode_message(message) == raw
 
 
+def qualified_name(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
 def wire_structs(base=WireStruct) -> list[type]:
-    """Every class under ``base``, registered or not."""
-    found = []
-    for cls in base.__subclasses__():
-        found += [cls, *wire_structs(cls)]
-    return list(dict.fromkeys(found))
+    """Every ``repro`` class under ``base``, registered or not, by qualified name.
+
+    ``golden_bytes`` imports every ``repro`` module before this runs, and
+    classes that test modules declare are left out, so the list (and the
+    test ids made from it) does not depend on which tests were collected.
+    """
+    found = set()
+    pending = [base]
+    while pending:
+        for cls in pending.pop().__subclasses__():
+            found.add(cls)
+            pending.append(cls)
+    return sorted((cls for cls in found if cls.__module__.startswith("repro.")),
+                  key=qualified_name)
 
 
 CODEC_NAMES = {"write_to", "decode", "read_from", "signed", "verify", "encode", "encoded_size"}
