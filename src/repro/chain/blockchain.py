@@ -99,16 +99,18 @@ class Blockchain:
 
     def append(self, block: Block) -> None:
         """Append after full validation against the current head."""
-        head = self.head
-        if block.height != head.height + 1:
-            raise ChainError(f"expected height {head.height + 1}, got {block.height}")
-        if block.header.prev_hash != head.block_hash:
-            raise ChainError(f"block {block.height} does not link to current head")
+        head = self._blocks[-1].header
+        header = block.header
+        height, head_height = header.height, head.height
+        if height != head_height + 1:
+            raise ChainError(f"expected height {head_height + 1}, got {height}")
+        if header.prev_hash != head.block_hash:
+            raise ChainError(f"block {height} does not link to current head")
         if not block.verify_payload():
-            raise ChainError(f"block {block.height} payload does not match its header")
-        if block.last_sn <= head.last_sn and head.height > 0:
+            raise ChainError(f"block {height} payload does not match its header")
+        if header.last_sn <= head.last_sn and head_height > 0:
             raise ChainError(
-                f"block {block.height} sequence {block.last_sn} does not advance"
+                f"block {height} sequence {header.last_sn} does not advance"
             )
         self._blocks.append(block)
         self._body_bytes += block.encoded_size()

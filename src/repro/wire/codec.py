@@ -161,21 +161,39 @@ class Writer:
     def put_struct(self, child: WireStruct | None) -> None:
         """A nested struct behind its length prefix; ``None`` is zero length.
 
-        The prefix comes from the child's (memoised) size, so the child
-        streams into this buffer instead of being encoded on the side.
+        The child streams into this buffer instead of being encoded on the
+        side.  If its size is not memoised yet, its fields go first and the
+        prefix is inserted before them: one walk of the child memoises its
+        size, where counting it first would walk it twice.
         """
         if child is None:
             self._buf.append(0)
             return
-        self.put_uint(child.encoded_size())
+        memo = child.__dict__
+        size = memo.get(_SIZE_MEMO)
+        if size is not None:
+            self.put_uint(size)
+            child._write_fields(self)
+            return
+        buf = self._buf
+        start = len(buf)
         child._write_fields(self)
+        size = memo[_SIZE_MEMO] = len(buf) - start
+        if size < 0x80:
+            buf.insert(start, size)
+        else:
+            buf[start:start] = encode_uvarint(size)
 
     def put_structs(self, children: Sequence[WireStruct]) -> None:
         """A count followed by each child as :meth:`put_struct` writes it."""
         self.put_uint(len(children))
         for child in children:
-            self.put_uint(child.encoded_size())
-            child._write_fields(self)
+            size = child.__dict__.get(_SIZE_MEMO)
+            if size is None:
+                self.put_struct(child)
+            else:
+                self.put_uint(size)
+                child._write_fields(self)
 
     def getvalue(self) -> bytes:
         return bytes(self._buf)
