@@ -1,9 +1,16 @@
 """``python -m repro.obs`` CLI tests."""
 
+import hashlib
 import io
 
 from repro.obs import RecordingTracer, pair_request_spans, write_trace
 from repro.obs.cli import main
+from repro.scenarios import ScenarioConfig, SimulatedCluster
+
+#: sha256 of ``repro obs dag`` stdout on the seed-42 trace below, recorded
+#: before the per-hop table moved onto the shared accumulator; the table,
+#: counts and fingerprint must not move.
+DAG_STDOUT_SHA256 = "6d3b7ba93a932b0d9919bb6d390c5064b3d7a4b63771932f5b268c4070e1551d"
 
 
 def _trace_file(tmp_path):
@@ -77,3 +84,19 @@ def test_summary_folds_the_trace_once(tmp_path, monkeypatch):
     monkeypatch.setattr(spans, "fold_trace", counting)
     assert main(["summary", path], out=io.StringIO()) == 0
     assert len(folds) == 1
+
+
+def test_dag_stdout_is_pinned_on_a_seeded_cluster_trace(tmp_path):
+    tracer = RecordingTracer()
+    cluster = SimulatedCluster(
+        ScenarioConfig(system="zugchain", seed=42, cycle_time_s=0.064),
+        tracer=tracer,
+    )
+    cluster.run(duration_s=1.0, warmup_s=0.0)
+    path = str(tmp_path / "trace.jsonl")
+    write_trace(tracer.iter_events(), path)
+    out = io.StringIO()
+    assert main(["dag", path], out=out) == 0
+    text = out.getvalue()
+    assert "Per-hop latency (message edges)" in text
+    assert hashlib.sha256(text.encode()).hexdigest() == DAG_STDOUT_SHA256
