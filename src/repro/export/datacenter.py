@@ -126,7 +126,7 @@ class DataCenter:
         self.rounds: list[ExportRound] = []
         self.rounds_aborted = 0
         self.rounds_retried = 0
-        self.sessions_resumed = 0
+        self.resumes_accepted = 0
         self.sync_blocks_rejected = 0
         self._round_timer = None
         #: Highest SessionResume incarnation seen per replica (stale-drop).
@@ -228,7 +228,7 @@ class DataCenter:
         if resume.incarnation <= self._incarnations.get(resume.replica_id, 0):
             return
         self._incarnations[resume.replica_id] = resume.incarnation
-        self.sessions_resumed += 1
+        self.resumes_accepted += 1
         round_ = self._round
         if (
             round_ is not None

@@ -158,7 +158,7 @@ class ExportScenario:
             registry.counter("export.rounds_completed").inc(len(dc.rounds))
             registry.counter("export.rounds_aborted").inc(dc.rounds_aborted)
             registry.counter("export.rounds_retried").inc(dc.rounds_retried)
-            registry.counter("export.sessions_resumed").inc(dc.sessions_resumed)
+            registry.counter("export.resumes_accepted").inc(dc.resumes_accepted)
             registry.counter("export.sync_blocks_rejected").inc(
                 dc.sync_blocks_rejected
             )

@@ -5,10 +5,10 @@ Three parts (see DESIGN.md "Observability layer"):
 * :mod:`repro.obs.trace` — structured tracing at named protocol points,
   stamped with virtual time + node id + a monotonic sequence; off by
   default via :data:`NULL_TRACER`.
-* :mod:`repro.obs.metrics` — counters/gauges/fixed-bucket histograms with
-  per-node registries and a cluster-level ``aggregate()`` that folds in
-  every runtime Env's counters (sends, drops, decode errors, oversize
-  frames).
+* :mod:`repro.obs.metrics` — counters folded from the protocol's stats
+  dataclasses into per-node registries, and a cluster-level
+  ``aggregate()`` that folds in every runtime Env's counters (sends,
+  drops, decode errors, oversize frames) under the same keys everywhere.
 * :mod:`repro.obs.spans` / :mod:`repro.obs.sinks` — span pairing into
   per-request phase latencies, and a byte-stable JSONL trace format read
   back by ``python -m repro.obs summary``.
@@ -20,7 +20,6 @@ from repro.obs.causal import (
     CausalContext,
     CausalDag,
     CausalEdge,
-    HopStats,
     build_dag,
     event_id,
     lifecycle_chains,
@@ -34,11 +33,8 @@ from repro.obs.check import (
     check_trace,
 )
 from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
     ClusterMetrics,
     Counter,
-    Gauge,
-    Histogram,
     MetricsRegistry,
     fold_env_counters,
 )
@@ -75,7 +71,6 @@ __all__ = [
     "CausalContext",
     "CausalDag",
     "CausalEdge",
-    "HopStats",
     "build_dag",
     "event_id",
     "lifecycle_chains",
@@ -91,11 +86,8 @@ __all__ = [
     "RecordingTracer",
     "TraceEvent",
     "Tracer",
-    "DEFAULT_LATENCY_BUCKETS_S",
     "ClusterMetrics",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "fold_env_counters",
     "JsonlTraceSink",

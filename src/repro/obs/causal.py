@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from typing import Annotated, Iterable, Mapping, NamedTuple
 
 from repro.obs.fold import fold_trace
+from repro.obs.spans import PhaseStats
 from repro.obs.trace import TraceEvent
 from repro.wire.codec import Biased, WireStruct
 
@@ -163,30 +164,6 @@ class CausalEdge(NamedTuple):
 
 
 @dataclass
-class HopStats:
-    """Latency attribution for one (src node -> dst node) message hop."""
-
-    count: int = 0
-    total_s: float = 0.0
-    min_s: float = 0.0
-    max_s: float = 0.0
-
-    def observe(self, dt: float) -> None:
-        if self.count == 0:
-            self.min_s = dt
-            self.max_s = dt
-        else:
-            self.min_s = min(self.min_s, dt)
-            self.max_s = max(self.max_s, dt)
-        self.count += 1
-        self.total_s += dt
-
-    @property
-    def mean_s(self) -> float:
-        return self.total_s / self.count if self.count else 0.0
-
-
-@dataclass
 class CausalDag:
     """The reconstructed message-flow DAG plus its structural anomalies.
 
@@ -215,7 +192,7 @@ class CausalDag:
         children = {edge.child for edge in self.edges}
         return [event.seq for event in self.events if event.seq not in children]
 
-    def hop_latencies(self) -> dict[tuple[str, str], HopStats]:
+    def hop_latencies(self) -> dict[tuple[str, str], PhaseStats]:
         """Per (src, dst) node-pair latency over message edges.
 
         Exact under the simulator's shared virtual clock; debug-grade
@@ -223,12 +200,15 @@ class CausalDag:
         TCP and multiprocess runtimes.
         """
         by_seq = {event.seq: event for event in self.events}
-        hops: dict[tuple[str, str], HopStats] = {}
+        hops: dict[tuple[str, str], PhaseStats] = {}
         for edge in self.message_edges:
             parent = by_seq[edge.parent]
             child = by_seq[edge.child]
             key = (parent.node, child.node)
-            hops.setdefault(key, HopStats()).observe(child.t - parent.t)
+            stats = hops.get(key)
+            if stats is None:
+                stats = hops[key] = PhaseStats(f"{parent.node}->{child.node}")
+            stats.observe(child.t - parent.t)
         return hops
 
     @property

@@ -137,8 +137,8 @@ def _cmd_dag(args, out) -> int:
     hops = dag.hop_latencies()
     if hops:
         rows = [
-            [src, dst, str(stats.count), f"{stats.mean_s * 1000:.3f} ms",
-             f"{stats.min_s * 1000:.3f} ms", f"{stats.max_s * 1000:.3f} ms"]
+            [src, dst, str(stats.count), f"{stats.mean * 1000:.3f} ms",
+             f"{stats.minimum * 1000:.3f} ms", f"{stats.maximum * 1000:.3f} ms"]
             for (src, dst), stats in sorted(hops.items())
         ]
         print(format_table(["src", "dst", "msgs", "mean", "min", "max"], rows,

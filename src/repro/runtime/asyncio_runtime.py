@@ -67,10 +67,6 @@ class AsyncioEnv(BaseEnv):
         self._conn_lock = asyncio.Lock()
         self._loop = loop
         self._epoch: float | None = None
-        #: Inbound frames whose body failed to decode (stream stays aligned).
-        self.decode_errors = 0
-        #: Inbound frames over the size cap (connection is dropped).
-        self.oversize_frames = 0
 
     def _running_loop(self) -> asyncio.AbstractEventLoop:
         if self._loop is None:
@@ -224,7 +220,7 @@ class AsyncioCluster:
                     if length > _MAX_FRAME:
                         # The frame cannot be skipped without reading it, so
                         # the connection is unrecoverable: count and drop it.
-                        env.oversize_frames += 1
+                        env.counters.oversize_frames += 1
                         break
                     frame = await reader.readexactly(length)
                     try:
@@ -238,7 +234,7 @@ class AsyncioCluster:
                     except CodecError:
                         # The bad frame is fully consumed; later frames on
                         # this stream are still well-delimited.
-                        env.decode_errors += 1
+                        env.counters.decode_errors += 1
                         continue
                     env.run_inbound(ctx, node.handle_message, src, message)
             except (asyncio.IncompleteReadError, ConnectionResetError):
@@ -277,9 +273,10 @@ class AsyncioCluster:
     def aggregate_metrics(self) -> MetricsRegistry:
         """Cluster-level counter fold over every node and its AsyncioEnv.
 
-        Includes the transport-layer ``env.decode_errors`` and
-        ``env.oversize_frames`` alongside the shared emission counters, so
-        fault-injection tests can assert a bad frame surfaced cluster-wide.
+        Includes the transport's ``env.decode_errors`` (a bad frame body,
+        the stream stays aligned) and ``env.oversize_frames`` (a frame over
+        the size cap, the connection is dropped), so fault-injection tests
+        can assert a bad frame surfaced cluster-wide.
         """
         cluster = ClusterMetrics()
         for node_id, hosted in sorted(self.hosted.items()):

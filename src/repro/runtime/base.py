@@ -14,8 +14,9 @@ owns exactly that shared half:
   cancelled timer is a no-op, cancelling twice counts once), regardless
   of how the transport actually schedules the callback.
 * **Accounting** — per-env :class:`EnvCounters` for sends, broadcasts,
-  emitted copies, transport drops, and timer lifecycle events, so tests
-  and operators read the same numbers on every runtime.
+  emitted copies, transport drops, timer lifecycle events and rejected
+  inbound frames, so tests and operators read the same numbers on every
+  runtime.
 
 Transports supply only the physical half via four hooks:
 
@@ -57,7 +58,9 @@ class EnvCounters:
     and ``broadcasts`` counts ``broadcast`` calls; ``messages_emitted``
     counts the per-recipient copies actually handed to the transport, and
     ``drops`` the copies the transport could not deliver (crashed peer,
-    missing connection, closing socket).
+    missing connection, closing socket).  ``decode_errors`` and
+    ``oversize_frames`` count inbound frames a byte transport rejected; they
+    stay 0 on the simulator, which hands message objects over directly.
     """
 
     sends: int = 0
@@ -67,17 +70,8 @@ class EnvCounters:
     timers_set: int = 0
     timers_fired: int = 0
     timers_cancelled: int = 0
-
-    def snapshot(self) -> dict[str, int]:
-        return {
-            "sends": self.sends,
-            "broadcasts": self.broadcasts,
-            "messages_emitted": self.messages_emitted,
-            "drops": self.drops,
-            "timers_set": self.timers_set,
-            "timers_fired": self.timers_fired,
-            "timers_cancelled": self.timers_cancelled,
-        }
+    decode_errors: int = 0
+    oversize_frames: int = 0
 
 
 class EnvTimer:

@@ -87,8 +87,6 @@ class MultiprocessEnv(BaseEnv):
         self._channels = dict(channels)
         self._timer_dispatch = timer_dispatch
         self._epoch: float | None = None
-        #: Inbound frames whose body failed to decode (set by the worker loop).
-        self.decode_errors = 0
 
     def now(self) -> float:
         if self._epoch is None:
@@ -202,7 +200,7 @@ def _worker_main(node_id: str, config: ScenarioConfig, traced: bool,
                             ctx = decoded
                     message, _ = decode_message(frame)
                 except CodecError:
-                    env.decode_errors += 1
+                    env.counters.decode_errors += 1
                     continue
                 env.run_inbound(ctx, node.handle_message, src, message)
             elif tag == "timer":
@@ -211,7 +209,7 @@ def _worker_main(node_id: str, config: ScenarioConfig, traced: bool,
                 try:
                     cycle = BusCycleData.decode(item[1])
                 except CodecError:
-                    env.decode_errors += 1
+                    env.counters.decode_errors += 1
                     continue
                 node.on_bus_cycle(cycle)
             elif tag == "report":

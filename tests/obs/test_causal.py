@@ -67,7 +67,7 @@ def test_dag_builds_program_and_message_edges():
     assert dag.roots() == [0]
     hops = dag.hop_latencies()
     assert hops[("node-0", "node-1")].count == 1
-    assert hops[("node-0", "node-1")].mean_s == pytest.approx(0.1)
+    assert hops[("node-0", "node-1")].mean == pytest.approx(0.1)
 
 
 def test_dag_reports_orphan_causes():

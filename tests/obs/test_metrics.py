@@ -1,9 +1,12 @@
-"""Metrics registry tests: counters, histogram merges, env-counter folds."""
+"""Metrics registry tests: counters, cluster sums, env-counter folds."""
+
+from dataclasses import fields
 
 import pytest
 
-from repro.obs import ClusterMetrics, Histogram, MetricsRegistry
-from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS_S, fold_env_counters
+from repro.obs import ClusterMetrics, MetricsRegistry
+from repro.obs.metrics import fold_env_counters
+from repro.runtime import EnvCounters
 from repro.util.errors import ProtocolError
 
 
@@ -17,49 +20,6 @@ def test_counter_is_monotone():
         counter.inc(-1)
 
 
-def test_metric_names_are_type_exclusive():
-    registry = MetricsRegistry()
-    registry.counter("x")
-    with pytest.raises(ProtocolError):
-        registry.gauge("x")
-    with pytest.raises(ProtocolError):
-        registry.histogram("x")
-
-
-def test_histogram_buckets_and_quantile():
-    hist = Histogram("lat", bounds=(0.01, 0.1, 1.0))
-    for value in (0.005, 0.02, 0.02, 0.5, 2.0):
-        hist.observe(value)
-    assert hist.bucket_counts == [1, 2, 1, 1]
-    assert hist.count == 5
-    assert hist.mean() == pytest.approx((0.005 + 0.02 + 0.02 + 0.5 + 2.0) / 5)
-    assert hist.quantile(0.5) == 0.1
-    assert hist.quantile(1.0) == 1.0  # overflow reports the last finite bound
-
-
-def test_histogram_merge_is_elementwise_and_exact():
-    a = Histogram("lat", bounds=(0.01, 0.1))
-    b = Histogram("lat", bounds=(0.01, 0.1))
-    for value in (0.005, 0.05):
-        a.observe(value)
-    for value in (0.05, 5.0):
-        b.observe(value)
-    a.merge(b)
-    assert a.bucket_counts == [1, 2, 1]
-    assert a.count == 4
-    assert a.total == pytest.approx(0.005 + 0.05 + 0.05 + 5.0)
-    mismatched = Histogram("lat", bounds=(0.01, 0.2))
-    with pytest.raises(ProtocolError):
-        a.merge(mismatched)
-
-
-def test_histogram_rejects_unsorted_bounds():
-    with pytest.raises(ProtocolError):
-        Histogram("bad", bounds=(0.1, 0.1))
-    with pytest.raises(ProtocolError):
-        Histogram("bad", bounds=())
-
-
 def test_inc_from_folds_stats_mapping():
     registry = MetricsRegistry()
     registry.inc_from({"decided": 3, "proposed": 5}, prefix="bft.")
@@ -67,42 +27,27 @@ def test_inc_from_folds_stats_mapping():
     assert registry.counter_values() == {"bft.decided": 5, "bft.proposed": 5}
 
 
-def test_cluster_aggregate_adds_counters_and_maxes_gauges():
+def test_cluster_aggregate_adds_counters():
     cluster = ClusterMetrics()
-    for node_id, height in (("node-0", 7), ("node-1", 5)):
+    for node_id in ("node-0", "node-1"):
         registry = cluster.node(node_id)
         registry.counter("requests.logged").inc(10)
-        registry.gauge("chain.height").set(height)
-        registry.histogram("lat", bounds=DEFAULT_LATENCY_BUCKETS_S).observe(0.01)
     merged = cluster.aggregate()
     assert merged.node == "cluster"
     assert merged.counter_values()["requests.logged"] == 20
-    assert merged.gauge_values()["chain.height"] == 7  # worst node wins
-    assert merged.snapshot()["histograms"]["lat"]["count"] == 2
     assert cluster.node_ids() == ["node-0", "node-1"]
 
 
-class _FakeCounters:
-    def __init__(self, **values):
-        self._values = values
-
-    def snapshot(self):
-        return dict(self._values)
-
-
 class _FakeEnv:
-    def __init__(self, sends, drops, decode_errors=None):
-        self.counters = _FakeCounters(sends=sends, drops=drops)
-        if decode_errors is not None:
-            self.decode_errors = decode_errors
-            self.oversize_frames = 0
+    def __init__(self, **counts):
+        self.counters = EnvCounters(**counts)
 
 
 def test_fold_env_counters_includes_transport_extras_when_present():
     registry = MetricsRegistry(node="cluster")
     envs = {
         "node-0": _FakeEnv(sends=10, drops=1, decode_errors=2),
-        "node-1": _FakeEnv(sends=20, drops=0),  # SimEnv: no decode_errors attr
+        "node-1": _FakeEnv(sends=20, drops=0),  # SimEnv: never rejects a frame
     }
     fold_env_counters(registry, envs)
     values = registry.counter_values()
@@ -110,6 +55,8 @@ def test_fold_env_counters_includes_transport_extras_when_present():
     assert values["env.drops"] == 1
     assert values["env.decode_errors"] == 2
     assert values["env.oversize_frames"] == 0
+    # Every EnvCounters field is a key, whichever runtime counted it.
+    assert set(values) == {"env." + field.name for field in fields(EnvCounters)}
 
 
 def test_snapshot_is_sorted_and_deterministic():

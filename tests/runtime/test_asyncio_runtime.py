@@ -90,8 +90,8 @@ def test_tcp_bad_frames_are_counted_not_fatal():
             )
             assert done, "cluster stalled after an undecodable frame"
             env0 = cluster.hosted["node-0"].env
-            assert env0.decode_errors == 1
-            assert env0.oversize_frames == 0
+            assert env0.counters.decode_errors == 1
+            assert env0.counters.oversize_frames == 0
         finally:
             await cluster.stop()
 

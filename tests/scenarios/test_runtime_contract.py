@@ -11,7 +11,7 @@ backend that joins ``RUNTIMES``/``BACKENDS`` is tested by joining.)
 Live runs are wall-clock paced; they stay at a handful of cycles.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import hypothesis  # noqa: F401  (pre-import: see tests/runtime/test_asyncio_runtime.py)
 import pytest
@@ -20,6 +20,7 @@ from repro.bft import BACKENDS
 from repro.bus.faults import ReceptionFaultConfig
 from repro.faults.behaviors import ByzantineSpec
 from repro.obs import RecordingTracer, check_trace
+from repro.runtime import EnvCounters
 from repro.scenarios import RUNTIMES, ScenarioConfig, run_scenario
 from repro.util.errors import ConfigError
 
@@ -120,6 +121,9 @@ def test_counters_mean_the_same(run):
     assert result.metrics["env.broadcasts"] > 0
     assert result.metrics["bft.decided"] >= CONFIG.n * result.requests_expected
     assert result.view_changes == 0
+    # Every runtime reports the same env.* keys: one per EnvCounters field.
+    assert ({name for name in result.metrics if name.startswith("env.")}
+            == {"env." + field.name for field in fields(EnvCounters)})
 
 
 def test_latency_is_measured(run):
