@@ -32,8 +32,8 @@ def main() -> None:
     print(f"\nhealthy chain : height {survivor.chain.height}")
     print(f"node-3 chain  : height {recovered.chain.height} "
           f"(was ~{int(6.0 / 0.064 / 10)} blocks at the outage)")
-    print(f"state syncs   : {recovered.statesync.syncs_completed} completed, "
-          f"{recovered.statesync.syncs_rejected} rejected")
+    print(f"state syncs   : {recovered.statesync.stats.completed} completed, "
+          f"{recovered.statesync.stats.rejected} rejected")
 
     recovered.chain.verify()
     common = min(recovered.chain.height, survivor.chain.height)

@@ -1,94 +1,57 @@
-"""On-disk block persistence.
+"""Durable block persistence.
 
 The paper persists the blockchain on disk to survive power loss (§V-B,
 "to ensure data integrity after e.g., power loss, we persist the blockchain
-on disk").  One file per block, named by height, verified on load.
+on disk").  One entry per block, named by height and verified on read, and
+the latest stable checkpoint behind a SHA-256 checksum (a certificate holds
+no digest of its own bytes).  A restart reads what was persisted, as bytes,
+not what the dead node remembered.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
+import re
 from pathlib import Path
 
 from repro.chain.block import Block
 from repro.util.errors import ChainError
 
+_BLOCK_NAME = re.compile(r"block-(\d+)\.zc")
+_CHECKPOINT = "checkpoint.zc"
 
-class BlockStore:
-    """Directory-backed block storage with integrity checks on load."""
 
-    def __init__(self, directory: str | Path) -> None:
-        self._dir = Path(directory)
-        self._dir.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, height: int) -> Path:
-        return self._dir / f"block-{height:012d}.zc"
-
-    def write(self, block: Block) -> Path:
-        path = self._path(block.height)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_bytes(block.encode())
-        os.replace(tmp, path)  # atomic publish
-        return path
-
-    def read(self, height: int) -> Block:
-        path = self._path(height)
-        if not path.exists():
-            raise ChainError(f"no stored block at height {height}")
-        block = Block.decode(path.read_bytes())
-        if block.height != height:
-            raise ChainError(
-                f"stored file for height {height} contains block {block.height}"
-            )
-        if not block.verify_payload():
-            raise ChainError(f"stored block {height} failed payload verification")
-        return block
-
-    def delete(self, height: int) -> bool:
-        path = self._path(height)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
-
-    def heights(self) -> list[int]:
-        out = []
-        for path in self._dir.glob("block-*.zc"):
-            try:
-                out.append(int(path.stem.split("-")[1]))
-            except (IndexError, ValueError):
-                continue
-        return sorted(out)
-
-    def load_all(self) -> list[Block]:
-        return [self.read(height) for height in self.heights()]
+def _block_name(height: int) -> str:
+    return f"block-{height:012d}.zc"
 
 
 class MemoryBlockStore:
-    """In-memory stand-in for :class:`BlockStore` with the same interface.
+    """The store, its bytes in a dict (the simulator's per-node storage).
 
-    Used by the simulated cluster to model per-node durable storage (§V-B)
-    without touching the filesystem: a fail-stop crash destroys the node
-    object but not its store, so ``recover_node`` can rehydrate the chain
-    exactly as a real node would replay its disk after power loss.  Blocks
-    round-trip through ``encode()``/``decode()`` so the store holds bytes,
-    not live object references — recovery reads what was persisted, not
-    what the dead node remembered.
+    :class:`BlockStore` overrides the four methods that touch bytes only.
     """
 
     def __init__(self) -> None:
-        self._blocks: dict[int, bytes] = {}
-        # Most recent stable checkpoint certificate, persisted alongside the
-        # blocks (as a real deployment would fsync it with the chain) so a
-        # recovering replica can fast-forward its watermarks before StateSync.
-        self._checkpoint: bytes | None = None
+        self._entries: dict[str, bytes] = {}
 
-    def write(self, block: Block) -> int:
-        self._blocks[block.height] = block.encode()
-        return block.height
+    def _put(self, name: str, data: bytes) -> None:
+        self._entries[name] = data
+
+    def _get(self, name: str) -> bytes | None:
+        return self._entries.get(name)
+
+    def _drop(self, name: str) -> bool:
+        return self._entries.pop(name, None) is not None
+
+    def _names(self) -> list[str]:
+        return list(self._entries)
+
+    def write(self, block: Block) -> None:
+        self._put(_block_name(block.height), block.encode())
 
     def read(self, height: int) -> Block:
-        encoded = self._blocks.get(height)
+        encoded = self._get(_block_name(height))
         if encoded is None:
             raise ChainError(f"no stored block at height {height}")
         block = Block.decode(encoded)
@@ -101,16 +64,52 @@ class MemoryBlockStore:
         return block
 
     def delete(self, height: int) -> bool:
-        return self._blocks.pop(height, None) is not None
+        return self._drop(_block_name(height))
 
     def heights(self) -> list[int]:
-        return sorted(self._blocks)
+        matches = (_BLOCK_NAME.fullmatch(name) for name in self._names())
+        return sorted(int(match[1]) for match in matches if match)
 
     def load_all(self) -> list[Block]:
         return [self.read(height) for height in self.heights()]
 
     def write_checkpoint(self, encoded_certificate: bytes) -> None:
-        self._checkpoint = encoded_certificate
+        """Persist the latest stable checkpoint, replacing the previous one."""
+        self._put(_CHECKPOINT,
+                  hashlib.sha256(encoded_certificate).digest() + encoded_certificate)
 
     def read_checkpoint(self) -> bytes | None:
-        return self._checkpoint
+        stored = self._get(_CHECKPOINT)
+        if stored is None:
+            return None
+        checksum, encoded = stored[:32], stored[32:]
+        if hashlib.sha256(encoded).digest() != checksum:
+            raise ChainError("stored checkpoint failed its checksum")
+        return encoded
+
+
+class BlockStore(MemoryBlockStore):
+    """The same store with one file per entry in ``directory``."""
+
+    def __init__(self, directory: str | Path) -> None:
+        self._dir = Path(directory)
+        self._dir.mkdir(parents=True, exist_ok=True)
+
+    def _put(self, name: str, data: bytes) -> None:
+        path = self._dir / name
+        tmp = path.with_suffix(".tmp")
+        tmp.write_bytes(data)
+        os.replace(tmp, path)  # atomic publish
+
+    def _get(self, name: str) -> bytes | None:
+        path = self._dir / name
+        return path.read_bytes() if path.exists() else None
+
+    def _drop(self, name: str) -> bool:
+        path = self._dir / name
+        existed = path.exists()
+        path.unlink(missing_ok=True)
+        return existed
+
+    def _names(self) -> list[str]:
+        return [path.name for path in self._dir.iterdir()]

@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Callable
 
+from repro.bft.checkpoint import CheckpointCertificate
 from repro.bft.config import BftConfig
 from repro.bft.messages import Checkpoint
 from repro.bft.replica import PbftReplica
@@ -48,6 +49,7 @@ class ZugChainNode:
         chain_id: str = "zugchain",
         on_block: Callable[[Block], None] | None = None,
         replica_cls: type = PbftReplica,
+        layer_cls: type = ZugChainLayer,
         block_store=None,
         tracer: Tracer | None = None,
     ) -> None:
@@ -73,7 +75,7 @@ class ZugChainNode:
             on_preprepare_accepted=self._preprepare_accepted,
             tracer=self.tracer,
         )
-        self.layer = ZugChainLayer(
+        self.layer = layer_cls(
             env=env,
             config=zug_config,
             keypair=keypair,
@@ -102,10 +104,12 @@ class ZugChainNode:
             keystore=keystore,
             chain=self.chain,
             replica=self.replica,
-            on_fast_forward=self._reset_block_assembly,
+            on_fast_forward=self._adopt_blocks,
             tracer=self.tracer,
         )
         self.requests_logged = 0
+        if block_store is not None:
+            self._restore(block_store)
 
     # -- bus side -----------------------------------------------------------------
 
@@ -203,16 +207,31 @@ class ZugChainNode:
     def _new_primary(self, primary_id: str) -> None:
         self.layer.on_new_primary(primary_id)
 
-    def _reset_block_assembly(self, adopted_blocks) -> None:
-        # Adopted checkpoints sit on block boundaries: requests the builder
-        # accumulated before the transfer are already inside synced blocks.
+    def _adopt_blocks(self, adopted_blocks) -> None:
+        # Blocks this node did not cut (state transfer, its own store) end on
+        # a checkpoint's block boundary: the builder's leftovers are inside.
         self.builder._pending.clear()
-        # The adopted requests count as logged for duplicate filtering —
-        # otherwise this node would log a later re-proposal that every live
-        # peer skips, and the next block it cuts would diverge.
+        # Their requests count as logged for duplicate filtering — otherwise
+        # this node would log a later re-proposal that every live peer skips,
+        # and the next block it cuts would diverge.
         for block in adopted_blocks:
             for signed in block.requests:
                 self.layer.on_synced(signed, block.header.last_sn)
+
+    def _restore(self, store) -> None:
+        """Rebuild after a restart (§V-B, power loss): replay the stored blocks
+        in height order, then fast-forward from the stored checkpoint."""
+        replayed = []
+        for block in store.load_all():
+            if block.height == self.chain.height + 1:
+                self.chain.append(block)
+                replayed.append(block)
+        self._adopt_blocks(replayed)
+        encoded = store.read_checkpoint()
+        if encoded is not None:
+            certificate = CheckpointCertificate.decode(encoded)
+            if certificate.block_height <= self.chain.height:
+                self.replica.fast_forward(certificate)
 
     def _stable_checkpoint(self, certificate) -> None:
         # A checkpoint stabilized by peer votes while our execution still
@@ -224,8 +243,12 @@ class ZugChainNode:
     def _block_built(self, block: Block) -> None:
         if self.block_store is not None:
             # Persist before acknowledging: data must survive power loss
-            # ("we persist the blockchain on disk", §V-B).
+            # ("we persist the blockchain on disk", §V-B), with the stable
+            # checkpoint _restore fast-forwards from.
             self.block_store.write(block)
+            certificate = self.replica.latest_stable_checkpoint()
+            if certificate is not None:
+                self.block_store.write_checkpoint(certificate.encode())
         if self.export_handler is not None:
             self.export_handler.on_block_created(block)
         self._on_block_cb(block)

@@ -96,6 +96,15 @@ class StateReply(SignedStruct, tag=33):
         )
 
 
+@dataclass
+class SyncStats:
+    """State-transfer outcomes, reported as ``sync.<field>``."""
+
+    completed: int = 0
+    rejected: int = 0
+    retried: int = 0
+
+
 class StateSync:
     """Per-node state-sync engine, driven by the node's message dispatch."""
 
@@ -132,9 +141,7 @@ class StateSync:
         self._sync_timer = None
         self._vouchers: list[str] = []
         self._attempt = 0
-        self.syncs_completed = 0
-        self.syncs_rejected = 0
-        self.syncs_retried = 0
+        self.stats = SyncStats()
 
     # -- lag detection -----------------------------------------------------------
 
@@ -213,7 +220,7 @@ class StateSync:
             self._sync_timer = None
             return
         self._attempt += 1
-        self.syncs_retried += 1
+        self.stats.retried += 1
         self._send_request()
 
     # -- serving -------------------------------------------------------------------
@@ -253,10 +260,10 @@ class StateSync:
         genuine sync) and must not reach the chain-adoption path.
         """
         if not reply.verify(self.keystore):
-            self.syncs_rejected += 1
+            self.stats.rejected += 1
             return False
         if not reply.checkpoint.verify(self.keystore, self.bft_config):
-            self.syncs_rejected += 1
+            self.stats.rejected += 1
             return False
         self._sync_in_flight = False
         if self._sync_timer is not None:
@@ -267,12 +274,12 @@ class StateSync:
         try:
             self._apply(reply)
         except ChainError:
-            self.syncs_rejected += 1
+            self.stats.rejected += 1
             return False
         # View catch-up rides on the (signed) reply: monotonic adoption only,
         # enforced by the replica itself.
         self.replica.adopt_view(reply.view)
-        self.syncs_completed += 1
+        self.stats.completed += 1
         return True
 
     def _apply(self, reply: StateReply) -> None:

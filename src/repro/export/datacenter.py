@@ -51,6 +51,16 @@ class DataCenterConfig:
 
 
 @dataclass
+class DataCenterStats:
+    """Round outcomes, reported as ``export.<field>``."""
+
+    rounds_aborted: int = 0
+    rounds_retried: int = 0
+    resumes_accepted: int = 0
+    sync_blocks_rejected: int = 0
+
+
+@dataclass
 class ExportRound:
     """Phase timeline and outcome of one export round."""
 
@@ -124,10 +134,7 @@ class DataCenter:
         self._acks: dict[str, DeleteAck] = {}
         self._pending_blocks: dict[int, Block] = {}
         self.rounds: list[ExportRound] = []
-        self.rounds_aborted = 0
-        self.rounds_retried = 0
-        self.resumes_accepted = 0
-        self.sync_blocks_rejected = 0
+        self.stats = DataCenterStats()
         self._round_timer = None
         #: Highest SessionResume incarnation seen per replica (stale-drop).
         self._incarnations: dict[str, int] = {}
@@ -191,7 +198,7 @@ class DataCenter:
         """
         round_ = self._round
         round_.retries += 1
-        self.rounds_retried += 1
+        self.stats.rounds_retried += 1
         if rotate:
             candidates = [
                 r for r in sorted(self.config.replica_ids) if r != round_.full_from
@@ -228,7 +235,7 @@ class DataCenter:
         if resume.incarnation <= self._incarnations.get(resume.replica_id, 0):
             return
         self._incarnations[resume.replica_id] = resume.incarnation
-        self.resumes_accepted += 1
+        self.stats.resumes_accepted += 1
         round_ = self._round
         if (
             round_ is not None
@@ -358,7 +365,7 @@ class DataCenter:
         dispatch path exception-free (SM006) and leaves the data center
         ready for the next ``start_export``.
         """
-        self.rounds_aborted += 1
+        self.stats.rounds_aborted += 1
         if self.tracer.enabled:
             self.tracer.emit("export.round.aborted", self.env.now(),
                              self.config.dc_id, reason=reason)
@@ -425,7 +432,7 @@ class DataCenter:
                 except ChainError:
                     # A correctly signed sync can still carry garbage blocks
                     # (the peer is mutually distrusted); reject, don't crash.
-                    self.sync_blocks_rejected += 1
+                    self.stats.sync_blocks_rejected += 1
                     break
                 appended += 1
         if appended and sync.checkpoint.seq > self.last_exported_sn:

@@ -156,12 +156,7 @@ class ExportScenario:
             dc = self.datacenters[dc_id]
             registry = cluster.node(dc_id)
             registry.counter("export.rounds_completed").inc(len(dc.rounds))
-            registry.counter("export.rounds_aborted").inc(dc.rounds_aborted)
-            registry.counter("export.rounds_retried").inc(dc.rounds_retried)
-            registry.counter("export.resumes_accepted").inc(dc.resumes_accepted)
-            registry.counter("export.sync_blocks_rejected").inc(
-                dc.sync_blocks_rejected
-            )
+            registry.inc_from(asdict(dc.stats), prefix="export.")
         return cluster
 
     # -- driving -------------------------------------------------------------------

@@ -134,32 +134,19 @@ def make_zugchain_node(spec: ByzantineSpec, rng: random.Random, **node_kwargs) -
 
     Composition order: a delaying primary is the node's ``replica_cls``
     (PBFT, whatever backend was asked for: ``ScenarioConfig`` rejects the
-    combination); a fabricating node is a node subclass; a
-    duplicate-proposing primary swaps the layer.  Specs combining all three
-    are possible but not used by the paper's experiments.
+    combination); a duplicate-proposing primary is its ``layer_cls``; a
+    fabricating node is a node subclass.  Each is in place when the node is
+    built, so a node rebuilt over its store replays into the parts that run.
+    Specs combining all three are possible but not used by the paper's
+    experiments.
     """
     if spec.preprepare_delay_s > 0:
         node_kwargs["replica_cls"] = partial(
             DelayingPrimaryReplica, preprepare_delay_s=spec.preprepare_delay_s)
+    if spec.propose_duplicates:
+        node_kwargs["layer_cls"] = DuplicateProposingLayer
     if spec.fabricate_per_cycle > 0:
-        node = FabricatingNode(
+        return FabricatingNode(
             fabricate_per_cycle=spec.fabricate_per_cycle, rng=rng, **node_kwargs
         )
-    else:
-        node = ZugChainNode(**node_kwargs)
-
-    if spec.propose_duplicates:
-        faulty_layer = DuplicateProposingLayer(
-            env=node.env,
-            config=node.layer.config,
-            keypair=node.layer.keypair,
-            keystore=node.layer.keystore,
-            propose=node.replica.propose,
-            suspect=node.replica.suspect,
-            on_log=node._log,
-            initial_primary=node.layer.primary,
-            tracer=node.tracer,
-        )
-        node.layer = faulty_layer
-
-    return node
+    return ZugChainNode(**node_kwargs)

@@ -14,7 +14,7 @@ The reproduction rests on two contracts nothing else enforces:
 zuglint walks Python ASTs and flags violations of both families.  Rules
 are small plugins registered by code (``DET00x`` determinism, ``PROTO00x``
 protocol safety); findings can be suppressed inline with
-``# zuglint: disable=CODE`` or absorbed by a checked-in baseline file.
+``# zuglint: disable=CODE``.
 
 Run it as ``python -m repro.lint src/ tests/`` or via the ``repro-lint``
 console script.

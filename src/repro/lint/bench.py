@@ -10,7 +10,7 @@ and every later stage is incremental.  Each stage is timed twice:
 * **shared** — one project threaded through the stages in order, the
   cost each stage adds to a combined ``--stage ast,flow,aio,sm`` run.
 
-Timing covers rule execution only (no reporting, no baseline I/O).
+Timing covers rule execution only (no reporting).
 """
 
 from __future__ import annotations

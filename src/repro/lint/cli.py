@@ -8,8 +8,6 @@ Usage::
     python -m repro.lint --format sarif --output lint.sarif src/
     python -m repro.lint --select DET001 src/   # run a subset
     python -m repro.lint --stage aio src/       # one analysis stage only
-    python -m repro.lint --write-baseline src/  # absorb current findings
-    python -m repro.lint --prune-baseline src/  # drop stale baseline entries
 
 Exit codes: **0** clean, **1** findings reported, **2** usage error.
 """
@@ -21,7 +19,6 @@ import sys
 from typing import IO
 
 import repro.lint  # noqa: F401  (registers all rules)
-from repro.lint import baseline as baseline_mod
 from repro.lint.engine import STAGES, LintError, lint_paths
 from repro.lint.reporters import REPORTERS, describe_rules
 
@@ -74,24 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help=(
-            "baseline file of known findings to ignore "
-            f"(default: ./{baseline_mod.DEFAULT_BASELINE_NAME} when present)"
-        ),
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--prune-baseline",
-        action="store_true",
-        help="drop baseline entries no longer matched by any finding, then lint",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list every registered rule and exit",
@@ -119,35 +98,6 @@ def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
 
     try:
         findings = lint_paths(args.paths, select=select, ignore=ignore, stages=stages)
-
-        baseline_path = args.baseline or baseline_mod.find_default_baseline()
-        if args.write_baseline:
-            target = args.baseline or baseline_mod.DEFAULT_BASELINE_NAME
-            baseline_mod.write_baseline(target, findings)
-            print(f"zuglint: wrote {len(findings)} fingerprint(s) to {target}", file=out)
-            return EXIT_CLEAN
-        if args.prune_baseline:
-            target = baseline_path or baseline_mod.DEFAULT_BASELINE_NAME
-            dropped = baseline_mod.prune_baseline(target, findings)
-            print(
-                f"zuglint: pruned {len(dropped)} stale entr"
-                f"{'y' if len(dropped) == 1 else 'ies'} from {target}",
-                file=out,
-            )
-            baseline_path = target
-        if baseline_path:
-            suppressed = baseline_mod.load_baseline(baseline_path)
-            stale = baseline_mod.stale_entries(findings, suppressed)
-            if stale and not args.prune_baseline:
-                print(
-                    f"zuglint: warning: {len(stale)} stale baseline "
-                    f"entr{'y' if len(stale) == 1 else 'ies'} in "
-                    f"{baseline_path} (run --prune-baseline): "
-                    + ", ".join(stale[:5])
-                    + (", ..." if len(stale) > 5 else ""),
-                    file=sys.stderr,
-                )
-            findings = baseline_mod.apply_baseline(findings, suppressed)
     except LintError as exc:
         print(f"repro-lint: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -7,8 +7,9 @@ Two rule scopes exist:
   cross-check facts between modules — e.g. "is this codec class ever
   registered?" needs both the message module and ``wire/tags.py``.
 
-Findings carry a stable ``fingerprint`` so a checked-in baseline can
-absorb known debt while new violations still fail the run.
+Findings carry a stable ``fingerprint`` (an anchor, not a line number,
+where the rule has one) that SARIF consumers use to follow a finding
+across unrelated edits.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ class Finding:
 
     @property
     def fingerprint(self) -> str:
-        """Stable identity used by baseline files."""
+        """Stable identity, SARIF's ``partialFingerprints``."""
         if self.anchor is not None:
             return f"{self.path}::{self.code}::{self.anchor}"
         return f"{self.path}::{self.code}::{self.line}"

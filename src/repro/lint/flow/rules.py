@@ -14,7 +14,7 @@
   the cross-module dual of PROTO001.
 
 All three set :attr:`Finding.anchor` to a structural identity (function
-key or class name) so baselines survive unrelated-line insertion and
+key or class name) so fingerprints survive unrelated-line insertion and
 file reordering.
 """
 

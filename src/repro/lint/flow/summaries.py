@@ -24,7 +24,7 @@ Two deliberate weakenings keep the must-analysis practical:
 
 * a statement *containing* a guard call marks all subsequent statements
   verified — rejection bookkeeping inside the guard-failure branch
-  (``self.syncs_rejected += 1; return``) is therefore allowed;
+  (``self.stats.rejected += 1; return``) is therefore allowed;
 * unresolved calls are opaque no-ops: they neither taint, verify, nor
   mutate.  Dynamic dispatch can hide flows, but never invents findings.
 

@@ -23,7 +23,7 @@ def report_text(findings: list[Finding], stream: IO[str]) -> None:
 
 
 def report_json(findings: list[Finding], stream: IO[str]) -> None:
-    """Stable JSON document for tooling (CI annotations, baselines)."""
+    """Stable JSON document for tooling (CI annotations)."""
     payload = {
         "tool": "zuglint",
         "findings": [
@@ -50,9 +50,8 @@ def report_sarif(findings: list[Finding], stream: IO[str]) -> None:
     """SARIF 2.1.0 document for code-scanning upload (GitHub et al.).
 
     Every result carries ``partialFingerprints["zuglint/fingerprint"]`` —
-    the same anchor-based fingerprint the baseline machinery uses — so
-    consumers dedupe findings across line-shifting edits exactly like the
-    local baseline does.
+    the finding's anchor-based fingerprint — so consumers dedupe findings
+    across line-shifting edits.
     """
     rules_meta = [
         {

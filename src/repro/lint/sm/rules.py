@@ -23,7 +23,7 @@
   the dual of PROTO003's swallowed-exception check.
 
 All six anchor findings to structural identities (function key plus the
-gate/attr/exception involved) so baselines survive line insertion and
+gate/attr/exception involved) so fingerprints survive line insertion and
 file reordering.
 """
 

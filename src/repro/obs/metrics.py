@@ -3,7 +3,9 @@
 A counter is an int field of a stats dataclass the protocol already
 increments (:class:`~repro.bft.core.ReplicaStats`,
 :class:`~repro.core.layer.LayerStats`,
+:class:`~repro.core.statesync.SyncStats`,
 :class:`~repro.export.replica_side.ExportStats`,
+:class:`~repro.export.datacenter.DataCenterStats`,
 :class:`~repro.runtime.base.EnvCounters`); nothing here runs on the hot
 path.  When metrics are collected, :func:`fold_node` and
 :func:`fold_env_counters` fold each stats object into a registry with one
@@ -96,9 +98,7 @@ def fold_node(registry: MetricsRegistry, node: Any) -> None:
     registry.counter("requests.logged").inc(node.requests_logged)
     sync = getattr(node, "statesync", None)
     if sync is not None:
-        registry.counter("sync.completed").inc(sync.syncs_completed)
-        registry.counter("sync.rejected").inc(sync.syncs_rejected)
-        registry.counter("sync.retried").inc(sync.syncs_retried)
+        registry.inc_from(asdict(sync.stats), prefix="sync.")
 
 
 class ClusterMetrics:

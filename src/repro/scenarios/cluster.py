@@ -15,7 +15,6 @@ that schedule faults or keep running after the window.
 from __future__ import annotations
 
 from repro.bus.master import BusConfig, MvbMaster
-from repro.bft.checkpoint import CheckpointCertificate
 from repro.chain.blockchain import PruneCertificate
 from repro.chain.store import MemoryBlockStore
 from repro.obs.check import OracleReport, check_trace
@@ -117,16 +116,6 @@ class SimulatedCluster:
         def on_block(block) -> None:
             # Persisting the block to flash (paper: 5.03 ms for 80 kB blocks).
             cpu.charge_background(self.model.disk_write_cost(block.encoded_size()))
-            # The stable checkpoint certificate is fsynced alongside the
-            # block so a recovering replica can restore its watermarks
-            # without waiting for a full state transfer.
-            node = self.nodes[node_id]
-            replica = getattr(node, "replica", None)
-            store = self.stores.get(node_id)
-            if replica is not None and store is not None:
-                certificate = replica.latest_stable_checkpoint()
-                if certificate is not None:
-                    store.write_checkpoint(certificate.encode())
             self._auto_prune(node_id)
         return on_block
 
@@ -155,32 +144,14 @@ class SimulatedCluster:
                              count=self.crash_counts[node_id])
 
     def recover_node(self, node_id: str) -> None:
-        """Restart a crashed node: fresh in-memory state, rehydrated chain.
+        """Restart a crashed node: fresh in-memory state over its surviving store.
 
-        The replacement node replays its durable store (blocks appended
-        with full verification, the persisted stable checkpoint fast-
-        forwarding the replica's watermarks) and then rejoins the live
+        The replacement rehydrates itself from the store as it is built
+        (:class:`~repro.core.node.ZugChainNode`) and then rejoins the live
         protocol — StateSync closes whatever gap accumulated while it was
         down once f+1 peer checkpoints vouch for the missed progress.
         """
-        node = self._build_node(node_id)
-        store = self.stores.get(node_id)
-        if store is not None and hasattr(node, "chain"):
-            for block in store.load_all():
-                if block.height == node.chain.height + 1:
-                    node.chain.append(block)
-                    # Replayed requests count as logged for duplicate
-                    # filtering, exactly as on the state-transfer path.
-                    if hasattr(node, "layer"):
-                        for signed in block.requests:
-                            node.layer.on_synced(signed, block.header.last_sn)
-            encoded_cert = store.read_checkpoint()
-            replica = getattr(node, "replica", None)
-            if encoded_cert is not None and replica is not None:
-                certificate = CheckpointCertificate.decode(encoded_cert)
-                if certificate.block_height <= node.chain.height:
-                    replica.fast_forward(certificate)
-        self.nodes[node_id] = node
+        node = self.nodes[node_id] = self._build_node(node_id)
         self.hosts[node_id].node = node
         self.network.recover(node_id)
         self.master.set_offline(node_id, False)
@@ -188,8 +159,7 @@ class SimulatedCluster:
         if self.tracer.enabled:
             self.tracer.emit("node.recovered", self.kernel.now, node_id,
                              count=self.recovery_counts[node_id],
-                             height=getattr(getattr(node, "chain", None),
-                                            "height", 0))
+                             height=node.chain.height)
 
     def _auto_prune(self, node_id: str) -> None:
         """Stand-in for a completed export: drop blocks older than the retention window.

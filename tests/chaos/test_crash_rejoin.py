@@ -25,7 +25,7 @@ def test_single_crash_rejoins_with_byte_identical_blocks():
 
     recovered = cluster.nodes["node-2"]
     witness = cluster.nodes["node-0"]
-    assert recovered.statesync.syncs_completed >= 1
+    assert recovered.statesync.stats.completed >= 1
     assert recovered.chain.head.block_hash == witness.chain.head.block_hash
     # Byte identity across the WHOLE chain, including post-rejoin blocks.
     for height in range(recovered.chain.base_height, recovered.chain.height + 1):

@@ -40,10 +40,10 @@ def test_retries_stay_within_the_configured_bound():
 
 def test_stale_resume_incarnation_is_dropped():
     scenario, dc, _ = crash_during_export()
-    before = dc.resumes_accepted
+    before = dc.stats.resumes_accepted
     # Replaying the same incarnation must not count as a new session.
     scenario.handlers["node-0"].resume_sessions(
         ["dc-0"], incarnation=scenario.handlers["node-0"].incarnation
     )
     scenario.kernel.run(max_events=10_000)
-    assert dc.resumes_accepted == before
+    assert dc.stats.resumes_accepted == before

@@ -94,7 +94,7 @@ def test_tampered_block_aborts_round_instead_of_crashing():
     blocks[2] = drop_request(blocks[2])
     env, dc = make_dc()
     feed_read_quorum(dc, certs[3], blocks)  # must not raise
-    assert dc.rounds_aborted == 1
+    assert dc.stats.rounds_aborted == 1
     assert dc.current_round is None
     assert dc.archive.height <= 2  # the tampered block never landed
     # The data center survives: a fresh round starts cleanly.
@@ -109,7 +109,7 @@ def test_head_checkpoint_mismatch_aborts_round():
     # Internally consistent blocks from the wrong history, with a valid
     # checkpoint for the real one: the verified head contradicts it.
     feed_read_quorum(dc, certs[3], impostor_blocks)
-    assert dc.rounds_aborted == 1
+    assert dc.stats.rounds_aborted == 1
     assert dc.current_round is None
 
 
@@ -122,7 +122,7 @@ def test_fetch_round_exhaustion_aborts_round():
     empty = BlockFetchReply(replica_id="node-1", blocks=()).signed(KEYPAIRS["node-1"])
     for _ in range(4):  # 3 fruitless rounds exhaust the budget; 4th is a no-op
         dc.handle_message("node-1", empty)
-    assert dc.rounds_aborted == 1
+    assert dc.stats.rounds_aborted == 1
     assert dc.current_round is None
 
 
@@ -134,7 +134,7 @@ def test_byzantine_peer_sync_blocks_rejected_not_fatal():
         blocks=(drop_request(chain.block_at(1)), chain.block_at(2)),
     ).signed(KEYPAIRS["dc-1"])
     dc.handle_message("dc-1", garbage)  # must not raise
-    assert dc.sync_blocks_rejected == 1
+    assert dc.stats.sync_blocks_rejected == 1
     assert dc.archive.height == 0
     assert dc.last_exported_sn == 0
 
@@ -148,5 +148,5 @@ def test_valid_peer_sync_still_applies():
     ).signed(KEYPAIRS["dc-1"])
     dc.handle_message("dc-1", sync)
     assert dc.archive.height == 2
-    assert dc.sync_blocks_rejected == 0
+    assert dc.stats.sync_blocks_rejected == 0
     assert dc.last_exported_sn == certs[2].seq

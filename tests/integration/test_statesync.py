@@ -20,7 +20,7 @@ def test_recovered_node_catches_up_via_state_sync():
     cluster, result = crash_and_recover()
     lagging = cluster.nodes["node-3"]
     healthy = cluster.nodes["node-0"]
-    assert lagging.statesync.syncs_completed >= 1
+    assert lagging.statesync.stats.completed >= 1
     # The recovered chain reaches (close to) the healthy chain's height and
     # verifies end to end.
     assert lagging.chain.height >= healthy.chain.height - 2
@@ -44,7 +44,7 @@ def test_state_sync_across_pruned_chain():
     # pruned chain plus the delete certificate justifying its base.
     cluster, result = crash_and_recover(retention=10.0)
     lagging = cluster.nodes["node-3"]
-    assert lagging.statesync.syncs_completed >= 1
+    assert lagging.statesync.stats.completed >= 1
     assert lagging.chain.base_height > 0
     assert lagging.chain.prune_certificate is not None
     lagging.chain.verify()
@@ -54,7 +54,7 @@ def test_no_spurious_sync_without_lag():
     cluster = SimulatedCluster(ScenarioConfig(system="zugchain"))
     cluster.run(duration_s=15.0, warmup_s=0.0)
     for node_id in cluster.ids:
-        assert cluster.nodes[node_id].statesync.syncs_completed == 0
+        assert cluster.nodes[node_id].statesync.stats.completed == 0
 
 
 def test_single_liar_cannot_trigger_sync():

@@ -65,11 +65,11 @@ def test_forged_state_reply_does_not_clear_sync_latch():
     cluster = fresh_cluster()
     node = cluster.nodes["node-1"]
     node.statesync._sync_in_flight = True
-    rejected_before = node.statesync.syncs_rejected
+    rejected_before = node.statesync.stats.rejected
 
     node.handle_message("node-0", _bogus_reply())  # unsigned: outer verify fails
     assert node.statesync._sync_in_flight is True
-    assert node.statesync.syncs_rejected == rejected_before + 1
+    assert node.statesync.stats.rejected == rejected_before + 1
 
 
 def test_state_reply_with_invalid_certificate_does_not_clear_sync_latch():
@@ -83,7 +83,7 @@ def test_state_reply_with_invalid_certificate_does_not_clear_sync_latch():
     signed = _bogus_reply().signed(SCHEME.derive_keypair(b"node-0"))
     node.handle_message("node-0", signed)
     assert node.statesync._sync_in_flight is True
-    assert node.statesync.syncs_completed == 0
+    assert node.statesync.stats.completed == 0
     assert len(node.builder._pending) == pending_before
 
 

@@ -1,4 +1,4 @@
-"""Baseline round-tripping of flow findings.
+"""Fingerprint stability of flow findings.
 
 Flow findings carry structural anchors (function keys, class names), so
 their fingerprints must survive the two edits that invalidate
@@ -9,7 +9,6 @@ and reordering the files of the run.
 import textwrap
 
 from repro.lint import lint_sources
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 
 CRATE = {
     "src/repro/core/stamp.py": """
@@ -87,19 +86,3 @@ def test_fingerprints_survive_file_reordering():
         f.fingerprint for f in lint_sources(items[::-1], select=SELECT)
     )
     assert forward == backward
-
-
-def test_flow_findings_round_trip_through_baseline_file(tmp_path):
-    findings = run(CRATE)
-    assert findings
-    baseline_path = str(tmp_path / "lint-baseline.json")
-    write_baseline(baseline_path, findings)
-    suppressed = load_baseline(baseline_path)
-    assert suppressed == {finding.fingerprint for finding in findings}
-    assert apply_baseline(findings, suppressed) == []
-    # A fresh run over the padded crate is also fully absorbed.
-    padded = {
-        path: "# padding\n" + textwrap.dedent(text)
-        for path, text in CRATE.items()
-    }
-    assert apply_baseline(lint_sources(padded, select=SELECT), suppressed) == []

@@ -11,7 +11,6 @@ import json
 import textwrap
 
 from repro.lint import lint_sources
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
 from repro.lint.cli import main
 
 CRATE = {
@@ -113,21 +112,6 @@ def test_sm_fingerprints_survive_file_reordering():
         f.fingerprint for f in lint_sources(items[::-1], select=SELECT)
     )
     assert forward == backward
-
-
-def test_sm_findings_round_trip_through_baseline_file(tmp_path):
-    findings = run(CRATE)
-    assert findings
-    baseline_path = str(tmp_path / "lint-baseline.json")
-    write_baseline(baseline_path, findings)
-    suppressed = load_baseline(baseline_path)
-    assert suppressed == {finding.fingerprint for finding in findings}
-    assert apply_baseline(findings, suppressed) == []
-    padded = {
-        path: "# padding\n" + textwrap.dedent(text)
-        for path, text in CRATE.items()
-    }
-    assert apply_baseline(lint_sources(padded, select=SELECT), suppressed) == []
 
 
 def test_end_to_end_four_stage_sarif_run(tmp_path):

@@ -1,4 +1,4 @@
-"""CLI contract: exit codes 0/1/2, formats, baseline handling."""
+"""CLI contract: exit codes 0/1/2, formats, rule listing."""
 
 import io
 import json
@@ -55,26 +55,6 @@ def test_json_format(tmp_path):
     assert payload["count"] == 1
     assert payload["findings"][0]["code"] == "DET001"
     assert payload["findings"][0]["fingerprint"].endswith("::DET001::5")
-
-
-def test_baseline_roundtrip(tmp_path):
-    (tmp_path / "dirty.py").write_text(DIRTY, encoding="utf-8")
-    baseline = tmp_path / "baseline.json"
-
-    code, _ = run_cli(["--baseline", str(baseline), "--write-baseline", str(tmp_path)])
-    assert code == EXIT_CLEAN
-    assert json.loads(baseline.read_text())["suppressed"]
-
-    # Absorbed by the baseline → clean; without it → findings again.
-    assert run_cli(["--baseline", str(baseline), str(tmp_path)])[0] == EXIT_CLEAN
-    assert run_cli([str(tmp_path)])[0] == EXIT_FINDINGS
-
-
-def test_malformed_baseline_is_usage_error(tmp_path):
-    (tmp_path / "dirty.py").write_text(DIRTY, encoding="utf-8")
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text("[]", encoding="utf-8")
-    assert run_cli(["--baseline", str(baseline), str(tmp_path)])[0] == EXIT_USAGE
 
 
 def test_list_rules_names_every_code():
