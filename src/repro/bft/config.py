@@ -56,11 +56,5 @@ class BftConfig:
     def primary_of_view(self, view: int) -> str:
         return self.replica_ids[view % self.n]
 
-    def index_of(self, replica_id: str) -> int:
-        try:
-            return self.replica_ids.index(replica_id)
-        except ValueError:
-            raise ConfigError(f"unknown replica {replica_id!r}") from None
-
     def is_member(self, replica_id: str) -> bool:
         return replica_id in self.replica_ids

@@ -120,10 +120,6 @@ class RecordingEnv(BaseEnv):
         self._now = max(self._now, timer.deadline)
         timer.fire()
 
-    def fire_all_timers(self) -> None:
-        while self.active_timers():
-            self.fire_next_timer()
-
     def sent_of_type(self, message_type: type) -> list[tuple[str, Any]]:
         return [(dst, msg) for dst, msg in self.sent if isinstance(msg, message_type)]
 

@@ -6,29 +6,40 @@ the first block for the pruned blockchain".  The signed data-center deletes
 are retained as a :class:`PruneCertificate` so a transferred or audited
 chain can justify why it does not start at genesis (error scenario ii).
 
+A chain built over a store (§V-B, "we persist the blockchain on disk") is
+the store's only writer: every append, prune and adoption keeps it holding
+heights ``max(1, base)`` to head and the prune certificate, and
+:meth:`Blockchain.from_store` rebuilds the chain from it after a restart.
+
 If deletes are missed and memory runs out, replicas can fall back to
 dropping block bodies while keeping headers (error scenario v) — hashes
 remain available, so integrity of the retained chain is still verifiable.
+That fallback frees memory only: the store keeps the full bodies.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.chain.block import Block, genesis_block
 from repro.util.errors import ChainError
+from repro.wire.codec import WireStruct
+
+if TYPE_CHECKING:
+    from repro.chain.store import MemoryBlockStore
 
 
 @dataclass(frozen=True)
-class PruneCertificate:
-    """Proof that pruning below ``base_height`` was authorized by data centers."""
+class PruneCertificate(WireStruct):
+    """Proof that pruning below ``base_height`` was authorized by data centers.
+
+    Untagged: ``StateReply`` carries its fields; the store keeps its encoding.
+    """
 
     base_height: int
     base_block_hash: bytes
     delete_signatures: dict[str, bytes]  # data-center id -> signature
-
-    def signer_count(self) -> int:
-        return len(self.delete_signatures)
 
 
 @dataclass
@@ -39,6 +50,8 @@ class Blockchain:
     _blocks: list[Block] = field(default_factory=list)
     _headers_only_heights: set[int] = field(default_factory=set)
     prune_certificate: PruneCertificate | None = None
+    #: The durable copy this chain keeps equal to itself; ``None``: memory only.
+    store: MemoryBlockStore | None = field(default=None, repr=False, compare=False)
     #: Running value of :meth:`total_size_bytes`, which the memory sampler
     #: reads every tick; every method that changes the stored bodies moves it.
     _body_bytes: int = field(default=0, init=False, repr=False)
@@ -114,6 +127,8 @@ class Blockchain:
             )
         self._blocks.append(block)
         self._body_bytes += block.encoded_size()
+        if self.store is not None:
+            self.store.write(block)
 
     def prune_below(self, height: int, certificate: PruneCertificate) -> list[Block]:
         """Drop blocks strictly below ``height``; returns the removed blocks.
@@ -138,6 +153,11 @@ class Blockchain:
             h for h in self._headers_only_heights if h >= height
         }
         self.prune_certificate = certificate
+        if self.store is not None:
+            # The certificate first: a store never restarts below its base.
+            self.store.write_prune_certificate(certificate)
+            for block in removed:
+                self.store.delete(block.height)
         return removed
 
     def drop_bodies_below(self, height: int) -> int:
@@ -157,9 +177,19 @@ class Blockchain:
 
     def adopt(self, verified: "Blockchain") -> None:
         """Take over the blocks of an already verified chain (state transfer)."""
+        previous = {block.height: block.block_hash for block in self._blocks}
         self._blocks = verified._blocks
+        self._headers_only_heights = verified._headers_only_heights
         self.prune_certificate = verified.prune_certificate
         self._body_bytes = self._recount_body_bytes()
+        if self.store is not None:
+            self.store.write_prune_certificate(self.prune_certificate)
+            for block in self._blocks:
+                if block.height and previous.get(block.height) != block.block_hash:
+                    self.store.write(block)
+            for height in previous:
+                if not self.has_block(height):
+                    self.store.delete(height)
 
     # -- verification -----------------------------------------------------------
 
@@ -194,4 +224,25 @@ class Blockchain:
         chain = Blockchain(chain_id=chain_id, _blocks=list(blocks),
                            prune_certificate=prune_certificate)
         chain.verify()
+        return chain
+
+    @classmethod
+    def from_store(cls, store: MemoryBlockStore, chain_id: str = "zugchain") -> "Blockchain":
+        """The chain ``store`` holds, rebuilt after a restart (§V-B, power loss):
+        from the stored base, the contiguous run of stored blocks; the store
+        drops the rest."""
+        certificate = store.read_prune_certificate()
+        blocks = store.load_all()
+        base = [block for block in blocks if certificate is not None
+                and block.block_hash == certificate.base_block_hash]
+        if certificate is not None and not base:
+            raise ChainError("stored prune certificate names no stored block")
+        chain = cls(chain_id=chain_id, _blocks=base, prune_certificate=certificate)
+        for block in blocks:
+            if block.height == chain.height + 1:
+                chain.append(block)
+        for height in store.heights():
+            if not chain.has_block(height):
+                store.delete(height)
+        chain.store = store
         return chain

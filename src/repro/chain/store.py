@@ -2,10 +2,10 @@
 
 The paper persists the blockchain on disk to survive power loss (§V-B,
 "to ensure data integrity after e.g., power loss, we persist the blockchain
-on disk").  One entry per block, named by height and verified on read, and
-the latest stable checkpoint behind a SHA-256 checksum (a certificate holds
-no digest of its own bytes).  A restart reads what was persisted, as bytes,
-not what the dead node remembered.
+on disk").  One entry per block, named by height and verified on read; the
+stable checkpoint and the prune certificate behind SHA-256 checksums.  Only
+:class:`~repro.chain.blockchain.Blockchain` writes blocks and certificate, so
+a restart reads back exactly its chain, as bytes.
 """
 
 from __future__ import annotations
@@ -16,10 +16,12 @@ import re
 from pathlib import Path
 
 from repro.chain.block import Block
+from repro.chain.blockchain import PruneCertificate
 from repro.util.errors import ChainError
 
 _BLOCK_NAME = re.compile(r"block-(\d+)\.zc")
 _CHECKPOINT = "checkpoint.zc"
+_PRUNE = "prune.zc"
 
 
 def _block_name(height: int) -> str:
@@ -73,19 +75,35 @@ class MemoryBlockStore:
     def load_all(self) -> list[Block]:
         return [self.read(height) for height in self.heights()]
 
-    def write_checkpoint(self, encoded_certificate: bytes) -> None:
-        """Persist the latest stable checkpoint, replacing the previous one."""
-        self._put(_CHECKPOINT,
-                  hashlib.sha256(encoded_certificate).digest() + encoded_certificate)
+    def _put_checked(self, name: str, data: bytes) -> None:
+        self._put(name, hashlib.sha256(data).digest() + data)
 
-    def read_checkpoint(self) -> bytes | None:
-        stored = self._get(_CHECKPOINT)
+    def _get_checked(self, name: str) -> bytes | None:
+        stored = self._get(name)
         if stored is None:
             return None
-        checksum, encoded = stored[:32], stored[32:]
-        if hashlib.sha256(encoded).digest() != checksum:
-            raise ChainError("stored checkpoint failed its checksum")
-        return encoded
+        checksum, data = stored[:32], stored[32:]
+        if hashlib.sha256(data).digest() != checksum:
+            raise ChainError(f"stored {name} failed its checksum")
+        return data
+
+    def write_checkpoint(self, encoded_certificate: bytes) -> None:
+        """Persist the latest stable checkpoint, replacing the previous one."""
+        self._put_checked(_CHECKPOINT, encoded_certificate)
+
+    def read_checkpoint(self) -> bytes | None:
+        return self._get_checked(_CHECKPOINT)
+
+    def write_prune_certificate(self, certificate: PruneCertificate | None) -> None:
+        """Persist the certificate justifying the chain's base (``None``: genesis)."""
+        if certificate is None:
+            self._drop(_PRUNE)
+        else:
+            self._put_checked(_PRUNE, certificate.encode())
+
+    def read_prune_certificate(self) -> PruneCertificate | None:
+        encoded = self._get_checked(_PRUNE)
+        return None if encoded is None else PruneCertificate.decode(encoded)
 
 
 class BlockStore(MemoryBlockStore):

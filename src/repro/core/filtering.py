@@ -31,10 +31,6 @@ class DedupIndex:
     def __len__(self) -> int:
         return len(self._logged)
 
-    @property
-    def window_seqs(self) -> int:
-        return self._window_seqs
-
     def record(self, digest: bytes, seq: int) -> None:
         """Record a decided request; evicts entries that left the window."""
         self._logged[digest] = seq

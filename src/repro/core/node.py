@@ -59,7 +59,8 @@ class ZugChainNode:
         self._nsdb = nsdb
         self.receiver = BusReceiver(nsdb)
         self._extra_receivers: dict[str, BusReceiver] = {}
-        self.chain = Blockchain(chain_id=chain_id)
+        self.chain = (Blockchain(chain_id=chain_id) if block_store is None
+                      else Blockchain.from_store(block_store, chain_id))
         self.latency = LatencyRecorder(name=f"{self.id}.latency")
         self._recv_times: OrderedDict[bytes, float] = OrderedDict()
         self._on_block_cb = on_block or (lambda block: None)
@@ -96,7 +97,6 @@ class ZugChainNode:
             now_us=lambda: int(env.now() * 1e6),
         )
         self.export_handler: Any = None  # attached by repro.export
-        self.block_store = block_store   # optional on-disk persistence
         self.statesync = StateSync(
             env=env,
             bft_config=bft_config,
@@ -109,7 +109,7 @@ class ZugChainNode:
         )
         self.requests_logged = 0
         if block_store is not None:
-            self._restore(block_store)
+            self._restore()
 
     # -- bus side -----------------------------------------------------------------
 
@@ -218,19 +218,16 @@ class ZugChainNode:
             for signed in block.requests:
                 self.layer.on_synced(signed, block.header.last_sn)
 
-    def _restore(self, store) -> None:
-        """Rebuild after a restart (§V-B, power loss): replay the stored blocks
-        in height order, then fast-forward from the stored checkpoint."""
-        replayed = []
-        for block in store.load_all():
-            if block.height == self.chain.height + 1:
-                self.chain.append(block)
-                replayed.append(block)
-        self._adopt_blocks(replayed)
-        encoded = store.read_checkpoint()
+    def _restore(self) -> None:
+        """Rejoin after a restart (§V-B, power loss): the chain came back from
+        its store; take its blocks as adopted, then fast-forward from the
+        stored checkpoint."""
+        chain = self.chain
+        self._adopt_blocks(chain.blocks_in_range(max(1, chain.base_height), chain.height))
+        encoded = chain.store.read_checkpoint()
         if encoded is not None:
             certificate = CheckpointCertificate.decode(encoded)
-            if certificate.block_height <= self.chain.height:
+            if certificate.block_height <= chain.height:
                 self.replica.fast_forward(certificate)
 
     def _stable_checkpoint(self, certificate) -> None:
@@ -241,14 +238,12 @@ class ZugChainNode:
             self.statesync.sync_from_certificate(certificate)
 
     def _block_built(self, block: Block) -> None:
-        if self.block_store is not None:
-            # Persist before acknowledging: data must survive power loss
-            # ("we persist the blockchain on disk", §V-B), with the stable
-            # checkpoint _restore fast-forwards from.
-            self.block_store.write(block)
+        if self.chain.store is not None:
+            # The chain persisted the block; the stable checkpoint _restore
+            # fast-forwards from goes with it (§V-B).
             certificate = self.replica.latest_stable_checkpoint()
             if certificate is not None:
-                self.block_store.write_checkpoint(certificate.encode())
+                self.chain.store.write_checkpoint(certificate.encode())
         if self.export_handler is not None:
             self.export_handler.on_block_created(block)
         self._on_block_cb(block)

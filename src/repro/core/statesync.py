@@ -196,11 +196,8 @@ class StateSync:
     def _send_request(self) -> None:
         """Send the current attempt's StateRequest and arm its retry timer.
 
-        The target rotates round-robin over the vouching peers (attempt 0
-        goes to the lexicographically first, as before) and the timeout
-        doubles per attempt, so a crashed or partitioned responder cannot
-        wedge the sync — the original code latched ``_sync_in_flight`` and
-        waited forever on a single peer.
+        Targets rotate over the vouching peers and the timeout doubles per
+        attempt, so a crashed or partitioned responder cannot wedge the sync.
         """
         target = self._vouchers[self._attempt % len(self._vouchers)]
         request = StateRequest(
@@ -285,47 +282,38 @@ class StateSync:
     def _apply(self, reply: StateReply) -> None:
         had_height = self.chain.height
         blocks = sorted(reply.blocks, key=lambda b: b.height)
-        if blocks and blocks[0].height != self.chain.height + 1:
-            # Non-contiguous with our chain — either the peer pruned past our
-            # head (its base is ahead of us) or the segment overlaps what we
-            # have.  Verify the candidate standalone (including its prune
-            # certificate when it does not start at genesis), then adopt it.
-            candidate = Blockchain.from_blocks(
-                blocks, chain_id=self.chain.chain_id,
-                prune_certificate=reply.prune_certificate(),
-            )
-            head = candidate.block_at(reply.checkpoint.block_height)
-            if head.block_hash != reply.checkpoint.block_hash:
-                raise ChainError("transferred chain does not match the checkpoint")
+        if blocks and blocks[0].height != had_height + 1:
+            # The peer pruned past our head, or the segment overlaps ours:
+            # verify it standalone, prune certificate included, then adopt.
+            candidate = Blockchain.from_blocks(blocks, chain_id=self.chain.chain_id,
+                                               prune_certificate=reply.prune_certificate())
+            if candidate.head.block_hash != reply.checkpoint.block_hash:
+                raise ChainError("transferred chain does not end on the checkpoint")
             self.chain.adopt(candidate)
         else:
-            # Incremental: extend our own chain block by block (append verifies).
+            # The segment extends our chain: it must hash-link from the
+            # checkpoint's block back to our head before any of it is
+            # appended (and so persisted).
+            expected = reply.checkpoint.block_hash
+            for block in reversed(blocks):
+                if block.block_hash != expected:
+                    raise ChainError("synced segment does not lead to the checkpoint")
+                expected = block.header.prev_hash
+            if expected != self.chain.head.block_hash:
+                raise ChainError("synced segment does not link to our head")
             for block in blocks:
                 self.chain.append(block)
-            if self.chain.height < reply.checkpoint.block_height:
-                raise ChainError("state reply did not reach the checkpoint height")
-            head = self.chain.block_at(reply.checkpoint.block_height)
-            if head.block_hash != reply.checkpoint.block_hash:
-                raise ChainError("synced chain head does not match the checkpoint")
-        # The adopted checkpoint sits on a block boundary (its state digest
-        # covers an empty builder), so the application must reset its block
-        # assembly — and record the adopted requests as logged for duplicate
-        # filtering — *before* fast_forward replays queued post-checkpoint
-        # decides into it.  Stale pre-sync builder leftovers would cut a
-        # divergent block that no later append can ever reconcile.
+        # The checkpoint sits on a block boundary: block assembly resets and
+        # the adopted requests count as logged *before* fast_forward replays
+        # queued decides, or stale builder leftovers cut a divergent block.
         adopted = tuple(b for b in blocks if b.height > had_height)
         self._on_fast_forward(adopted)
         self.replica.fast_forward(reply.checkpoint)
         if self.tracer.enabled:
-            # Requests adopted via state transfer were never locally ordered,
-            # so they get their own taxonomy event rather than ``req.logged``
-            # (the oracle's omission check quantifies over correct nodes
-            # only; this keeps recovered nodes auditable without faking an
-            # ordering they did not perform).
+            # Never locally ordered, so not ``req.logged``: recovered nodes
+            # stay auditable without faking an ordering they did not perform.
             now = self.env.now()
-            for block in blocks:
-                if block.height <= had_height:
-                    continue
+            for block in adopted:
                 for signed in block.requests:
                     self.tracer.emit("req.synced", now, self.env.node_id,
                                      digest=signed.digest.hex(),

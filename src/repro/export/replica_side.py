@@ -13,11 +13,10 @@ Handles the error scenarios of §III-D's discussion:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.bft.checkpoint import CheckpointCertificate
-from repro.bft.config import BftConfig
 from repro.bft.env import Env
 from repro.chain.block import Block
 from repro.chain.blockchain import Blockchain, PruneCertificate
@@ -32,7 +31,6 @@ from repro.export.messages import (
     SessionResume,
 )
 from repro.obs.trace import NULL_TRACER, Tracer
-from repro.util.errors import ChainError
 
 
 @dataclass(frozen=True)
@@ -62,7 +60,6 @@ class ExportHandler:
         self,
         env: Env,
         config: ExportConfig,
-        bft_config: BftConfig,
         keypair: KeyPair,
         keystore: KeyStore,        # must contain replica AND data-center keys
         chain: Blockchain,
@@ -73,7 +70,6 @@ class ExportHandler:
         self.env = env
         self.config = config
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.bft_config = bft_config
         self.keypair = keypair
         self.keystore = keystore
         self.chain = chain
@@ -223,31 +219,6 @@ class ExportHandler:
             self.tracer.emit("export.block_sent", self.env.now(), self.env.node_id,
                              dc=fetch.dc_id, blocks=len(blocks))
         self.env.send(fetch.dc_id, reply)
-
-    # -- state transfer (error scenario ii) --------------------------------------------------
-
-    def install_state(
-        self,
-        checkpoint: CheckpointCertificate,
-        blocks: list[Block],
-        prune_certificate: PruneCertificate | None,
-    ) -> None:
-        """Adopt a transferred chain segment after full verification.
-
-        The transferred state must include the signed deletes that justify
-        the chain base when it does not start at genesis (scenario ii).
-        """
-        if not checkpoint.verify(self.keystore, self.bft_config):
-            raise ChainError("transferred checkpoint certificate does not verify")
-        candidate = Blockchain.from_blocks(
-            blocks, chain_id=self.chain.chain_id, prune_certificate=prune_certificate
-        )
-        if candidate.base_height > 0 and prune_certificate is None:
-            raise ChainError("transferred pruned chain is missing its delete certificate")
-        head = candidate.block_at(checkpoint.block_height)
-        if head.block_hash != checkpoint.block_hash:
-            raise ChainError("transferred chain does not match the checkpoint")
-        self.chain.adopt(candidate)
 
     # -- memory-exhaustion fallback (error scenario v) ------------------------------------------
 

@@ -72,7 +72,6 @@ class ExportScenario:
             handler = ExportHandler(
                 env=env,
                 config=ExportConfig(delete_quorum=config.delete_quorum),
-                bft_config=self.bft_config,
                 keypair=keypairs[replica_id],
                 keystore=self.keystore,
                 chain=replica_chain,

@@ -84,7 +84,3 @@ class LegacyJru:
                 continue  # bit rot detected by the checksum
             out.append(entry.request)
         return out
-
-    @property
-    def stored_count(self) -> int:
-        return len(self._ring)

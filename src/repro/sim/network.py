@@ -121,9 +121,6 @@ class Network:
     def clear_link_override(self, src: str, dst: str) -> None:
         self._link_overrides.pop((src, dst), None)
 
-    def clear_all_link_overrides(self) -> None:
-        self._link_overrides.clear()
-
     def link(self, src: str, dst: str) -> LinkSpec:
         if self._link_overrides:
             for key in ((src, dst), (src, "*"), ("*", dst), ("*", "*")):
@@ -252,10 +249,6 @@ class Network:
         return sent
 
     # -- measurement --------------------------------------------------------
-
-    def egress_backlog(self, node_id: str) -> float:
-        """Seconds of queued egress serialization at ``node_id``."""
-        return max(0.0, self._egress_busy_until.get(node_id, 0.0) - self._kernel.now)
 
     def utilization(self, node_id: str, elapsed: float | None = None) -> float:
         """Fraction of ``node_id``'s egress bandwidth used since t=0."""

@@ -54,9 +54,6 @@ class CostModel:
     cores: int = 4
     core_hz: float = 800e6
 
-    def sign_cost(self) -> float:
-        return self.sign_s
-
     def verify_cost(self, count: int = 1) -> float:
         return self.verify_s * count
 

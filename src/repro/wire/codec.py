@@ -15,6 +15,7 @@ annotation                      on the wire
 ``T | None``                    as ``T``; ``None`` is a zero length
 ``tuple[K, ...]``               varint count, then each ``K``
 ``tuple[K1, K2]``               ``K1`` then ``K2`` in place (a pair inside a list)
+``dict[K, V]``                  as ``tuple[tuple[K, V], ...]``, in insertion order
 ``Annotated[T, Inline]``        ``T``'s fields in place, no length prefix
 ``Annotated[int, Biased(n)]``   the varint of ``value + n``
 ==============================  ==============================================
@@ -384,6 +385,9 @@ def _field_code(hint, value: str, names: dict) -> tuple[list[str], str]:
             return ([f"w.put_uint(len({value}))", f"for item in {value}:",
                      *[f"    {line}" for line in lines]],
                     f"tuple([{read} for _ in range(r.get_count())])")
+    elif origin is dict:
+        lines, read = _field_code(tuple[tuple[args], ...], f"{value}.items()", names)
+        return lines, f"dict({read})"
     elif origin is tuple:
         parts = [_field_code(arg, f"{value}[{index}]", names)
                  for index, arg in enumerate(args)]

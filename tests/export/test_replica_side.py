@@ -1,16 +1,14 @@
 """Replica-side export handler tests, including §III-D error scenarios."""
 
-import pytest
-
 from repro.bft import BftConfig
 from repro.bft.env import RecordingEnv
 from repro.bft.messages import Checkpoint, checkpoint_state_digest
 from repro.bft.checkpoint import CheckpointCertificate
 from repro.chain import Blockchain, build_block
+from repro.core.statesync import StateReply, StateSync
 from repro.crypto import HmacScheme, KeyStore
 from repro.export import DeleteAck, DeleteRequest, ExportConfig, ExportHandler, ReadReply, ReadRequest
 from repro.export.messages import BlockFetch, BlockFetchReply
-from repro.util import ChainError
 from repro.wire import Request, SignedRequest
 
 SCHEME = HmacScheme()
@@ -53,7 +51,6 @@ def make_handler(n_blocks=5, delete_quorum=2, node_id="node-0"):
     handler = ExportHandler(
         env=env,
         config=ExportConfig(delete_quorum=delete_quorum),
-        bft_config=CONFIG,
         keypair=KEYPAIRS[node_id],
         keystore=KEYSTORE,
         chain=chain,
@@ -170,47 +167,82 @@ def test_fetch_clamps_to_available_range():
     assert [b.height for b in reply.blocks] == [0, 1, 2, 3]
 
 
-def test_install_state_verifies_checkpoint_and_chain():
+class _Replica:
+    """What StateSync's reply path asks of a replica."""
+
+    view = 0
+
+    def fast_forward(self, certificate):
+        self.fast_forwarded = certificate
+
+    def adopt_view(self, view):
+        pass
+
+
+def state_reply(checkpoint, blocks, prune_certificate=None, responder="node-1"):
+    """A signed StateReply carrying ``blocks`` under ``checkpoint``."""
+    return StateReply(
+        replica_id=responder, checkpoint=checkpoint, blocks=tuple(blocks),
+        prune_base_height=prune_certificate.base_height if prune_certificate else 0,
+        prune_base_hash=prune_certificate.base_block_hash if prune_certificate else b"",
+        prune_signatures=(tuple(prune_certificate.delete_signatures.items())
+                          if prune_certificate else ()),
+    ).signed(KEYPAIRS[responder])
+
+
+def fresh_statesync():
+    """A new node-3's StateSync over an empty chain (error scenario ii)."""
+    return StateSync(env=RecordingEnv(node_id="node-3"), bft_config=CONFIG,
+                     keypair=KEYPAIRS["node-3"], keystore=KEYSTORE,
+                     chain=Blockchain(), replica=_Replica())
+
+
+def test_state_reply_adopts_checkpoint_verified_segment():
     # Error scenario (ii): transferring a checkpoint to another replica.
-    env, handler, chain, certs = make_handler(n_blocks=4)
-    fresh_env = RecordingEnv(node_id="node-3")
-    fresh_chain = Blockchain()
-    fresh = ExportHandler(
-        env=fresh_env, config=ExportConfig(), bft_config=CONFIG,
-        keypair=KEYPAIRS["node-3"], keystore=KEYSTORE, chain=fresh_chain,
-        latest_checkpoint=lambda: None,
-    )
+    _, _, chain, certs = make_handler(n_blocks=4)
+    sync = fresh_statesync()
     blocks = [chain.block_at(h) for h in range(0, 5)]
-    fresh.install_state(certs[4], blocks, prune_certificate=None)
-    assert fresh_chain.height == 4
+    assert sync.handle_reply("node-1", state_reply(certs[4], blocks))
+    assert sync.chain.height == 4
+    assert sync.replica.fast_forwarded == certs[4]
 
 
-def test_install_state_rejects_mismatched_chain():
-    env, handler, chain, certs = make_handler(n_blocks=4)
-    fresh = ExportHandler(
-        env=RecordingEnv(node_id="node-3"), config=ExportConfig(), bft_config=CONFIG,
-        keypair=KEYPAIRS["node-3"], keystore=KEYSTORE, chain=Blockchain(),
-        latest_checkpoint=lambda: None,
-    )
+def test_state_reply_missing_checkpoint_head_leaves_chain_untouched():
+    _, _, chain, certs = make_handler(n_blocks=4)
+    sync = fresh_statesync()
     blocks = [chain.block_at(h) for h in range(0, 4)]  # missing the head
-    with pytest.raises(ChainError):
-        fresh.install_state(certs[4], blocks, prune_certificate=None)
+    assert not sync.handle_reply("node-1", state_reply(certs[4], blocks))
+    assert sync.stats.rejected == 1
+    assert sync.chain.height == 0 and len(sync.chain) == 1
 
 
-def test_install_pruned_state_requires_delete_certificate():
-    env, handler, chain, certs = make_handler(n_blocks=4, delete_quorum=1)
+def test_state_reply_of_uncertified_blocks_appends_none():
+    # Blocks that link to our head but not to the checkpoint are forged.
+    _, _, chain, certs = make_handler(n_blocks=4)
+    sync = fresh_statesync()
+    forged, head = [], sync.chain.head.header
+    for sn in (1, 2, 3, 4):
+        request = Request(payload=b"forged", bus_cycle=sn, recv_timestamp_us=sn)
+        block = build_block(head, [SignedRequest.create(request, "node-1", KEYPAIRS["node-1"])],
+                            timestamp_us=sn, last_sn=sn)
+        forged.append(block)
+        head = block.header
+    assert not sync.handle_reply("node-1", state_reply(certs[4], forged))
+    assert sync.chain.height == 0
+
+
+def test_pruned_state_reply_requires_delete_certificate():
+    _, handler, chain, certs = make_handler(n_blocks=4, delete_quorum=1)
     handler.handle_message("dc-0", delete_for(chain, 2, "dc-0"))
     assert chain.base_height == 2
     blocks = [chain.block_at(h) for h in range(2, 5)]
-    fresh = ExportHandler(
-        env=RecordingEnv(node_id="node-3"), config=ExportConfig(), bft_config=CONFIG,
-        keypair=KEYPAIRS["node-3"], keystore=KEYSTORE, chain=Blockchain(),
-        latest_checkpoint=lambda: None,
-    )
-    with pytest.raises(ChainError):
-        fresh.install_state(certs[4], blocks, prune_certificate=None)
-    fresh.install_state(certs[4], blocks, prune_certificate=chain.prune_certificate)
-    assert fresh.chain.base_height == 2
+    sync = fresh_statesync()
+    assert not sync.handle_reply("node-1", state_reply(certs[4], blocks))
+    assert sync.chain.height == 0
+    assert sync.handle_reply(
+        "node-1", state_reply(certs[4], blocks, chain.prune_certificate))
+    assert sync.chain.base_height == 2
+    assert sync.chain.prune_certificate == chain.prune_certificate
 
 
 def test_emergency_header_prune():

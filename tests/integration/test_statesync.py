@@ -71,3 +71,36 @@ def test_single_liar_cannot_trigger_sync():
     node.statesync.observe_checkpoint("node-3", lie)
     node.statesync.observe_checkpoint("node-3", lie)  # same liar twice
     assert node.statesync._sync_in_flight is False  # needs f+1 distinct vouchers
+
+
+def test_synced_and_pruned_chain_survives_a_second_crash():
+    # node-3 syncs over a pruned chain, then loses power again: it must come
+    # back at the head it had, from a store that equals every node's chain.
+    cluster = SimulatedCluster(ScenarioConfig(system="zugchain", retention_s=10.0))
+    seen = {}
+
+    def span():
+        chain = cluster.nodes["node-3"].chain
+        return chain.base_height, chain.height
+
+    def second_crash():
+        seen["head"] = span()
+        cluster.crash_node("node-3")
+
+    def second_recover():
+        cluster.recover_node("node-3")
+        seen["restored"] = span()
+
+    cluster.kernel.schedule(6.0, lambda: cluster.crash_node("node-3"))
+    cluster.kernel.schedule(20.0, lambda: cluster.recover_node("node-3"))
+    cluster.kernel.schedule(30.0, second_crash)
+    cluster.kernel.schedule(31.0, second_recover)
+    cluster.run(duration_s=40.0, warmup_s=0.0)
+    base, head = seen["head"]
+    assert 0 < base < head
+    assert seen["restored"] == seen["head"]
+    for node_id in cluster.ids:
+        chain = cluster.nodes[node_id].chain
+        assert chain.base_height > 0
+        assert cluster.stores[node_id].heights() == list(
+            range(chain.base_height, chain.height + 1))
