@@ -81,11 +81,13 @@ class ReceptionFaults:
         return held
 
     def _corrupt(self, cycle: BusCycleData) -> BusCycleData:
-        if not cycle.frames:
+        """A copy with one telegram's bit flipped, every telegram listed (no padding)."""
+        telegrams = cycle.telegrams()
+        if not telegrams:
             return cycle
-        index = self._rng.randrange(len(cycle.frames))
-        bit = self._rng.randrange(max(1, len(cycle.frames[index].data) * 8))
-        frames = list(cycle.frames)
+        index = self._rng.randrange(len(telegrams))
+        bit = self._rng.randrange(max(1, len(telegrams[index].data) * 8))
+        frames = list(telegrams)
         frames[index] = frames[index].corrupted(bit)
         self.frames_corrupted += 1
         return BusCycleData(

@@ -3,7 +3,10 @@
 The MVB transfers process data as master telegram (port poll) followed by a
 slave telegram carrying the value plus a check sequence.  We model the slave
 telegram as :class:`ProcessDataFrame` — port, raw value bytes, and an 8-bit
-checksum — and one bus cycle's full complement as :class:`BusCycleData`.
+checksum — and one bus cycle's full complement as :class:`BusCycleData`:
+the listed telegrams plus a byte count of deterministic filler telegrams
+(the simulated fuller process-data complement), which are built as objects
+only where a caller needs them one by one.
 
 Frame sizes feed the payload-size accounting: real MVB frames carry up to
 32 bytes of process data plus header and check sequence overhead.
@@ -11,6 +14,7 @@ Frame sizes feed the payload-size accounting: real MVB frames carry up to
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, fields
 
 from repro.util.errors import CodecError
@@ -21,6 +25,8 @@ from repro.wire.codec import WireStruct
 FRAME_OVERHEAD_BYTES = 5
 #: Maximum process data bytes in one telegram.
 MAX_FRAME_DATA_BYTES = 32
+#: Port of the first filler telegram (outside the NSDB catalog).
+FILLER_PORT_BASE = 0x800
 
 
 def frame_checksum(port: int, data: bytes) -> int:
@@ -81,18 +87,62 @@ class ProcessDataFrame(WireStruct):
         return ProcessDataFrame(port=self.port, data=bytes(data), checksum=self.checksum)
 
 
+def filler_data(cycle_no: int, nbytes: int) -> list[bytes]:
+    """The data of the filler telegrams that pad cycle ``cycle_no`` by ``nbytes``.
+
+    Telegram ``k`` (port ``FILLER_PORT_BASE + k``) carries
+    ``sha256("filler:<cycle>:<k>")``: one digest fills one telegram exactly,
+    and the last is cut to the remainder.  Every node observing the cycle
+    derives the same bytes.
+    """
+    full, tail = divmod(max(nbytes, 0), MAX_FRAME_DATA_BYTES)
+    copy = hashlib.sha256(b"filler:%d:" % cycle_no).copy  # hashed once per cycle
+    digests = []
+    append = digests.append
+    for counter in range(full + (tail > 0)):
+        hasher = copy()
+        hasher.update(b"%d" % counter)
+        append(hasher.digest())
+    if tail:
+        digests[-1] = digests[-1][:tail]
+    return digests
+
+
 @dataclass(frozen=True)
 class BusCycleData(WireStruct):
-    """All telegrams transmitted during one bus cycle."""
+    """All telegrams transmitted during one bus cycle.
+
+    ``frames`` are the telegrams listed one by one; ``padding`` is the byte
+    count of the valid filler telegrams that follow them (see
+    :func:`filler_data`).  :meth:`telegrams` is the full sequence.
+    """
 
     cycle_no: int
     timestamp_us: int
     frames: tuple[ProcessDataFrame, ...]
+    padding: int = 0
+
+    @property
+    def filler_count(self) -> int:
+        """How many filler telegrams ``padding`` stands for."""
+        return -(-self.padding // MAX_FRAME_DATA_BYTES)
+
+    def telegrams(self) -> tuple[ProcessDataFrame, ...]:
+        """Every telegram of the cycle, filler included, each with its check sequence."""
+        create = ProcessDataFrame.create
+        return self.frames + tuple(
+            create(port, data)
+            for port, data in enumerate(filler_data(self.cycle_no, self.padding),
+                                        FILLER_PORT_BASE))
 
     @memoized
     def _totals(self) -> tuple[int, int]:
-        """``(data bytes, failed check sequences)`` from one walk over the frames."""
-        data_size = invalid = 0
+        """``(data bytes, failed check sequences)``: one walk over ``frames``.
+
+        Filler telegrams are valid by construction and add ``padding`` bytes.
+        """
+        data_size = self.padding
+        invalid = 0
         for frame in self.frames:
             data_size += len(frame.data)
             if not frame.valid:
@@ -105,9 +155,9 @@ class BusCycleData(WireStruct):
         return self._totals[1]
 
     def wire_size(self) -> int:
-        # Every telegram carries the same overhead, so the sum of the frames'
-        # ``wire_size()`` is algebra on the data size.
-        return FRAME_OVERHEAD_BYTES * len(self.frames) + self._totals[0]
+        # Every telegram carries the same overhead, so the sum of the
+        # telegrams' ``wire_size()`` is algebra on the data size.
+        return FRAME_OVERHEAD_BYTES * (len(self.frames) + self.filler_count) + self._totals[0]
 
     def data_size(self) -> int:
         return self._totals[0]

@@ -8,9 +8,10 @@ emergency brakes, plus an opaque vendor-diagnostics channel.
 
 Two knobs matter to the evaluation sweeps:
 
-* ``target_payload_bytes`` pads each cycle with deterministic filler frames
-  (simulating a fuller process-data complement) so the consolidated request
-  reaches the sweep's payload size (32 B – 8 kB in Fig. 6/7);
+* ``target_payload_bytes`` pads each cycle with deterministic filler
+  telegrams (simulating a fuller process-data complement) so the
+  consolidated request reaches the sweep's payload size (32 B – 8 kB in
+  Fig. 6/7); the cycle carries them as its ``padding`` byte count;
 * determinism — filler and dynamics derive from the cycle number and one
   seed, so every node observing the same cycle sees identical bytes.
 """
@@ -21,14 +22,11 @@ import enum
 import hashlib
 from dataclasses import dataclass
 
-from repro.bus.frames import MAX_FRAME_DATA_BYTES, ProcessDataFrame
+from repro.bus.frames import FILLER_PORT_BASE, BusCycleData, ProcessDataFrame
 from repro.bus.nsdb import Nsdb
 from repro.bus.signals import SignalDef, SignalValue
 from repro.util.errors import ConfigError
 from repro.util.rng import RngRegistry
-
-#: Port range used by deterministic filler frames (outside the NSDB catalog).
-FILLER_PORT_BASE = 0x800
 
 
 class _Phase(enum.Enum):
@@ -177,36 +175,28 @@ class TrainDynamicsGenerator:
         "vendor_diagnostics": _opaque_diagnostics,
     }
 
-    # -- frame assembly ---------------------------------------------------------
+    # -- cycle assembly ---------------------------------------------------------
 
-    def frames_for_cycle(self, cycle_no: int, dt_s: float) -> list[ProcessDataFrame]:
-        """Signal frames plus deterministic filler up to the target payload size."""
+    def frames_for_cycle(self, cycle_no: int, dt_s: float, timestamp_us: int = 0) -> BusCycleData:
+        """This cycle's telegrams: the due signals' frames, padded to the target size.
+
+        The padding is a byte count on the cycle (``BusCycleData.padding``);
+        its filler telegrams take the ports from ``FILLER_PORT_BASE`` on,
+        after every listed one, so a due signal may not sit there.
+        """
         create = ProcessDataFrame.create
         frames = [
             create(definition.port, raw) for definition, raw in self._samples(cycle_no, dt_s)
         ]
+        padding = 0
         target = self._config.target_payload_bytes
         if target:
-            current = sum(len(frame.data) for frame in frames)
-            frames.extend(_filler_frames(cycle_no, target - current))
-        return frames
-
-
-def _filler_frames(cycle_no: int, nbytes: int) -> list[ProcessDataFrame]:
-    """Deterministic padding frames (same bytes on every node for a cycle).
-
-    Frame ``counter`` carries ``sha256("filler:<cycle>:<counter>")``: one
-    digest fills one telegram exactly, and the last is cut to the remainder.
-    """
-    full, tail = divmod(max(nbytes, 0), MAX_FRAME_DATA_BYTES)
-    copy = hashlib.sha256(f"filler:{cycle_no}:".encode()).copy  # hashed once per cycle
-    digests = []
-    append = digests.append
-    for counter in range(full + (tail > 0)):
-        hasher = copy()
-        hasher.update(b"%d" % counter)
-        append(hasher.digest())
-    if tail:
-        digests[-1] = digests[-1][:tail]
-    create = ProcessDataFrame.create
-    return [create(port, data) for port, data in enumerate(digests, FILLER_PORT_BASE)]
+            padding = max(target - sum(len(frame.data) for frame in frames), 0)
+            # The due list is port-sorted: the last frame has the highest port.
+            if padding and frames and frames[-1].port >= FILLER_PORT_BASE:
+                raise ConfigError(
+                    f"signal port {frames[-1].port:#x} is in the filler range "
+                    f"(from {FILLER_PORT_BASE:#x}) of a padded cycle"
+                )
+        return BusCycleData(
+            cycle_no=cycle_no, timestamp_us=timestamp_us, frames=tuple(frames), padding=padding)

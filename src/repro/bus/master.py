@@ -127,12 +127,8 @@ class MvbMaster:
             return
         self._cycle_no += 1
         self.cycles_emitted += 1
-        frames = self._generator.frames_for_cycle(self._cycle_no, self._config.cycle_time_s)
-        cycle = BusCycleData(
-            cycle_no=self._cycle_no,
-            timestamp_us=int(self._kernel.now * 1e6),
-            frames=tuple(frames),
-        )
+        cycle = self._generator.frames_for_cycle(
+            self._cycle_no, self._config.cycle_time_s, timestamp_us=int(self._kernel.now * 1e6))
         for device_id, (on_cycle, fault_state) in self._devices.items():
             if device_id in self._offline:
                 continue

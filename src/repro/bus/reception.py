@@ -17,7 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from repro.bus.frames import MAX_FRAME_DATA_BYTES, BusCycleData, ProcessDataFrame
+from repro.bus.frames import (
+    FILLER_PORT_BASE,
+    MAX_FRAME_DATA_BYTES,
+    BusCycleData,
+    ProcessDataFrame,
+    filler_data,
+)
 from repro.bus.nsdb import Nsdb
 from repro.util.varint import encode_uvarint
 from repro.wire.codec import WireStruct
@@ -88,6 +94,20 @@ _PORT_VARINTS = _SmallVarints(0x1000)
 _LENGTH_VARINTS = _SmallVarints(MAX_FRAME_DATA_BYTES + 1)
 
 
+#: Entry heads of the full filler telegrams, ``uvarint(FILLER_PORT_BASE + k) ‖
+#: uvarint(32)`` at index ``k``; grown by :func:`_filler_heads`.
+_FILLER_HEADS: list[bytes] = []
+
+
+def _filler_heads(count: int) -> list[bytes]:
+    """``_FILLER_HEADS``, holding at least the first ``count`` heads."""
+    heads = _FILLER_HEADS
+    while len(heads) < count:
+        heads.append(_PORT_VARINTS[FILLER_PORT_BASE + len(heads)]
+                     + _LENGTH_VARINTS[MAX_FRAME_DATA_BYTES])
+    return heads
+
+
 @dataclass(frozen=True)
 class CyclePayload(WireStruct):
     """A request's payload: one ``(port, data, valid)`` per retained telegram, by port."""
@@ -95,18 +115,32 @@ class CyclePayload(WireStruct):
     entries: tuple[tuple[int, bytes, bool], ...]
 
 
-def encode_cycle_payload(frames: list[ProcessDataFrame]) -> bytes:
-    """``CyclePayload`` of ``frames`` sorted by port, joined from cached varints.
+def encode_cycle_payload(frames: list[ProcessDataFrame], cycle_no: int = 0,
+                         padding: int = 0) -> bytes:
+    """``CyclePayload`` of ``frames`` sorted by port, then ``padding`` bytes of filler.
 
-    The same bytes as ``CyclePayload(...).encode()``, without building the
-    entries: this runs once per retained telegram on every bus cycle.
+    The same bytes as ``CyclePayload(...).encode()`` of every telegram, filler
+    included (see ``BusCycleData.telegrams``), without building the entries or
+    the filler telegrams: this runs once per retained telegram on every bus
+    cycle.  Filler ports follow every listed port, which the generator checks.
     """
     ports, lengths = _PORT_VARINTS, _LENGTH_VARINTS
-    parts = [encode_uvarint(len(frames))]
+    filler = filler_data(cycle_no, padding) if padding else ()
+    parts = [encode_uvarint(len(frames) + len(filler))]
     for frame in sorted(frames, key=attrgetter("port")):
         data = frame.data
         parts += (ports[frame.port], lengths[len(data)], data,
                   b"\x01" if frame.valid else b"\x00")
+    if filler:
+        # Entry k is head k, digest k, ``01``: written by slice, not by loop.
+        count = len(filler)
+        entries = [b"\x01"] * (3 * count)
+        entries[0::3] = _filler_heads(count)[:count]
+        entries[1::3] = filler
+        cut = len(filler[-1])
+        if cut < MAX_FRAME_DATA_BYTES:
+            entries[-3] = ports[FILLER_PORT_BASE + count - 1] + lengths[cut]
+        parts += entries
     return b"".join(parts)
 
 
@@ -152,7 +186,9 @@ class BusReceiver:
                 break
         else:
             retained = filt.apply(cycle.frames)
-            payload = encode_cycle_payload(retained) if retained else None
+            padding = cycle.padding
+            payload = (encode_cycle_payload(retained, cycle.cycle_no, padding)
+                       if retained or padding else None)
             receptions.append((filt.nsdb, before, filt.last_raw, payload))
         if payload is None:
             self.cycles_empty_after_filter += 1

@@ -115,11 +115,8 @@ async def _feed(cluster: LiveCluster, recipe: NodeRecipe, cycles: int) -> None:
     generator = recipe.generator()
     cycle_time_s = recipe.config.cycle_time_s
     for cycle_no in range(1, cycles + 1):
-        cluster.deliver(BusCycleData(
-            cycle_no=cycle_no,
-            timestamp_us=int(cycle_no * cycle_time_s * 1e6),
-            frames=tuple(generator.frames_for_cycle(cycle_no, cycle_time_s)),
-        ))
+        cluster.deliver(generator.frames_for_cycle(
+            cycle_no, cycle_time_s, timestamp_us=int(cycle_no * cycle_time_s * 1e6)))
         await asyncio.sleep(cycle_time_s)
 
 

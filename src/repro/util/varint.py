@@ -20,6 +20,10 @@ def encode_uvarint(value: int) -> bytes:
         return _ONE_BYTE[value]  # tags, counts and short lengths: most calls
     if value < 0:
         raise CodecError(f"cannot varint-encode negative value {value}")
+    if value < 0x4000:
+        return bytes((value & 0x7F | 0x80, value >> 7))  # ports, lengths up to 16 KiB
+    if value < 0x200000:
+        return bytes((value & 0x7F | 0x80, value >> 7 & 0x7F | 0x80, value >> 14))
     out = bytearray()
     while True:
         byte = value & 0x7F

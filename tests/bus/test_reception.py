@@ -135,9 +135,9 @@ def computations(monkeypatch):
         counts["apply"] += 1
         return real_apply(self, frames)
 
-    def counting_encode(frames):
+    def counting_encode(frames, *padding):
         counts["encode"] += 1
-        return real_encode(frames)
+        return real_encode(frames, *padding)
 
     monkeypatch.setattr(RelevanceFilter, "apply", counting_apply)
     monkeypatch.setattr(reception, "encode_cycle_payload", counting_encode)

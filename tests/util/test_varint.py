@@ -1,5 +1,7 @@
 """Varint and length-prefixed byte-string codec tests."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,6 +61,36 @@ def test_forms_the_encoder_never_emits_are_rejected(raw):
 def test_canonical_boundaries_decode(raw, value):
     assert decode_uvarint(bytes.fromhex(raw)) == (value, len(raw) // 2)
     assert encode_uvarint(value) == bytes.fromhex(raw)
+
+
+def byte_loop(value):
+    """LEB128 a byte at a time: what the encoder's direct forms must equal."""
+    out = bytearray()
+    while True:
+        byte, value = value & 0x7F, value >> 7
+        if not value:
+            out.append(byte)
+            return bytes(out)
+        out.append(byte | 0x80)
+
+
+def test_every_value_below_two_to_the_sixteen_matches_the_byte_loop():
+    assert all(encode_uvarint(value) == byte_loop(value) for value in range(1 << 16))
+
+
+def test_every_seven_bit_boundary_matches_the_byte_loop():
+    for shift in range(7, 64 + 1, 7):
+        for value in ((1 << shift) - 1, 1 << shift, (1 << shift) + 1):
+            if value < 1 << 64:
+                assert encode_uvarint(value) == byte_loop(value), value
+    assert encode_uvarint(2**64 - 1) == byte_loop(2**64 - 1)
+
+
+def test_a_seeded_sample_matches_the_byte_loop():
+    rng = random.Random(33)
+    for _ in range(20_000):
+        value = rng.getrandbits(rng.randrange(1, 65))
+        assert encode_uvarint(value) == byte_loop(value), value
 
 
 def test_decode_with_offset():
